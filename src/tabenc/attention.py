@@ -1,11 +1,15 @@
-"""Masked, biased softmax attention: dense reference and a block-sparse kernel.
+"""Masked, biased softmax attention: one dense core, run densely or per row group.
 
-The dense path materializes the full logit matrix; masked positions are
-excluded from the reduction (their weight is exactly 0.0, never a large
-negative constant pushed through exp). The block-sparse path consumes the
-rectangle tiling produced by mask.export_blocks and runs a two-pass streaming
-softmax (max+sum pass, then weighted accumulation), so its working memory is
-O(L*d + largest block) instead of O(L^2).
+The dense core materializes the logits of the rows it is given; masked
+positions are excluded from the reduction (their weight is exactly 0.0, never
+a large negative constant pushed through exp). The block-sparse path turns the
+rectangle tiling produced by mask.export_blocks into row-disjoint groups, each
+with the one key set all of its rows attend (plan_blocks), and runs the dense
+core on each group's gathered keys. Every softmax row is complete within its
+group, so the forward is one pass, and so is the backward: its row-wise
+<p, dp> (= rowsum(dO * O), as in FlashAttention-2) needs no second sweep.
+Groups, and long 2-D dense calls, are cut into row chunks, so working memory
+stays O(L*d + chunk * keys).
 
 Both paths compute in the dtype of their inputs (float32 by default;
 float64 is used by the finite-difference tests). Backward passes are
@@ -14,6 +18,7 @@ analytic; gradients at masked pairs are exactly zero by construction.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -23,9 +28,9 @@ from .core import STRUCTURAL_MASKS, Table, ValidationError, derive_rng
 from .linearize import EncodedInput, linearize
 from .mask import AttentionMask, build_mask
 
-# chunk query rows above this length so the dense path never holds more than
-# a few hundred MB of logits at once (numerics are unchanged: rows are
-# independent)
+# the row-group loops give the dense core at most _DENSE_CHUNK query rows, so no
+# call holds more than a few hundred MB of logits (rows are independent, so the
+# numerics are unchanged); 2-D dense calls over _CHUNK_THRESHOLD rows use them too
 _DENSE_CHUNK = 2048
 _CHUNK_THRESHOLD = 4096
 
@@ -102,7 +107,7 @@ class AttentionGrads:
 
 
 # ---------------------------------------------------------------------------
-# dense path (batched core shared with the model; leading dims broadcast)
+# dense core (batched, shared with the model; leading dims broadcast)
 # ---------------------------------------------------------------------------
 
 def dense_forward(q, k, v, allowed=None, bias=None, scale=None, return_weights=False):
@@ -111,10 +116,10 @@ def dense_forward(q, k, v, allowed=None, bias=None, scale=None, return_weights=F
     allowed and bias broadcast against the (..., Lq, Lk) logit shape. Rows of
     `allowed` must each keep at least one key.
     """
+    if q.ndim == 2 and q.shape[0] > _CHUNK_THRESHOLD and not return_weights:
+        return _forward_loop(q, k, v, [(0, q.shape[0], slice(None))], allowed, bias, scale), None
     if scale is None:
         scale = 1.0 / float(np.sqrt(q.shape[-1]))
-    if q.ndim == 2 and q.shape[0] > _CHUNK_THRESHOLD and not return_weights:
-        return _dense_forward_chunked(q, k, v, allowed, bias, scale)
     logits = np.matmul(q, np.swapaxes(k, -1, -2)) * scale
     if bias is not None:
         logits = logits + bias
@@ -128,30 +133,21 @@ def dense_forward(q, k, v, allowed=None, bias=None, scale=None, return_weights=F
     return (out, p) if return_weights else (out, None)
 
 
-def _dense_forward_chunked(q, k, v, allowed, bias, scale):
-    L, d = q.shape
-    out = np.empty((L, v.shape[-1]), dtype=q.dtype)
-    for r0 in range(0, L, _DENSE_CHUNK):
-        r1 = min(r0 + _DENSE_CHUNK, L)
-        a = allowed[r0:r1] if allowed is not None else None
-        b = bias[r0:r1] if bias is not None else None
-        out[r0:r1], _ = dense_forward(q[r0:r1], k, v, a, b, scale)
-    return out, None
-
-
 def dense_backward(q, k, v, d_out, allowed=None, bias=None, scale=None, weights=None):
     """Analytic backward of dense_forward; returns (dq, dk, dv, dbias).
 
     dbias has the logit shape and is exactly zero at masked pairs (the
     softmax weight there is exactly zero). Pass `weights` to reuse a saved
-    forward; otherwise the forward is recomputed.
+    forward; otherwise the forward is recomputed. Long 2-D inputs are
+    processed in row chunks and return dbias None.
     """
-    if scale is None:
-        scale = 1.0 / float(np.sqrt(q.shape[-1]))
     if weights is None:
         if q.ndim == 2 and q.shape[0] > _CHUNK_THRESHOLD:
-            return _dense_backward_chunked(q, k, v, d_out, allowed, bias, scale)
+            whole = [(0, q.shape[0], slice(None))]
+            return _backward_loop(q, k, v, d_out, whole, allowed, bias, scale)
         _, weights = dense_forward(q, k, v, allowed, bias, scale, return_weights=True)
+    if scale is None:
+        scale = 1.0 / float(np.sqrt(q.shape[-1]))
     p = weights
     dv = np.matmul(np.swapaxes(p, -1, -2), d_out)
     dp = np.matmul(d_out, np.swapaxes(v, -1, -2))
@@ -162,20 +158,46 @@ def dense_backward(q, k, v, d_out, allowed=None, bias=None, scale=None, weights=
     return dq, dk, dv, ds
 
 
-def _dense_backward_chunked(q, k, v, d_out, allowed, bias, scale):
-    L = q.shape[0]
+# ---------------------------------------------------------------------------
+# row-group loops: the dense core on each group's keys, in row chunks
+# ---------------------------------------------------------------------------
+
+def _row_chunks(plan, k, v, allowed, bias):
+    """Yield (c0, c1, key_idx, k_g, v_g, allowed_c, bias_c) for every chunk of
+    at most _DENSE_CHUNK rows of every plan group (r0, r1, key_idx)."""
+    for r0, r1, idx in plan:
+        kg, vg = k[idx], v[idx]
+        for c0 in range(r0, r1, _DENSE_CHUNK):
+            c1 = min(c0 + _DENSE_CHUNK, r1)
+            a = None if allowed is None else allowed[c0:c1][:, idx]
+            b = None if bias is None else bias[c0:c1][:, idx]
+            yield c0, c1, idx, kg, vg, a, b
+
+
+def _forward_loop(q, k, v, plan, allowed, bias, scale):
+    out = np.empty((q.shape[0], v.shape[-1]), dtype=q.dtype)
+    for c0, c1, _idx, kg, vg, a, b in _row_chunks(plan, k, v, allowed, bias):
+        out[c0:c1], _ = dense_forward(q[c0:c1], kg, vg, a, b, scale)
+    return out
+
+
+def _backward_loop(q, k, v, d_out, plan, allowed, bias, scale, rel=None, n_classes=None):
+    """Single pass per chunk: a group holds every key of its rows, so the
+    chunk's softmax and its row-wise <p, dp> are complete; dk and dv are
+    scattered back through the group's (unique) key indices."""
     dq = np.empty_like(q)
     dk = np.zeros_like(k)
     dv = np.zeros_like(v)
-    for r0 in range(0, L, _DENSE_CHUNK):
-        r1 = min(r0 + _DENSE_CHUNK, L)
-        a = allowed[r0:r1] if allowed is not None else None
-        b = bias[r0:r1] if bias is not None else None
-        cdq, cdk, cdv, _ = dense_backward(q[r0:r1], k, v, d_out[r0:r1], a, b, scale)
-        dq[r0:r1] = cdq
-        dk += cdk
-        dv += cdv
-    return dq, dk, dv, None
+    dbias_class = None if rel is None else np.zeros(n_classes, dtype=np.float64)
+    for c0, c1, idx, kg, vg, a, b in _row_chunks(plan, k, v, allowed, bias):
+        dq[c0:c1], gdk, gdv, ds = dense_backward(q[c0:c1], kg, vg, d_out[c0:c1], a, b, scale)
+        dk[idx] += gdk
+        dv[idx] += gdv
+        if dbias_class is not None:
+            dbias_class += np.bincount(
+                rel[c0:c1][:, idx].ravel(), weights=ds.ravel(), minlength=n_classes
+            )
+    return dq, dk, dv, dbias_class
 
 
 # ---------------------------------------------------------------------------
@@ -183,111 +205,69 @@ def _dense_backward_chunked(q, k, v, d_out, allowed, bias, scale):
 # ---------------------------------------------------------------------------
 
 def plan_blocks(blocks, length: int):
-    """Merge rectangles that share a query range into one gather plan.
+    """Turn a rectangle tiling into row-disjoint groups [(r0, r1, key_idx)].
 
-    Returns [(q0, q1, key_indices)] sorted by q0. Key indices within one plan
-    entry are unique because the tiling is disjoint.
+    Query ranges are cut at every rectangle boundary, so each row of [0, L)
+    sits in exactly one group, whose sorted key_idx is the union of the key
+    ranges of the rectangles covering it. Raises ValidationError for a
+    rectangle out of range, a row no rectangle covers, or a key covered twice.
     """
-    by_qrange: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for q0, q1, k0, k1 in blocks:
-        if not (0 <= q0 < q1 <= length and 0 <= k0 < k1 <= length):
-            raise ValidationError(f"block ({q0},{q1},{k0},{k1}) out of range for L={length}")
-        by_qrange.setdefault((q0, q1), []).append((k0, k1))
-    plan = []
-    for (q0, q1), ranges in sorted(by_qrange.items()):
-        ranges.sort()
-        idx = np.concatenate([np.arange(k0, k1, dtype=np.intp) for k0, k1 in ranges])
-        plan.append((q0, q1, idx))
-    return plan
-
-
-def _stream_stats(q, k, bias, scale, plan, length, dtype):
-    """Pass 1: per-row running max and rescaled exp-sum over all blocks."""
-    m = np.full(length, -np.inf, dtype=dtype)
-    s = np.zeros(length, dtype=dtype)
-    for q0, q1, idx in plan:
-        logits = np.matmul(q[q0:q1], k[idx].T) * scale
-        if bias is not None:
-            logits += bias[q0:q1][:, idx]
-        local_max = logits.max(axis=1)
-        new_max = np.maximum(m[q0:q1], local_max)
-        s[q0:q1] = s[q0:q1] * np.exp(m[q0:q1] - new_max) + np.exp(
-            logits - new_max[:, None]
-        ).sum(axis=1)
-        m[q0:q1] = new_max
-    if not (s > 0).all():
+    flat = np.fromiter(itertools.chain.from_iterable(blocks), dtype=np.intp)
+    if flat.size != 4 * len(blocks):
+        raise ValidationError("blocks must be (q0, q1, k0, k1) rectangles")
+    b = flat.reshape(-1, 4)
+    q0, q1, k0, k1 = b.T
+    bad = ~((0 <= q0) & (q0 < q1) & (q1 <= length) & (0 <= k0) & (k0 < k1) & (k1 <= length))
+    if bad.any():
+        raise ValidationError(
+            f"block {tuple(b[np.argmax(bad)].tolist())} out of range for L={length}"
+        )
+    cuts = np.unique(np.concatenate(([0, length], q0, q1)))
+    # one entry per (group, rectangle covering it)
+    s0 = np.searchsorted(cuts, q0)
+    span = np.searchsorted(cuts, q1) - s0
+    rect = np.repeat(np.arange(len(b)), span)
+    group = np.arange(len(rect)) - np.repeat(np.cumsum(span) - span - s0, span)
+    per_group = np.bincount(group, minlength=len(cuts) - 1)
+    if (per_group == 0).any():
         raise ValidationError("blocks leave at least one query row uncovered")
-    return m, s
+    order = np.lexsort((k0[rect], group))
+    rect = rect[order]
+    width = (k1 - k0)[rect]
+    ends = np.cumsum(width)
+    keys = np.arange(width.sum()) - np.repeat(ends - width - k0[rect], width)
+    key_ends = ends[np.cumsum(per_group) - 1]
+    # sorted by k0, a group's keys increase strictly unless two ranges overlap
+    step = np.diff(keys)
+    step[key_ends[:-1] - 1] = 1
+    repeats = np.flatnonzero(step <= 0)
+    if repeats.size:
+        pos = int(repeats[0]) + 1
+        g = int(np.searchsorted(key_ends, pos, side="right"))
+        raise ValidationError(
+            f"blocks cover key {int(keys[pos])} twice for query rows "
+            f"[{int(cuts[g])}, {int(cuts[g + 1])})"
+        )
+    return list(zip(cuts[:-1].tolist(), cuts[1:].tolist(), np.split(keys, key_ends[:-1])))
 
 
 def block_sparse_forward(q, k, v, blocks, bias=None, scale=None):
-    """Two-pass streaming attention restricted to the given rectangles."""
-    if scale is None:
-        scale = 1.0 / float(np.sqrt(q.shape[-1]))
-    L = q.shape[0]
-    plan = plan_blocks(blocks, L)
-    m, s = _stream_stats(q, k, bias, scale, plan, L, q.dtype)
-    out = np.zeros((L, v.shape[-1]), dtype=q.dtype)
-    for q0, q1, idx in plan:
-        logits = np.matmul(q[q0:q1], k[idx].T) * scale
-        if bias is not None:
-            logits += bias[q0:q1][:, idx]
-        p = np.exp(logits - m[q0:q1, None])
-        out[q0:q1] += np.matmul(p, v[idx])
-    out /= s[:, None]
-    return out
+    """Attention restricted to the given rectangles: the dense core per row group."""
+    return _forward_loop(q, k, v, plan_blocks(blocks, q.shape[0]), None, bias, scale)
 
 
 def block_sparse_backward(q, k, v, blocks, d_out, bias=None, scale=None,
                           rel=None, n_classes=None):
-    """Analytic backward with the same streaming structure (three block passes).
+    """Analytic backward of block_sparse_forward, one pass over the row groups.
 
     When `rel` (a per-pair relation-class map) is given, the bias gradient is
     reduced to one scalar per class; pairs outside the blocks contribute
     exactly zero because they are never touched.
     """
-    if scale is None:
-        scale = 1.0 / float(np.sqrt(q.shape[-1]))
-    L = q.shape[0]
-    plan = plan_blocks(blocks, L)
-    m, s = _stream_stats(q, k, bias, scale, plan, L, q.dtype)
-
-    dq = np.zeros_like(q)
-    dk = np.zeros_like(k)
-    dv = np.zeros_like(v)
-    rowdot = np.zeros(L, dtype=q.dtype)
-    dbias_class = None
-    if rel is not None:
-        if n_classes is None:
-            n_classes = int(rel.max()) + 1
-        dbias_class = np.zeros(n_classes, dtype=np.float64)
-
-    def probs(q0, q1, idx):
-        logits = np.matmul(q[q0:q1], k[idx].T) * scale
-        if bias is not None:
-            logits += bias[q0:q1][:, idx]
-        return np.exp(logits - m[q0:q1, None]) / s[q0:q1, None]
-
-    # pass 2: row-wise <p, dp> plus dv
-    for q0, q1, idx in plan:
-        p = probs(q0, q1, idx)
-        dp = np.matmul(d_out[q0:q1], v[idx].T)
-        rowdot[q0:q1] += np.sum(p * dp, axis=1)
-        dv[idx] += np.matmul(p.T, d_out[q0:q1])
-
-    # pass 3: ds-dependent grads
-    for q0, q1, idx in plan:
-        p = probs(q0, q1, idx)
-        dp = np.matmul(d_out[q0:q1], v[idx].T)
-        ds = p * (dp - rowdot[q0:q1, None])
-        dq[q0:q1] += np.matmul(ds, k[idx]) * scale
-        dk[idx] += np.matmul(ds.T, q[q0:q1]) * scale
-        if dbias_class is not None:
-            classes = rel[q0:q1][:, idx].ravel()
-            dbias_class += np.bincount(
-                classes, weights=ds.ravel().astype(np.float64), minlength=n_classes
-            )
-    return dq, dk, dv, dbias_class
+    if rel is not None and n_classes is None:
+        n_classes = int(rel.max()) + 1
+    return _backward_loop(q, k, v, d_out, plan_blocks(blocks, q.shape[0]), None, bias,
+                          scale, rel, n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +284,7 @@ def attn_dense(inp: AttentionInput, return_weights: bool = False) -> AttentionOu
 
 def attn_block_sparse(inp: AttentionInput, blocks=None) -> AttentionOutput:
     if blocks is None:
-        if not isinstance(inp.mask, AttentionMask) or inp.mask.blocks is None:
+        if not isinstance(inp.mask, AttentionMask):
             raise ValidationError("attn_block_sparse needs rectangle blocks")
         blocks = inp.mask.blocks
     out = block_sparse_forward(inp.q, inp.k, inp.v, blocks, inp.bias_values, inp.scale)
@@ -319,7 +299,7 @@ def attn_backward(
 ) -> AttentionGrads:
     """Gradients of sum(out * d_out) w.r.t. q, k, v and the bias matrix.
 
-    With `blocks` the streaming kernel is used; with `rel_map` (see
+    With `blocks` the block-sparse kernel is used; with `rel_map` (see
     mask.build_bias_map) per-class bias scalar gradients are returned as well.
     """
     d_out = np.asarray(d_out, dtype=inp.q.dtype)

@@ -55,16 +55,20 @@ def _apply_thread_cap() -> tuple[int | None, str | None]:
 # small shared helpers
 # ---------------------------------------------------------------------------
 
+def _atomic_write(path: Path, write) -> None:
+    """Call write(tmp) on a sibling temp file, then rename it over path, so a
+    reader never sees a partial file; the temp file is removed if writing fails."""
+    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8", newline="\n")
-    os.replace(tmp, path)
-
-
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    _atomic_write(path, lambda tmp: tmp.write_text(text, encoding="utf-8", newline="\n"))
 
 
 def _print_json(obj) -> None:
@@ -128,9 +132,7 @@ def _cmd_gen(args) -> int:
     examples, report = gen_dataset(spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out.with_name(f"{out.name}.tmp.{os.getpid()}")
-    write_jsonl(examples, tmp)
-    os.replace(tmp, out)
+    _atomic_write(out, lambda tmp: write_jsonl(examples, tmp))
 
     _print_json({
         "suite": args.suite,
@@ -250,9 +252,7 @@ def _cmd_mask(args) -> int:
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        tmp = out.with_name(f"{out.name}.tmp.{os.getpid()}")
-        write_blocks_file(tmp, mask)
-        os.replace(tmp, out)
+        _atomic_write(out, lambda tmp: write_blocks_file(tmp, mask))
         summary["out"] = str(out)
     _print_json(summary)
     return 0
@@ -338,9 +338,7 @@ def _cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     vocab = default_vocab()
     ckpt = out / "checkpoint.bin"
-    tmp = ckpt.with_name(f"{ckpt.name}.tmp.{os.getpid()}")
-    save_checkpoint(tmp, result.params, cfg, vocab.size)
-    os.replace(tmp, ckpt)
+    _atomic_write(ckpt, lambda tmp: save_checkpoint(tmp, result.params, cfg, vocab.size))
     _atomic_write_text(out / "trace.csv", _trace_csv(result.trace))
 
     summary = {
@@ -557,9 +555,7 @@ def _ensure_grid_data(outdir: Path, suites, seed: int, train_n: int, eval_n: int
             continue
         spec = suite_spec(suite, n, _derived_seed(seed, f"grid-data-{tag}"))
         examples, _report = gen_dataset(spec)
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        write_jsonl(examples, tmp)
-        os.replace(tmp, path)
+        _atomic_write(path, lambda tmp: write_jsonl(examples, tmp))
     return paths
 
 

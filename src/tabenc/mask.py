@@ -18,6 +18,7 @@ self-only. M4..M6 require T2 inputs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,17 +34,18 @@ _STRUCT_RELAY = frozenset({"M4", "M5", "M6"})
 
 @dataclass(frozen=True)
 class AttentionMask:
-    """Boolean allow-matrix plus (optionally) its exact rectangle tiling.
-
-    dense[i, j] is True when query i may attend key j. blocks, when present,
-    is a list of (q0, q1, k0, k1) half-open rectangles that tile the allowed
-    set exactly: disjoint, union equal to the True entries.
-    """
+    """Boolean allow-matrix; dense[i, j] is True when query i may attend key j."""
 
     length: int
     scheme: str
     dense: np.ndarray
-    blocks: tuple[tuple[int, int, int, int], ...] | None = None
+
+    @functools.cached_property
+    def blocks(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(q0, q1, k0, k1) half-open rectangles that tile the allowed set
+        exactly (disjoint, union equal to the True entries); computed on
+        first use, since only the block-sparse kernel and block files need it."""
+        return export_blocks_from_dense(self.dense)
 
 
 def _check_scheme(enc: EncodedInput, scheme: str) -> None:
@@ -60,8 +62,7 @@ def build_mask(enc: EncodedInput, scheme: str) -> AttentionMask:
     _check_scheme(enc, scheme)
     L = len(enc)
     if scheme == "M0":
-        dense = np.ones((L, L), dtype=bool)
-        return AttentionMask(L, scheme, dense, export_blocks_from_dense(dense))
+        return AttentionMask(L, scheme, np.ones((L, L), dtype=bool))
 
     roles = enc.roles
     rows = enc.row_idx
@@ -95,7 +96,7 @@ def build_mask(enc: EncodedInput, scheme: str) -> AttentionMask:
         relay |= tab_tok[:, None] & content[None, :]
         allowed |= relay | relay.T
 
-    return AttentionMask(L, scheme, allowed, export_blocks_from_dense(allowed))
+    return AttentionMask(L, scheme, allowed)
 
 
 def _allowed_pair(enc: EncodedInput, scheme: str, i: int, j: int) -> bool:
@@ -132,14 +133,14 @@ def _allowed_pair(enc: EncodedInput, scheme: str, i: int, j: int) -> bool:
 
 
 def build_mask_bruteforce(enc: EncodedInput, scheme: str) -> AttentionMask:
-    """Evaluate the pair predicate over all L^2 pairs; no shortcuts, no blocks."""
+    """Evaluate the pair predicate over all L^2 pairs; no shortcuts."""
     _check_scheme(enc, scheme)
     L = len(enc)
     dense = np.zeros((L, L), dtype=bool)
     for i in range(L):
         for j in range(L):
             dense[i, j] = _allowed_pair(enc, scheme, i, j)
-    return AttentionMask(L, scheme, dense, None)
+    return AttentionMask(L, scheme, dense)
 
 
 def sparsity(mask: AttentionMask) -> float:
@@ -150,9 +151,7 @@ def sparsity(mask: AttentionMask) -> float:
 
 def export_blocks(mask: AttentionMask) -> tuple[tuple[int, int, int, int], ...]:
     """Rectangle tiling of the allowed set, sorted by (q0, k0)."""
-    if mask.blocks is not None:
-        return mask.blocks
-    return export_blocks_from_dense(mask.dense)
+    return mask.blocks
 
 
 def export_blocks_from_dense(dense: np.ndarray) -> tuple[tuple[int, int, int, int], ...]:

@@ -88,47 +88,43 @@ class ModelConfig:
 # parameters
 # ---------------------------------------------------------------------------
 
-def init_params(cfg: ModelConfig, vocab_size: int, rng: np.random.Generator) -> dict:
-    p: dict[str, np.ndarray] = {}
+def _param_layout(cfg: ModelConfig, vocab_size: int) -> dict:
+    """Name -> (shape, fill) of every parameter, in initialization order; fill
+    None means drawn from N(0, 0.02^2)."""
+    layout: dict[str, tuple[tuple[int, ...], float | None]] = {}
     d = cfg.d_model
 
-    def normal(*shape):
-        return (rng.standard_normal(shape) * 0.02).astype(np.float32)
+    def add(name, fill, *shape):
+        layout[name] = (shape, fill)
 
-    def zeros(*shape):
-        return np.zeros(shape, dtype=np.float32)
-
-    def ones(*shape):
-        return np.ones(shape, dtype=np.float32)
-
-    p["tok_emb"] = normal(vocab_size, d)
-    p["pos_emb"] = normal(cfg.max_positions, d)
-    p["seg_emb"] = normal(2, d)
+    add("tok_emb", None, vocab_size, d)
+    add("pos_emb", None, cfg.max_positions, d)
+    add("seg_emb", None, 2, d)
     if cfg.factor.emb == "E1":
-        p["row_emb"] = normal(cfg.max_table_rows + 1, d)
-        p["col_emb"] = normal(cfg.max_table_cols + 1, d)
-    p["dec_pos_emb"] = normal(cfg.dec_positions, d)
+        add("row_emb", None, cfg.max_table_rows + 1, d)
+        add("col_emb", None, cfg.max_table_cols + 1, d)
+    add("dec_pos_emb", None, cfg.dec_positions, d)
 
     def attn_block(prefix: str):
         for name in ("wq", "wk", "wv", "wo"):
-            p[f"{prefix}.{name}"] = normal(d, d)
-            p[f"{prefix}.{name}_b"] = zeros(d)
+            add(f"{prefix}.{name}", None, d, d)
+            add(f"{prefix}.{name}_b", 0.0, d)
 
     def ffn_block(prefix: str):
-        p[f"{prefix}.w1"] = normal(d, cfg.ffn_dim)
-        p[f"{prefix}.b1"] = zeros(cfg.ffn_dim)
-        p[f"{prefix}.w2"] = normal(cfg.ffn_dim, d)
-        p[f"{prefix}.b2"] = zeros(d)
+        add(f"{prefix}.w1", None, d, cfg.ffn_dim)
+        add(f"{prefix}.b1", 0.0, cfg.ffn_dim)
+        add(f"{prefix}.w2", None, cfg.ffn_dim, d)
+        add(f"{prefix}.b2", 0.0, d)
 
     def ln_block(prefix: str):
-        p[f"{prefix}.g"] = ones(d)
-        p[f"{prefix}.b"] = zeros(d)
+        add(f"{prefix}.g", 1.0, d)
+        add(f"{prefix}.b", 0.0, d)
 
     for i in range(cfg.n_enc_layers):
         ln_block(f"enc{i}.ln1")
         attn_block(f"enc{i}.attn")
         if cfg.factor.bias == "B1":
-            p[f"enc{i}.bias_scales"] = zeros(cfg.n_heads, N_BIAS_CLASSES)
+            add(f"enc{i}.bias_scales", 0.0, cfg.n_heads, N_BIAS_CLASSES)
         ln_block(f"enc{i}.ln2")
         ffn_block(f"enc{i}.ffn")
     ln_block("enc_ln")
@@ -142,8 +138,18 @@ def init_params(cfg: ModelConfig, vocab_size: int, rng: np.random.Generator) -> 
         ffn_block(f"dec{i}.ffn")
     ln_block("dec_ln")
 
-    p["out_w"] = normal(d, vocab_size)
-    p["out_b"] = zeros(vocab_size)
+    add("out_w", None, d, vocab_size)
+    add("out_b", 0.0, vocab_size)
+    return layout
+
+
+def init_params(cfg: ModelConfig, vocab_size: int, rng: np.random.Generator) -> dict:
+    p: dict[str, np.ndarray] = {}
+    for name, (shape, fill) in _param_layout(cfg, vocab_size).items():
+        if fill is None:
+            p[name] = (rng.standard_normal(shape) * 0.02).astype(np.float32)
+        else:
+            p[name] = np.full(shape, fill, dtype=np.float32)
     return p
 
 
@@ -698,21 +704,38 @@ def save_checkpoint(path, params: dict, cfg: ModelConfig, vocab_size: int) -> No
 
 
 def load_checkpoint(path) -> tuple[dict, ModelConfig, int]:
+    """Read a save_checkpoint file; a bad magic, version or header, tensors
+    other than the init_params layout of the stored config, and missing or
+    trailing bytes raise ValidationError naming the file and the fault."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValidationError(f"{path}: not a checkpoint (magic {magic!r})")
-        version, hlen = struct.unpack("<II", fh.read(8))
+        head = fh.read(8)
+        if len(head) != 8:
+            raise ValidationError(f"{path}: checkpoint header cut short")
+        version, hlen = struct.unpack("<II", head)
         if version != _CKPT_VERSION:
             raise ValidationError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        try:
+            header = json.loads(fh.read(hlen))
+            cfg = ModelConfig.from_json(header["config"])
+            vocab_size = int(header["vocab_size"])
+            tensors = [(t["name"], tuple(int(n) for n in t["shape"])) for t in header["tensors"]]
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, ValidationError) as exc:
+            raise ValidationError(f"{path}: malformed checkpoint header ({exc!r})") from None
+        layout = [(name, shape) for name, (shape, _fill) in _param_layout(cfg, vocab_size).items()]
+        odd = sorted(set(tensors) ^ set(layout))
+        if odd or len(tensors) != len(layout):
+            where = f"tensor {odd[0][0]!r} {odd[0][1]}" if odd else "a repeated tensor name"
+            raise ValidationError(f"{path}: {where} differs from the layout of the stored config")
         params = {}
-        for spec in header["tensors"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
+        for name, shape in tensors:
+            count = int(np.prod(shape))
             buf = fh.read(count * 4)
             if len(buf) != count * 4:
-                raise ValidationError(f"{path}: truncated tensor {spec['name']}")
-            params[spec["name"]] = np.frombuffer(buf, dtype="<f4").reshape(shape).copy()
-    cfg = ModelConfig.from_json(header["config"])
-    return params, cfg, int(header["vocab_size"])
+                raise ValidationError(f"{path}: truncated tensor {name}")
+            params[name] = np.frombuffer(buf, dtype="<f4").reshape(shape).copy()
+        if fh.read(1):
+            raise ValidationError(f"{path}: trailing bytes after the last tensor")
+    return params, cfg, vocab_size

@@ -17,7 +17,7 @@ from tabenc.attention import (
 )
 from tabenc.core import ValidationError, derive_rng
 from tabenc.linearize import linearize
-from tabenc.mask import build_bias_map, build_mask
+from tabenc.mask import blocks_cover, build_bias_map, build_mask
 
 from conftest import make_table, random_question
 
@@ -172,28 +172,25 @@ def test_masked_pairs_have_zero_bias_gradient(rng):
 # ---------------------------------------------------------------------------
 
 def test_chunked_dense_paths_match(rng, monkeypatch):
-    monkeypatch.setattr(attention, "_CHUNK_THRESHOLD", 16)
-    monkeypatch.setattr(attention, "_DENSE_CHUNK", 8)
     _, m, q, k, v, _, _, _ = random_case(rng, "M1", d=4)
-    if q.shape[0] <= 16:
-        q = np.vstack([q] * 4)[:20]
-        k = np.vstack([k] * 4)[:20]
-        v = np.vstack([v] * 4)[:20]
-        m_dense = np.ones((20, 20), dtype=bool)
-    else:
-        m_dense = m.dense
     d_out = rng.standard_normal(q.shape)
-    out_chunked, _ = dense_forward(q, k, v, m_dense)
-    monkeypatch.setattr(attention, "_CHUNK_THRESHOLD", 4096)
-    out_plain, _ = dense_forward(q, k, v, m_dense)
-    assert np.allclose(out_chunked, out_plain, atol=1e-12)
-
-    monkeypatch.setattr(attention, "_CHUNK_THRESHOLD", 16)
-    gc = dense_backward(q, k, v, d_out, m_dense)
-    monkeypatch.setattr(attention, "_CHUNK_THRESHOLD", 4096)
-    gp = dense_backward(q, k, v, d_out, m_dense)
-    for a, b in zip(gc[:3], gp[:3]):
-        assert np.allclose(a, b, atol=1e-12)
+    out_plain, _ = dense_forward(q, k, v, m.dense)
+    gp = dense_backward(q, k, v, d_out, m.dense)
+    monkeypatch.setattr(attention, "_CHUNK_THRESHOLD", 4)
+    monkeypatch.setattr(attention, "_DENSE_CHUNK", 2)
+    L = q.shape[0]
+    # the 2-D dense call is chunked, and so is at least one block-sparse group
+    assert L > 4
+    assert max(r1 - r0 for r0, r1, _ in plan_blocks(m.blocks, L)) > 2
+    chunked = (
+        (dense_forward(q, k, v, m.dense)[0], dense_backward(q, k, v, d_out, m.dense)),
+        (block_sparse_forward(q, k, v, m.blocks),
+         block_sparse_backward(q, k, v, m.blocks, d_out)),
+    )
+    for out_chunked, gc in chunked:
+        assert np.allclose(out_chunked, out_plain, atol=1e-12)
+        for a, b in zip(gc[:3], gp[:3]):
+            assert np.allclose(a, b, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +244,32 @@ def test_block_sparse_needs_blocks(rng):
 
 
 def test_plan_blocks_merges_query_ranges():
-    plan = plan_blocks([(0, 2, 0, 3), (0, 2, 5, 6), (2, 4, 0, 4)], 8)
-    assert len(plan) == 2
-    (q0, q1, idx0), (q2, q3, idx1) = plan
-    assert (q0, q1) == (0, 2) and idx0.tolist() == [0, 1, 2, 5]
-    assert (q2, q3) == (2, 4) and idx1.tolist() == [0, 1, 2, 3]
+    blocks = [(0, 2, 0, 3), (0, 2, 5, 6), (2, 4, 0, 4), (0, 4, 6, 8), (4, 8, 0, 8)]
+    plan = plan_blocks(blocks, 8)
+    assert [(r0, r1, idx.tolist()) for r0, r1, idx in plan] == [
+        (0, 2, [0, 1, 2, 5, 6, 7]),
+        (2, 4, [0, 1, 2, 3, 6, 7]),
+        (4, 8, list(range(8))),
+    ]
+
+
+def test_plan_blocks_splits_overlapping_query_ranges(rng):
+    blocks = [(0, 4, 0, 2), (2, 6, 2, 6)]
+    plan = plan_blocks(blocks, 6)
+    assert [(r0, r1, idx.tolist()) for r0, r1, idx in plan] == [
+        (0, 2, [0, 1]), (2, 4, [0, 1, 2, 3, 4, 5]), (4, 6, [2, 3, 4, 5]),
+    ]
+    allowed = blocks_cover(blocks, 6)
+    rel = rng.integers(0, 3, size=(6, 6))
+    scales = rng.standard_normal(3)
+    q, k, v, d_out = (rng.standard_normal((6, 3)) for _ in range(4))
+    ref, _ = dense_forward(q, k, v, allowed, scales[rel])
+    assert np.allclose(block_sparse_forward(q, k, v, blocks, scales[rel]), ref, atol=1e-12)
+    dq, dk, dv, ds = dense_backward(q, k, v, d_out, allowed, scales[rel])
+    dclass = np.bincount(rel.ravel(), weights=ds.ravel(), minlength=3)
+    got = block_sparse_backward(q, k, v, blocks, d_out, scales[rel], rel=rel, n_classes=3)
+    for a, b in zip(got, (dq, dk, dv, dclass)):
+        assert np.allclose(a, b, atol=1e-12)
 
 
 def test_plan_blocks_range_check():
@@ -259,6 +277,19 @@ def test_plan_blocks_range_check():
         plan_blocks([(0, 2, 0, 9)], 8)
     with pytest.raises(ValidationError):
         plan_blocks([(3, 3, 0, 2)], 8)
+
+
+def test_plan_blocks_rejects_overlap(rng):
+    # the second rectangle covers key 1 of rows 0..1 again
+    blocks = [(0, 2, 0, 2), (0, 2, 1, 2)]
+    with pytest.raises(ValidationError, match="key 1 twice"):
+        plan_blocks(blocks, 2)
+    # a range nested inside an earlier one is caught too
+    with pytest.raises(ValidationError, match="key 1 twice"):
+        plan_blocks([(0, 4, 0, 4), (0, 4, 1, 2)], 4)
+    q = rng.standard_normal((2, 4))
+    with pytest.raises(ValidationError):
+        block_sparse_forward(q, q, q, blocks)
 
 
 def test_uncovered_query_rows_rejected(rng):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tabenc
@@ -267,6 +268,56 @@ def test_eval_rejects_garbage_checkpoint(tmp_path, capsys):
     bad.write_bytes(b"junkjunkjunk")
     code, _, _ = run(capsys, "eval", "--checkpoint", str(bad), "--data", str(data))
     assert code == 2
+
+
+def _corrupt_short_header(path):
+    path.write_bytes(path.read_bytes()[:9])
+    return "header cut short"
+
+
+def _corrupt_trailing_bytes(path):
+    path.write_bytes(path.read_bytes() + b"\x00")
+    return "trailing bytes"
+
+
+def _corrupt_layout(path):
+    # the header's config asks for two encoder layers, the tensors hold one
+    from tabenc.model import ModelConfig, init_params, save_checkpoint
+
+    one = ModelConfig(d_model=16, n_heads=2, n_enc_layers=1, n_dec_layers=1, ffn_dim=24)
+    two = ModelConfig(d_model=16, n_heads=2, n_enc_layers=2, n_dec_layers=1, ffn_dim=24)
+    vocab = tabenc.default_vocab().size
+    save_checkpoint(path, init_params(one, vocab, np.random.default_rng(0)), two, vocab)
+    return "tensor 'enc1.attn.wk' (16, 16) differs from the layout"
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_corrupt_short_header, _corrupt_trailing_bytes, _corrupt_layout]
+)
+def test_eval_rejects_damaged_checkpoint(trained, tmp_path, capsys, corrupt):
+    data, run_dir = trained
+    bad = tmp_path / "bad.bin"
+    shutil.copy(run_dir / "checkpoint.bin", bad)
+    fault = corrupt(bad)
+    code, _, err = run(capsys, "eval", "--checkpoint", str(bad), "--data", str(data))
+    assert code == 2
+    assert str(bad) in err and fault in err
+
+
+def test_atomic_write_removes_temp_file_on_failure(tmp_path):
+    from tabenc.cli import _atomic_write
+
+    target = tmp_path / "out.txt"
+
+    def fail(tmp):
+        tmp.write_text("partial")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError):
+        _atomic_write(target, fail)
+    assert list(tmp_path.iterdir()) == []
+    _atomic_write(target, lambda tmp: tmp.write_text("done"))
+    assert target.read_text() == "done" and list(tmp_path.iterdir()) == [target]
 
 
 def test_train_validates_before_writing(tmp_path, capsys):
