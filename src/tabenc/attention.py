@@ -251,13 +251,16 @@ def plan_blocks(blocks, length: int):
     return list(zip(cuts[:-1].tolist(), cuts[1:].tolist(), np.split(keys, key_ends[:-1])))
 
 
-def block_sparse_forward(q, k, v, blocks, bias=None, scale=None):
-    """Attention restricted to the given rectangles: the dense core per row group."""
-    return _forward_loop(q, k, v, plan_blocks(blocks, q.shape[0]), None, bias, scale)
+def block_sparse_forward(q, k, v, blocks, bias=None, scale=None, plan=None):
+    """Attention restricted to the given rectangles: the dense core per row
+    group. `plan`, when given, is plan_blocks(blocks, L) built beforehand."""
+    if plan is None:
+        plan = plan_blocks(blocks, q.shape[0])
+    return _forward_loop(q, k, v, plan, None, bias, scale)
 
 
 def block_sparse_backward(q, k, v, blocks, d_out, bias=None, scale=None,
-                          rel=None, n_classes=None):
+                          rel=None, n_classes=None, plan=None):
     """Analytic backward of block_sparse_forward, one pass over the row groups.
 
     When `rel` (a per-pair relation-class map) is given, the bias gradient is
@@ -266,8 +269,19 @@ def block_sparse_backward(q, k, v, blocks, d_out, bias=None, scale=None,
     """
     if rel is not None and n_classes is None:
         n_classes = int(rel.max()) + 1
-    return _backward_loop(q, k, v, d_out, plan_blocks(blocks, q.shape[0]), None, bias,
-                          scale, rel, n_classes)
+    if plan is None:
+        plan = plan_blocks(blocks, q.shape[0])
+    return _backward_loop(q, k, v, d_out, plan, None, bias, scale, rel, n_classes)
+
+
+def _mask_plan(inp: AttentionInput, blocks):
+    """The mask's cached plan when `blocks` is its own tiling, else None.
+    The tiling is read from the instance dict, so a mask never tiled is not
+    tiled here just to be compared."""
+    mask = inp.mask
+    if isinstance(mask, AttentionMask) and blocks is mask.__dict__.get("blocks"):
+        return mask.plan
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +301,8 @@ def attn_block_sparse(inp: AttentionInput, blocks=None) -> AttentionOutput:
         if not isinstance(inp.mask, AttentionMask):
             raise ValidationError("attn_block_sparse needs rectangle blocks")
         blocks = inp.mask.blocks
-    out = block_sparse_forward(inp.q, inp.k, inp.v, blocks, inp.bias_values, inp.scale)
+    out = block_sparse_forward(inp.q, inp.k, inp.v, blocks, inp.bias_values, inp.scale,
+                               plan=_mask_plan(inp, blocks))
     return AttentionOutput(out=out)
 
 
@@ -306,21 +321,30 @@ def attn_backward(
     if d_out.shape != inp.q.shape:
         raise ValidationError("d_out must match the output shape")
     rel = rel_map.rel if hasattr(rel_map, "rel") else rel_map
+    n_classes = None
+    if rel is not None:
+        n_classes = rel_map.n_classes if hasattr(rel_map, "n_classes") else int(rel.max()) + 1
     if blocks is not None:
-        n_classes = rel_map.n_classes if hasattr(rel_map, "n_classes") else None
         dq, dk, dv, dclass = block_sparse_backward(
             inp.q, inp.k, inp.v, blocks, d_out, inp.bias_values, inp.scale,
-            rel=rel, n_classes=n_classes,
+            rel=rel, n_classes=n_classes, plan=_mask_plan(inp, blocks),
+        )
+        return AttentionGrads(dq=dq, dk=dk, dv=dv, dbias=None, dbias_class=dclass)
+    L = inp.q.shape[0]
+    if L > _CHUNK_THRESHOLD:
+        # the chunked dense path keeps no L x L dbias; it reduces per class as it goes
+        dq, dk, dv, dclass = _backward_loop(
+            inp.q, inp.k, inp.v, d_out, [(0, L, slice(None))], inp.allowed,
+            inp.bias_values, inp.scale, rel, n_classes,
         )
         return AttentionGrads(dq=dq, dk=dk, dv=dv, dbias=None, dbias_class=dclass)
     dq, dk, dv, dbias = dense_backward(
         inp.q, inp.k, inp.v, d_out, inp.allowed, inp.bias_values, inp.scale
     )
     dclass = None
-    if rel is not None and dbias is not None:
-        n = rel_map.n_classes if hasattr(rel_map, "n_classes") else int(rel.max()) + 1
+    if rel is not None:
         dclass = np.bincount(
-            rel.ravel(), weights=dbias.ravel().astype(np.float64), minlength=n
+            rel.ravel(), weights=dbias.ravel().astype(np.float64), minlength=n_classes
         )
     return AttentionGrads(dq=dq, dk=dk, dv=dv, dbias=dbias, dbias_class=dclass)
 
@@ -412,10 +436,12 @@ def bench_attention(
         rng = derive_rng(seed, "bench-qkv", L)
         q, k, v = (rng.standard_normal((L, head_dim)).astype(np.float32) for _ in range(3))
         scale = 1.0 / float(np.sqrt(head_dim))
-        blocks = m.blocks
+        blocks, plan = m.blocks, m.plan  # mask structures are built once, as m.dense is
 
         dense_fwd = _time_median(lambda: dense_forward(q, k, v, m.dense, None, scale), trials)
-        sparse_fwd = _time_median(lambda: block_sparse_forward(q, k, v, blocks, None, scale), trials)
+        sparse_fwd = _time_median(
+            lambda: block_sparse_forward(q, k, v, blocks, None, scale, plan), trials
+        )
         rows.append(BenchRow(L, scheme, "forward", dense_fwd * 1e3, sparse_fwd * 1e3))
 
         if include_backward:
@@ -424,7 +450,8 @@ def bench_attention(
                 lambda: dense_backward(q, k, v, d_out, m.dense, None, scale), trials
             )
             sparse_bwd = _time_median(
-                lambda: block_sparse_backward(q, k, v, blocks, d_out, None, scale), trials
+                lambda: block_sparse_backward(q, k, v, blocks, d_out, None, scale, plan=plan),
+                trials,
             )
             rows.append(BenchRow(L, scheme, "backward", dense_bwd * 1e3, sparse_bwd * 1e3))
     return rows

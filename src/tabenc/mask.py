@@ -47,6 +47,14 @@ class AttentionMask:
         first use, since only the block-sparse kernel and block files need it."""
         return export_blocks_from_dense(self.dense)
 
+    @functools.cached_property
+    def plan(self) -> list:
+        """attention.plan_blocks of the mask's own blocks, built once per mask
+        and shared by the block-sparse forward and backward."""
+        from . import attention  # attention imports this module
+
+        return attention.plan_blocks(self.blocks, self.length)
+
 
 def _check_scheme(enc: EncodedInput, scheme: str) -> None:
     if scheme not in MASK_SCHEMES:

@@ -198,10 +198,17 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
 
 
-def _mha_fwd(params, prefix, cfg, x_q, x_kv, allowed, bias):
-    q = _split_heads(_linear_fwd(x_q, params[f"{prefix}.wq"], params[f"{prefix}.wq_b"]), cfg.n_heads)
+def _kv_fwd(params, prefix, cfg, x_kv):
     k = _split_heads(_linear_fwd(x_kv, params[f"{prefix}.wk"], params[f"{prefix}.wk_b"]), cfg.n_heads)
     v = _split_heads(_linear_fwd(x_kv, params[f"{prefix}.wv"], params[f"{prefix}.wv_b"]), cfg.n_heads)
+    return k, v
+
+
+def _mha_fwd(params, prefix, cfg, x_q, x_kv, allowed, bias, kv=None):
+    """Multi-head attention of x_q over x_kv; `kv` passes keys and values
+    already projected (and split into heads) instead of x_kv."""
+    q = _split_heads(_linear_fwd(x_q, params[f"{prefix}.wq"], params[f"{prefix}.wq_b"]), cfg.n_heads)
+    k, v = _kv_fwd(params, prefix, cfg, x_kv) if kv is None else kv
     scale = 1.0 / float(np.sqrt(cfg.head_dim))
     out_h, weights = dense_forward(q, k, v, allowed=allowed, bias=bias, scale=scale,
                                    return_weights=True)
@@ -425,29 +432,69 @@ def encoder_backward(d_out, cache, params, cfg: ModelConfig, batch: Batch, grads
         np.add.at(grads["col_emb"], batch.col, dx)
 
 
+class DecodeCache:
+    """State of incremental decoding for one batch: each decoder layer's
+    cross-attention K/V, projected once from the encoder states, and
+    self-attention K/V buffers of shape (B, H, max_answer_len, head_dim)
+    whose first `t` positions are filled."""
+
+    def __init__(self, params, cfg: ModelConfig, enc_states: np.ndarray):
+        b = enc_states.shape[0]
+        shape = (b, cfg.n_heads, cfg.max_answer_len, cfg.head_dim)
+        self.cross = [_kv_fwd(params, f"dec{i}.cross", cfg, enc_states)
+                      for i in range(cfg.n_dec_layers)]
+        self.self_k = [np.empty(shape, dtype=enc_states.dtype) for _ in range(cfg.n_dec_layers)]
+        self.self_v = [np.empty(shape, dtype=enc_states.dtype) for _ in range(cfg.n_dec_layers)]
+        self.t = 0
+
+    def extend(self, i: int, k: np.ndarray, v: np.ndarray):
+        """Write the new positions' K/V of layer i after the first t; return
+        the keys and values of all positions so far."""
+        end = self.t + k.shape[2]
+        if end > self.self_k[i].shape[2]:
+            raise ValidationError(f"decoding past {self.self_k[i].shape[2]} positions")
+        self.self_k[i][:, :, self.t:end] = k
+        self.self_v[i][:, :, self.t:end] = v
+        return self.self_k[i][:, :, :end], self.self_v[i][:, :, :end]
+
+
 def decoder_forward(params, cfg: ModelConfig, dec_in, enc_states, cross_allowed,
-                    causal, keep_cache: bool):
+                    causal, keep_cache: bool, cache: DecodeCache | None = None):
+    """Decoder logits for dec_in.
+
+    Without `cache`, dec_in is the whole prefix and causal its (D, D) mask.
+    With a DecodeCache, dec_in holds only the n new tokens at positions
+    t..t+n-1; they attend to the cached and new positions under rows t..t+n-1
+    of `causal`, the cross-attention K/V come from the cache (enc_states is
+    not read) and the cache advances by n.
+    """
     D = dec_in.shape[1]
-    y = params["tok_emb"][dec_in] + params["dec_pos_emb"][np.arange(D)]
-    self_allowed = causal[None, None, :, :]
+    t = 0 if cache is None else cache.t
+    y = params["tok_emb"][dec_in] + params["dec_pos_emb"][np.arange(t, t + D)]
+    self_allowed = causal[None, None, :, :] if cache is None else causal[t:t + D, :t + D]
     layers = []
     for i in range(cfg.n_dec_layers):
         h1, c_ln1 = _ln_fwd(y, params[f"dec{i}.ln1.g"], params[f"dec{i}.ln1.b"])
-        a, c_self = _mha_fwd(params, f"dec{i}.self", cfg, h1, h1, self_allowed, None)
+        self_kv = None
+        if cache is not None:
+            self_kv = cache.extend(i, *_kv_fwd(params, f"dec{i}.self", cfg, h1))
+        a, c_self = _mha_fwd(params, f"dec{i}.self", cfg, h1, h1, self_allowed, None, self_kv)
         y = y + a
         h2, c_ln2 = _ln_fwd(y, params[f"dec{i}.ln2.g"], params[f"dec{i}.ln2.b"])
-        c, c_cross = _mha_fwd(params, f"dec{i}.cross", cfg, h2, enc_states,
-                              cross_allowed, None)
+        c, c_cross = _mha_fwd(params, f"dec{i}.cross", cfg, h2, enc_states, cross_allowed,
+                              None, None if cache is None else cache.cross[i])
         y = y + c
         h3, c_ln3 = _ln_fwd(y, params[f"dec{i}.ln3.g"], params[f"dec{i}.ln3.b"])
         f, c_ffn = _ffn_fwd(params, f"dec{i}.ffn", h3)
         y = y + f
         if keep_cache:
             layers.append((c_ln1, c_self, c_ln2, c_cross, c_ln3, c_ffn))
+    if cache is not None:
+        cache.t += D
     out, c_final = _ln_fwd(y, params["dec_ln.g"], params["dec_ln.b"])
     logits = _linear_fwd(out, params["out_w"], params["out_b"])
-    cache = (layers, c_final, out) if keep_cache else None
-    return logits, cache
+    cache_out = (layers, c_final, out) if keep_cache else None
+    return logits, cache_out
 
 
 def decoder_backward(dlogits, cache, params, cfg: ModelConfig, dec_in, enc_states, grads):
@@ -554,7 +601,8 @@ def _batched(prepared: list[Prepared], order, batch_size: int, pad_id: int, with
 
 def predict_prepared(params, cfg: ModelConfig, prepared: list[Prepared],
                      vocab: Vocabulary, batch_size: int = 64) -> list[list[str]]:
-    """Greedy decoding; returns the decoded value list per example."""
+    """Greedy decoding, one new position per decoder call through a
+    DecodeCache; returns the decoded value list per example."""
     out: list[list[str]] = []
     with_rel = cfg.factor.bias == "B1"
     for i in range(0, len(prepared), batch_size):
@@ -562,16 +610,17 @@ def predict_prepared(params, cfg: ModelConfig, prepared: list[Prepared],
         batch = collate(chunk, vocab.pad, with_rel)
         enc_states, _ = encoder_forward(params, cfg, batch, keep_cache=False)
         cross_allowed = batch.enc_real[:, None, None, :]
-        b = len(chunk)
-        ys = np.full((b, 1), vocab.bos, dtype=np.int32)
-        done = np.zeros(b, dtype=bool)
-        for _ in range(cfg.max_answer_len):
-            causal = np.tril(np.ones((ys.shape[1], ys.shape[1]), dtype=bool))
-            logits, _ = decoder_forward(params, cfg, ys, enc_states, cross_allowed,
-                                        causal, keep_cache=False)
+        cache = DecodeCache(params, cfg, enc_states)
+        causal = np.tril(np.ones((cfg.max_answer_len, cfg.max_answer_len), dtype=bool))
+        ys = np.full((len(chunk), cfg.max_answer_len + 1), vocab.pad, dtype=np.int32)
+        ys[:, 0] = vocab.bos
+        done = np.zeros(len(chunk), dtype=bool)
+        for t in range(cfg.max_answer_len):
+            logits, _ = decoder_forward(params, cfg, ys[:, t:t + 1], enc_states, cross_allowed,
+                                        causal, keep_cache=False, cache=cache)
             nxt = logits[:, -1].argmax(axis=-1).astype(np.int32)
             nxt[done] = vocab.pad
-            ys = np.concatenate([ys, nxt[:, None]], axis=1)
+            ys[:, t + 1] = nxt
             done |= nxt == vocab.eos
             if done.all():
                 break

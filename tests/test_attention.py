@@ -193,6 +193,23 @@ def test_chunked_dense_paths_match(rng, monkeypatch):
             assert np.allclose(a, b, atol=1e-12)
 
 
+def test_chunked_dense_bias_class_gradient(rng, monkeypatch):
+    _, m, q, k, v, bias, _, rel = random_case(rng, "M4", d=4, with_bias=True)
+    inp = AttentionInput(q=q, k=k, v=v, mask=m, bias_values=bias)
+    d_out = rng.standard_normal(q.shape)
+    plain = attn_backward(inp, d_out, rel_map=rel)
+    want = np.bincount(rel.rel.ravel(), weights=plain.dbias.ravel(), minlength=rel.n_classes)
+    monkeypatch.setattr(attention, "_CHUNK_THRESHOLD", 4)
+    monkeypatch.setattr(attention, "_DENSE_CHUNK", 3)
+    assert q.shape[0] > 4
+    chunked = attn_backward(inp, d_out, rel_map=rel)
+    assert chunked.dbias is None
+    assert chunked.dbias_class.shape == (rel.n_classes,) == (13,)
+    assert np.allclose(chunked.dbias_class, want, rtol=0, atol=1e-12)
+    for a, b in ((chunked.dq, plain.dq), (chunked.dk, plain.dk), (chunked.dv, plain.dv)):
+        assert np.allclose(a, b, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # wrappers and plan
 # ---------------------------------------------------------------------------
@@ -234,6 +251,31 @@ def test_wrapper_round_trip(rng):
     assert np.allclose(g_dense.dbias_class, g_sparse.dbias_class, atol=1e-10)
     with pytest.raises(ValidationError):
         attn_backward(inp, d_out[:2])
+
+
+def test_mask_plan_built_once_per_mask(rng, monkeypatch):
+    _, m, q, k, v, bias, _, rel = random_case(rng, "M5", d=4, with_bias=True)
+    inp = AttentionInput(q=q, k=k, v=v, mask=m, bias_values=bias)
+    d_out = rng.standard_normal(q.shape)
+    fresh = (block_sparse_forward(q, k, v, m.blocks, bias),
+             block_sparse_backward(q, k, v, m.blocks, d_out, bias, rel=rel.rel,
+                                   n_classes=rel.n_classes))
+    calls = []
+
+    def counted(blocks, length):
+        calls.append(length)
+        return plan_blocks(blocks, length)
+
+    monkeypatch.setattr(attention, "plan_blocks", counted)
+    out = attn_block_sparse(inp).out
+    grads = attn_backward(inp, d_out, blocks=m.blocks, rel_map=rel)
+    assert calls == [q.shape[0]]
+    assert np.array_equal(out, fresh[0])
+    for a, b in zip((grads.dq, grads.dk, grads.dv, grads.dbias_class), fresh[1]):
+        assert np.array_equal(a, b)
+    # blocks other than the mask's own tiling get a plan of their own
+    attn_backward(inp, d_out, blocks=list(m.blocks), rel_map=rel)
+    assert len(calls) == 2
 
 
 def test_block_sparse_needs_blocks(rng):

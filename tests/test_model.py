@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
+from tabenc.attention import dense_forward
 from tabenc.core import FactorConfig, QAExample, Table, ValidationError, derive_rng
 from tabenc.datagen import GenSpec, gen_dataset
 from tabenc.linearize import default_vocab
 from tabenc.model import (
+    DecodeCache,
     ModelConfig,
     TrainingDivergedError,
     answer_token_ids,
     collate,
+    decoder_forward,
     encode,
+    encoder_forward,
     evaluate_da,
     init_params,
     load_checkpoint,
@@ -20,6 +24,7 @@ from tabenc.model import (
     tokens_to_values,
     train,
 )
+from tabenc.model import _ffn_fwd, _ln_fwd
 
 TINY = dict(d_model=16, n_heads=2, n_enc_layers=1, n_dec_layers=1, ffn_dim=24,
             context_len=128, max_positions=128, dec_positions=16, max_answer_len=16)
@@ -221,6 +226,138 @@ def test_predict_shapes(overfit_run):
     assert len(preds) == 4
     assert all(isinstance(p, list) for p in preds)
     assert preds[0] == list(examples[0].answer)
+
+
+def _full_prefix_greedy(params, cfg, prepared, vocab):
+    """Greedy decoding that reruns the decoder without a cache on the whole
+    prefix at every step; returns the token rows, BOS first, and the encoder
+    states with the cross-attention mask."""
+    batch = collate(prepared, vocab.pad, with_rel=cfg.factor.bias == "B1")
+    enc_states, _ = encoder_forward(params, cfg, batch, keep_cache=False)
+    cross = batch.enc_real[:, None, None, :]
+    ys = np.full((len(prepared), 1), vocab.bos, dtype=np.int32)
+    done = np.zeros(len(prepared), dtype=bool)
+    for _ in range(cfg.max_answer_len):
+        n = ys.shape[1]
+        logits, _ = decoder_forward(params, cfg, ys, enc_states, cross,
+                                    np.tril(np.ones((n, n), dtype=bool)), keep_cache=False)
+        nxt = logits[:, -1].argmax(axis=-1).astype(np.int32)
+        nxt[done] = vocab.pad
+        ys = np.concatenate([ys, nxt[:, None]], axis=1)
+        done |= nxt == vocab.eos
+        if done.all():
+            break
+    return ys, enc_states, cross
+
+
+def _prefix_logits(params, cfg, ys, enc_states, cross):
+    """Logits at every position of ys but the last, from one uncached call."""
+    n = ys.shape[1] - 1
+    logits, _ = decoder_forward(params, cfg, ys[:, :-1], enc_states, cross,
+                                np.tril(np.ones((n, n), dtype=bool)), keep_cache=False)
+    return logits
+
+
+def _stop_steps(ys, vocab):
+    """Decoding step at which each row emitted EOS (the row length if never)."""
+    hit = ys[:, 1:] == vocab.eos
+    return np.where(hit.any(axis=1), hit.argmax(axis=1), hit.shape[1])
+
+
+def test_cached_decoding_matches_full_prefix(overfit_run):
+    examples, cfg, result = overfit_run
+    vocab = default_vocab()
+    prepared = [prepare_example(ex, cfg, vocab) for ex in examples[:7]]
+    # the trained model stops every row at the same step; lower the EOS logit
+    # to halfway between the first batch's smallest and largest EOS margins
+    ys, enc_states, cross = _full_prefix_greedy(result.params, cfg, prepared[:3], vocab)
+    logits = _prefix_logits(result.params, cfg, ys, enc_states, cross)
+    at_stop = logits[np.arange(3), _stop_steps(ys, vocab)]
+    rest = at_stop.copy()
+    rest[:, vocab.eos] = -np.inf
+    margin = at_stop[:, vocab.eos] - rest.max(axis=1)
+    params = dict(result.params)
+    params["out_b"] = params["out_b"].copy()
+    params["out_b"][vocab.eos] -= (margin.min() + margin.max()) / 2
+
+    rows = []
+    for i in range(0, len(prepared), 3):
+        ys, enc_states, cross = _full_prefix_greedy(params, cfg, prepared[i:i + 3], vocab)
+        rows.extend(ys)
+        if i == 0:
+            assert len(set(_stop_steps(ys, vocab).tolist())) > 1
+        # the cached path, fed the same tokens, gives the full-prefix logits
+        full = _prefix_logits(params, cfg, ys, enc_states, cross)
+        n = full.shape[1]
+        cache = DecodeCache(params, cfg, enc_states)
+        causal = np.tril(np.ones((cfg.max_answer_len, cfg.max_answer_len), dtype=bool))
+        for t in range(n):
+            step, _ = decoder_forward(params, cfg, ys[:, t:t + 1], enc_states, cross, causal,
+                                      keep_cache=False, cache=cache)
+            assert np.allclose(step[:, 0], full[:, t], rtol=0, atol=1e-5), t
+        assert cache.t == n
+    preds = predict(params, cfg, examples[:7], vocab, batch_size=3)
+    assert preds == [tokens_to_values(r[1:], vocab) for r in rows]
+
+
+def test_decoder_without_cache_is_the_layer_stack():
+    cfg = tiny_cfg(n_dec_layers=2)
+    vocab = default_vocab()
+    batch = collate([prepare_example(ex, cfg, vocab) for ex in small_examples(3)],
+                    vocab.pad, with_rel=False)
+    noise = derive_rng(3, "noise", 0)
+    # nonzero biases and gains, unlike a fresh init
+    params = {k: v + (0.1 * noise.standard_normal(v.shape)).astype(np.float32)
+              for k, v in init_params(cfg, vocab.size, derive_rng(3, "init", 0)).items()}
+    enc_states, _ = encoder_forward(params, cfg, batch, keep_cache=False)
+    cross = batch.enc_real[:, None, None, :]
+    logits, cache = decoder_forward(params, cfg, batch.dec_in, enc_states, cross,
+                                    batch.causal, keep_cache=True)
+
+    def heads(x):
+        b, l, d = x.shape
+        return x.reshape(b, l, cfg.n_heads, d // cfg.n_heads).transpose(0, 2, 1, 3)
+
+    def mha(prefix, x_q, x_kv, allowed):
+        q = heads(x_q @ params[f"{prefix}.wq"] + params[f"{prefix}.wq_b"])
+        k = heads(x_kv @ params[f"{prefix}.wk"] + params[f"{prefix}.wk_b"])
+        v = heads(x_kv @ params[f"{prefix}.wv"] + params[f"{prefix}.wv_b"])
+        scale = 1.0 / float(np.sqrt(cfg.head_dim))
+        o, w = dense_forward(q, k, v, allowed=allowed, bias=None, scale=scale,
+                             return_weights=True)
+        b, h, l, dh = o.shape
+        merged = o.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
+        y = merged @ params[f"{prefix}.wo"] + params[f"{prefix}.wo_b"]
+        return y, (x_q, x_kv, q, k, v, w, merged, allowed, None, scale)
+
+    D = batch.dec_in.shape[1]
+    y = params["tok_emb"][batch.dec_in] + params["dec_pos_emb"][np.arange(D)]
+    layers = []
+    for i in range(cfg.n_dec_layers):
+        h1, c1 = _ln_fwd(y, params[f"dec{i}.ln1.g"], params[f"dec{i}.ln1.b"])
+        a, cs = mha(f"dec{i}.self", h1, h1, batch.causal[None, None, :, :])
+        y = y + a
+        h2, c2 = _ln_fwd(y, params[f"dec{i}.ln2.g"], params[f"dec{i}.ln2.b"])
+        c, cc = mha(f"dec{i}.cross", h2, enc_states, cross)
+        y = y + c
+        h3, c3 = _ln_fwd(y, params[f"dec{i}.ln3.g"], params[f"dec{i}.ln3.b"])
+        f, cf = _ffn_fwd(params, f"dec{i}.ffn", h3)
+        y = y + f
+        layers.append((c1, cs, c2, cc, c3, cf))
+    out, c_final = _ln_fwd(y, params["dec_ln.g"], params["dec_ln.b"])
+    want = (out @ params["out_w"] + params["out_b"], (layers, c_final, out))
+
+    def same(a, b):
+        if isinstance(a, (tuple, list)):
+            assert type(a) is type(b) and len(a) == len(b)
+            for x, z in zip(a, b):
+                same(x, z)
+        elif isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        else:
+            assert a == b
+
+    same((logits, cache), want)
 
 
 def test_encode_returns_hidden_states(overfit_run):
