@@ -18,11 +18,6 @@ import os
 import sys
 from pathlib import Path
 
-_TOKEN_CHOICES = ("T0", "T1", "T2")
-_MASK_CHOICES = ("M0", "M1", "M2", "M3", "M4", "M5", "M6")
-_PE_CHOICES = ("TPE", "CPE")
-_BIAS_CHOICES = ("B0", "B1")
-_EMB_CHOICES = ("E0", "E1")
 _SUITE_CHOICES = ("train", "structure", "consistency", "compositional", "mixability")
 _RESULT_FIELDS = ("T", "M", "PE", "B", "E", "suite", "replicate", "da")
 
@@ -56,11 +51,17 @@ def _apply_thread_cap() -> tuple[int | None, str | None]:
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path: Path, write) -> None:
-    """Call write(tmp) on a sibling temp file, then rename it over path, so a
-    reader never sees a partial file; the temp file is removed if writing fails."""
+    """Call write(tmp) on a sibling temp file, fsync it, then rename it over
+    path, so a reader never sees a partial file and the renamed file's data is
+    on disk; the temp file is removed if writing fails."""
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
     try:
         write(tmp)
+        fd = os.open(tmp, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -69,6 +70,15 @@ def _atomic_write(path: Path, write) -> None:
 
 def _atomic_write_text(path: Path, text: str) -> None:
     _atomic_write(path, lambda tmp: tmp.write_text(text, encoding="utf-8", newline="\n"))
+
+
+def _factor_levels() -> dict:
+    """Levels of each results-CSV factor column, in grid order. core imports
+    numpy, so this runs only after _apply_thread_cap."""
+    from .core import BIAS_SETTINGS, EMB_SETTINGS, MASK_SCHEMES, PE_SCHEMES, TOKEN_SCHEMES
+
+    return {"T": TOKEN_SCHEMES, "M": MASK_SCHEMES, "PE": PE_SCHEMES,
+            "B": BIAS_SETTINGS, "E": EMB_SETTINGS}
 
 
 def _print_json(obj) -> None:
@@ -467,20 +477,20 @@ def _config_key(factor) -> str:
     return "/".join(f[k] for k in ("T", "M", "PE", "B", "E"))
 
 
-def _parse_config_string(text: str):
-    from .core import FactorConfig, ValidationError
+def _config_parts(text: str) -> list[str]:
+    """Split a T/M/PE/B/E config string into its five levels."""
+    from .core import ValidationError
 
     parts = text.strip().split("/")
     if len(parts) != 5:
         raise ValidationError(f"config must look like T0/M1/TPE/B0/E1, got {text!r}")
-    return FactorConfig(tokens=parts[0], mask=parts[1], pe=parts[2],
-                        bias=parts[3], emb=parts[4])
+    return parts
 
 
 def _build_plan(args) -> dict:
-    from .core import (BIAS_SETTINGS, EMB_SETTINGS, MASK_SCHEMES, PE_SCHEMES,
-                       TOKEN_SCHEMES, FactorConfig, ValidationError,
-                       is_legal_combination)
+    import itertools
+
+    from .core import FactorConfig, ValidationError, is_legal_combination
 
     suites = tuple(s.strip() for s in args.suites.split(",") if s.strip())
     for s in suites:
@@ -491,31 +501,16 @@ def _build_plan(args) -> dict:
     if args.replicates < 1:
         raise ValidationError("replicates must be >= 1")
 
-    configs = []
-    dropped = 0
     if args.configs:
-        raw = [p for p in args.configs.split(";") if p.strip()]
-        for item in raw:
-            parts = item.strip().split("/")
-            if len(parts) != 5:
-                raise ValidationError(f"config must look like T0/M1/TPE/B0/E1, got {item!r}")
-            if not is_legal_combination(parts[0], parts[1]):
-                dropped += 1
-                continue
-            configs.append(_parse_config_string(item))
-        n_raw = len(raw)
+        points = (_config_parts(p) for p in args.configs.split(";") if p.strip())
     else:
-        n_raw = 0
-        for t in TOKEN_SCHEMES:
-            for m in MASK_SCHEMES:
-                for pe in PE_SCHEMES:
-                    for b in BIAS_SETTINGS:
-                        for e in EMB_SETTINGS:
-                            n_raw += 1
-                            if not is_legal_combination(t, m):
-                                dropped += 1
-                                continue
-                            configs.append(FactorConfig(t, m, pe, b, e))
+        points = itertools.product(*_factor_levels().values())
+    configs, n_raw = [], 0
+    for parts in points:
+        n_raw += 1
+        if is_legal_combination(parts[0], parts[1]):
+            configs.append(FactorConfig(*parts))
+    dropped = n_raw - len(configs)
     if not configs:
         raise ValidationError("plan has no legal configurations")
 
@@ -625,10 +620,7 @@ def _grid_run_one(payload: dict) -> list[str]:
 
 
 def _canonicalize_results(results_path: Path) -> int:
-    scheme_order = {
-        "T": _TOKEN_CHOICES, "M": _MASK_CHOICES, "PE": _PE_CHOICES,
-        "B": _BIAS_CHOICES, "E": _EMB_CHOICES,
-    }
+    scheme_order = _factor_levels()
     with open(results_path, encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
     seen = set()
@@ -664,6 +656,8 @@ def _canonicalize_results(results_path: Path) -> int:
 
 
 def _cmd_grid(args) -> int:
+    from .core import FactorConfig
+
     plan = _build_plan(args)
     if args.plan_only:
         _print_json(plan)
@@ -695,14 +689,10 @@ def _cmd_grid(args) -> int:
     work = []
     skipped = 0
     for key in plan["configs"]:
-        factor = _parse_config_string(key)
-        fields = factor.csv_fields()
+        levels = tuple(_config_parts(key))
+        factor = FactorConfig(*levels)
         for rep in range(1, plan["replicates"] + 1):
-            missing = [
-                s for s in plan["suites"]
-                if (fields["T"], fields["M"], fields["PE"], fields["B"], fields["E"],
-                    s, rep) not in done
-            ]
+            missing = [s for s in plan["suites"] if levels + (s, rep) not in done]
             if not missing:
                 skipped += 1
                 continue
@@ -747,10 +737,7 @@ def _cmd_grid(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _paired_differences(rows: list[dict]) -> str:
-    scheme_order = {
-        "T": _TOKEN_CHOICES, "M": _MASK_CHOICES, "PE": _PE_CHOICES,
-        "B": _BIAS_CHOICES, "E": _EMB_CHOICES,
-    }
+    scheme_order = _factor_levels()
     factors = ("T", "M", "PE", "B", "E")
     by_key = {}
     for row in rows:
@@ -842,16 +829,13 @@ def _cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_factor_flags(sp, *, tokens=True, mask=True, pe=True, bias=True, emb=True):
-    if tokens:
-        sp.add_argument("--tokens", default="T0", choices=_TOKEN_CHOICES)
-    if mask:
-        sp.add_argument("--mask", default="M0", choices=_MASK_CHOICES)
-    if pe:
-        sp.add_argument("--pe", default="TPE", choices=_PE_CHOICES)
-    if bias:
-        sp.add_argument("--bias", default="B0", choices=_BIAS_CHOICES)
-    if emb:
-        sp.add_argument("--emb", default="E0", choices=_EMB_CHOICES)
+    """Add the chosen factor flags; each defaults to its factor's first level."""
+    levels = _factor_levels()
+    flags = (("--tokens", "T", tokens), ("--mask", "M", mask), ("--pe", "PE", pe),
+             ("--bias", "B", bias), ("--emb", "E", emb))
+    for flag, column, wanted in flags:
+        if wanted:
+            sp.add_argument(flag, default=levels[column][0], choices=levels[column])
 
 
 def _add_model_flags(sp):
@@ -927,7 +911,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", parents=[common],
                         help="dense vs block-sparse attention wall time")
     sp.add_argument("--lengths", default="1024,2048,4096,8192")
-    sp.add_argument("--scheme", default="M3", choices=_MASK_CHOICES)
+    sp.add_argument("--scheme", default="M3", choices=_factor_levels()["M"])
     sp.add_argument("--trials", type=int, default=7)
     sp.add_argument("--head-dim", type=int, default=16)
     sp.add_argument("--seed", type=int, default=0)

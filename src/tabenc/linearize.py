@@ -289,18 +289,12 @@ def assign_positions(enc: EncodedInput, scheme: str) -> EncodedInput:
     if scheme == "TPE":
         pos = np.arange(L, dtype=np.int32)
     else:
-        pos = np.zeros(L, dtype=np.int32)
-        run = 0
-        for i in range(L):
-            role = enc.roles[i]
-            restart = (
-                i == 0
-                or role == TokenRole.BOUNDARY
-                or role in STRUCTURAL_ROLES
-                or (role == TokenRole.CELL_CONTENT and enc.cell_ord[i] == 0)
-            )
-            run = 0 if restart else run + 1
-            pos[i] = run
+        restart = np.isin(enc.roles, [TokenRole.BOUNDARY, *STRUCTURAL_ROLES])
+        restart |= (enc.roles == TokenRole.CELL_CONTENT) & (enc.cell_ord == 0)
+        idx = np.arange(L, dtype=np.int32)
+        # distance back to the latest restart at or before each token; the
+        # fill value 0 makes index 0 a restart
+        pos = idx - np.maximum.accumulate(np.where(restart, idx, 0))
     return replace(enc, pos_idx=pos, pe_scheme=scheme)
 
 

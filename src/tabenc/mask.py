@@ -14,6 +14,12 @@ Rule summary (all masks are symmetric and keep the diagonal):
 Header tokens are cell content on the header row, so same-column links headers
 to their column's data. Boundary (SEP) tokens outside the question are
 self-only. M4..M6 require T2 inputs.
+
+Every mask rule and bias relation class sees a token pair only through its
+signature (same_row, same_col, category i, category j); the categories are the
+TokenRoles plus header-row content. The rules are evaluated once, at import,
+at all 2 x 2 x 8 x 8 signatures; build_mask and build_bias_map gather from
+those tables pair by pair and then set the diagonal.
 """
 
 from __future__ import annotations
@@ -66,45 +72,11 @@ def _check_scheme(enc: EncodedInput, scheme: str) -> None:
 
 
 def build_mask(enc: EncodedInput, scheme: str) -> AttentionMask:
-    """Vectorized mask construction; see build_mask_bruteforce for the oracle."""
+    """Mask from the scheme's signature table; see build_mask_bruteforce for the oracle."""
     _check_scheme(enc, scheme)
-    L = len(enc)
-    if scheme == "M0":
-        return AttentionMask(L, scheme, np.ones((L, L), dtype=bool))
-
-    roles = enc.roles
-    rows = enc.row_idx
-    cols = enc.col_idx
-
-    question = roles == TokenRole.QUESTION
-    content = roles == TokenRole.CELL_CONTENT
-
-    allowed = np.eye(L, dtype=bool)
-    allowed |= question[:, None] | question[None, :]
-
-    if scheme in _SAME_ROW:
-        pair = content[:, None] & content[None, :]
-        allowed |= pair & (rows[:, None] == rows[None, :])
-    if scheme in _SAME_COL:
-        pair = content[:, None] & content[None, :]
-        allowed |= pair & (cols[:, None] == cols[None, :])
-    if scheme in _STRUCT_RELAY:
-        row_tok = roles == TokenRole.ROW_TOK
-        col_tok = roles == TokenRole.COL_TOK
-        cell_tok = roles == TokenRole.CELL_TOK
-        tab_tok = roles == TokenRole.TABLE_TOK
-        relay = row_tok[:, None] & content[None, :] & (rows[:, None] == rows[None, :])
-        relay |= col_tok[:, None] & content[None, :] & (cols[:, None] == cols[None, :])
-        relay |= (
-            cell_tok[:, None]
-            & content[None, :]
-            & (rows[:, None] == rows[None, :])
-            & (cols[:, None] == cols[None, :])
-        )
-        relay |= tab_tok[:, None] & content[None, :]
-        allowed |= relay | relay.T
-
-    return AttentionMask(L, scheme, allowed)
+    allowed = _gather_pairs(enc, _MASK_TABLES[scheme])
+    np.fill_diagonal(allowed, True)
+    return AttentionMask(len(enc), scheme, allowed)
 
 
 def _allowed_pair(enc: EncodedInput, scheme: str, i: int, j: int) -> bool:
@@ -261,28 +233,48 @@ class BiasRelationMap:
 
 
 def build_bias_map(enc: EncodedInput) -> BiasRelationMap:
-    L = len(enc)
-    roles = enc.roles
-    rows = enc.row_idx
-    cols = enc.col_idx
+    rel = _gather_pairs(enc, _RELATION_TABLE)
+    np.fill_diagonal(rel, 0)  # "self"
+    return BiasRelationMap(len(enc), rel)
 
-    question = roles == TokenRole.QUESTION
-    content = roles == TokenRole.CELL_CONTENT
-    header = content & (rows == HEADER_ROW)
-    data = content & (rows != HEADER_ROW)
 
-    qi = question[:, None]
-    qj = question[None, :]
-    di = data[:, None]
-    dj = data[None, :]
-    hi = header[:, None]
-    hj = header[None, :]
-    same_row = rows[:, None] == rows[None, :]
-    same_col = cols[:, None] == cols[None, :]
-    pair_content = content[:, None] & content[None, :]
+# ---------------------------------------------------------------------------
+# pair rules, evaluated once at every signature (same_row, same_col, cat_i, cat_j)
+# ---------------------------------------------------------------------------
 
-    conditions = [
-        np.eye(L, dtype=bool),                       # self
+# categories: the TokenRoles plus _HEADER, cell content on the header row (so
+# CELL_CONTENT alone means data-cell content)
+_HEADER = len(TokenRole)
+
+
+def _signature_tables() -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Each scheme's off-diagonal allow rule and the BIAS_CLASSES index of
+    off-diagonal pairs, at every signature on the 2 x 2 x 8 x 8 grid."""
+    same_row, same_col, cat_i, cat_j = np.meshgrid(
+        (False, True), (False, True), range(_HEADER + 1), range(_HEADER + 1), indexing="ij"
+    )
+    qi, qj = cat_i == TokenRole.QUESTION, cat_j == TokenRole.QUESTION
+    di, dj = cat_i == TokenRole.CELL_CONTENT, cat_j == TokenRole.CELL_CONTENT
+    hi, hj = cat_i == _HEADER, cat_j == _HEADER
+    content_j = dj | hj
+    pair_content = (di | hi) & content_j
+
+    relay = (cat_i == TokenRole.ROW_TOK) & content_j & same_row
+    relay |= (cat_i == TokenRole.COL_TOK) & content_j & same_col
+    relay |= (cat_i == TokenRole.CELL_TOK) & content_j & same_row & same_col
+    relay |= (cat_i == TokenRole.TABLE_TOK) & content_j
+    masks = {}
+    for scheme in MASK_SCHEMES:
+        allowed = np.full(same_row.shape, scheme == "M0") | qi | qj
+        if scheme in _SAME_ROW:
+            allowed |= pair_content & same_row
+        if scheme in _SAME_COL:
+            allowed |= pair_content & same_col
+        if scheme in _STRUCT_RELAY:
+            allowed |= relay | relay.swapaxes(2, 3)  # and with i and j swapped
+        masks[scheme] = allowed
+
+    conditions = [                                   # "self" is the diagonal
         qi & qj,                                     # question-question
         qi & dj,                                     # question-cell
         di & qj,                                     # cell-question
@@ -295,8 +287,34 @@ def build_bias_map(enc: EncodedInput) -> BiasRelationMap:
         pair_content & same_row,                     # same-row
         pair_content & same_col,                     # same-column
     ]
-    rel = np.select(conditions, list(range(len(conditions))), default=len(conditions))
-    return BiasRelationMap(L, rel.astype(np.int8))
+    rel = np.select(conditions, list(range(1, N_BIAS_CLASSES - 1)), default=N_BIAS_CLASSES - 1)
+    return masks, rel.astype(np.int8)
+
+
+_MASK_TABLES, _RELATION_TABLE = _signature_tables()
+_CHUNK_PAIRS = 1 << 20  # pairs per row chunk of _gather_pairs
+
+
+def _gather_pairs(enc: EncodedInput, table: np.ndarray) -> np.ndarray:
+    """L x L array whose [i, j] is table[same_row, same_col, cat(i), cat(j)],
+    built in row chunks, so working memory beyond the output is O(chunk * L)."""
+    L, n = len(enc), _HEADER + 1
+    rows, cols = enc.row_idx, enc.col_idx
+    header = (enc.roles == TokenRole.CELL_CONTENT) & (rows == HEADER_ROW)
+    cat = np.where(header, _HEADER, enc.roles).astype(np.uint8)
+    flat = table.reshape(-1)
+    out = np.empty((L, L), dtype=table.dtype)
+    step = max(1, _CHUNK_PAIRS // max(L, 1))
+    for r0 in range(0, L, step):
+        r = slice(r0, r0 + step)
+        # the signature's flat index into table, as uint8 (table.size == 256)
+        sig = (rows[r, None] == rows) * np.uint8(2 * n * n)
+        sig += (cols[r, None] == cols) * np.uint8(n * n)
+        sig += cat[r, None] * np.uint8(n)
+        sig += cat
+        # "clip" clips nothing here and, unlike "raise", writes out unbuffered
+        np.take(flat, sig, out=out[r], mode="clip")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,29 @@ def test_atomic_write_removes_temp_file_on_failure(tmp_path):
     assert target.read_text() == "done" and list(tmp_path.iterdir()) == [target]
 
 
+def test_atomic_write_fsyncs_temp_file_before_rename(tmp_path, monkeypatch):
+    from tabenc import cli
+
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        calls.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", os.stat(src).st_ino))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "fsync", fsync)
+    monkeypatch.setattr(cli.os, "replace", replace)
+    target = tmp_path / "out.txt"
+    cli._atomic_write(target, lambda tmp: tmp.write_text("done"))
+    inode = target.stat().st_ino
+    assert calls == [("fsync", inode), ("replace", inode)]
+    assert target.read_text() == "done"
+
+
 def test_train_validates_before_writing(tmp_path, capsys):
     data = tmp_path / "d.jsonl"
     run(capsys, "gen", "--n", "3", "--seed", "1", "--out", str(data))

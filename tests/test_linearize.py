@@ -5,6 +5,7 @@ import pytest
 
 from tabenc.core import FactorConfig, Table
 from tabenc.linearize import (
+    STRUCTURAL_ROLES,
     TokenRole,
     TruncationError,
     Vocabulary,
@@ -16,7 +17,7 @@ from tabenc.linearize import (
 )
 from tabenc.core import ValidationError
 
-from conftest import make_table
+from conftest import make_table, random_question
 
 Q = TokenRole.QUESTION
 B = TokenRole.BOUNDARY
@@ -116,6 +117,34 @@ def test_cpe_table_side_bounded_by_cell_length(rng):
         )
         table_side = enc.pos_idx[enc.question_len + 1:]
         assert table_side.max() < max(longest, 1)
+
+
+def cpe_loop(enc):
+    """Token-by-token CPE, the reference for the vectorized assign_positions."""
+    pos = np.zeros(len(enc), dtype=np.int32)
+    run = 0
+    for i in range(len(enc)):
+        role = enc.roles[i]
+        restart = (
+            i == 0
+            or role == TokenRole.BOUNDARY
+            or role in STRUCTURAL_ROLES
+            or (role == TokenRole.CELL_CONTENT and enc.cell_ord[i] == 0)
+        )
+        run = 0 if restart else run + 1
+        pos[i] = run
+    return pos
+
+
+@pytest.mark.parametrize("tokens", ["T0", "T1", "T2"])
+def test_cpe_matches_loop(rng, tokens):
+    for _ in range(30):
+        t = make_table(rng, value_max=99999)
+        if rng.random() < 0.5:  # multi-piece headers
+            t = Table(tuple(f"{h} {int(rng.integers(0, 999))}" for h in t.headers), t.rows)
+        enc = assign_positions(linearize(random_question(rng, t), t, tokens), "CPE")
+        assert enc.pos_idx.dtype == np.int32
+        assert np.array_equal(enc.pos_idx, cpe_loop(enc))
 
 
 # ---------------------------------------------------------------------------

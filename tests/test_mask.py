@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tabenc.core import Table, TabencError, ValidationError
-from tabenc.linearize import TokenRole, linearize
+from tabenc.linearize import HEADER_ROW, TokenRole, linearize
 from tabenc.mask import (
     BIAS_CLASSES,
     N_BIAS_CLASSES,
@@ -258,6 +258,49 @@ def test_bias_map_header_same_column():
     )
     assert len(hdr) == 2
     assert BIAS_CLASSES[rel[hdr[0], hdr[1]]] == "header-header-same-column"
+
+
+def relation_class(enc, i, j) -> int:
+    """Per-pair relation class: the first BIAS_CLASSES entry whose rule holds
+    (differential oracle for build_bias_map)."""
+    role = lambda k: int(enc.roles[k])
+    question = lambda k: role(k) == TokenRole.QUESTION
+    content = lambda k: role(k) == TokenRole.CELL_CONTENT
+    header = lambda k: content(k) and int(enc.row_idx[k]) == HEADER_ROW
+    cell = lambda k: content(k) and int(enc.row_idx[k]) != HEADER_ROW
+    same_row = int(enc.row_idx[i]) == int(enc.row_idx[j])
+    same_col = int(enc.col_idx[i]) == int(enc.col_idx[j])
+    rules = {
+        "self": i == j,
+        "question-question": question(i) and question(j),
+        "question-cell": question(i) and cell(j),
+        "cell-question": cell(i) and question(j),
+        "question-header": question(i) and header(j),
+        "header-question": header(i) and question(j),
+        "same-cell": cell(i) and cell(j) and same_row and same_col,
+        "cell-to-column-header": cell(i) and header(j) and same_col,
+        "column-header-to-cell": header(i) and cell(j) and same_col,
+        "header-header-same-column": header(i) and header(j) and same_col,
+        "same-row": content(i) and content(j) and same_row,
+        "same-column": content(i) and content(j) and same_col,
+        "other": True,
+    }
+    assert tuple(rules) == BIAS_CLASSES
+    return next(k for k, name in enumerate(BIAS_CLASSES) if rules[name])
+
+
+@pytest.mark.parametrize("tokens", ["T0", "T1", "T2"])
+def test_bias_map_matches_pair_rules(rng, tokens):
+    for _ in range(10):
+        t = make_table(rng)
+        if rng.random() < 0.5:  # multi-piece headers
+            t = Table(tuple(f"{h} {int(rng.integers(0, 999))}" for h in t.headers), t.rows)
+        enc = linearize(random_question(rng, t), t, tokens)
+        rel = build_bias_map(enc).rel
+        L = len(enc)
+        slow = [[relation_class(enc, i, j) for j in range(L)] for i in range(L)]
+        assert rel.dtype == np.int8
+        assert np.array_equal(rel, np.array(slow))
 
 
 def test_bias_map_values_in_range(rng):
