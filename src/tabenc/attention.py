@@ -2,12 +2,14 @@
 
 The dense core materializes the logits of the rows it is given; masked
 positions are excluded from the reduction (their weight is exactly 0.0, never
-a large negative constant pushed through exp). The block-sparse path turns the
-rectangle tiling produced by mask.export_blocks into row-disjoint groups, each
-with the one key set all of its rows attend (plan_blocks), and runs the dense
-core on each group's gathered keys. Every softmax row is complete within its
-group, so the forward is one pass, and so is the backward: its row-wise
-<p, dp> (= rowsum(dO * O), as in FlashAttention-2) needs no second sweep.
+a large negative constant pushed through exp). The block-sparse path runs
+the dense core on row-disjoint groups, each on the gathered key set that all
+of its rows attend. An AttentionMask's groups are the runs of identical rows
+of its own matrix (AttentionMask.plan), so the kernel path never tiles; other
+rectangles, such as a block file's, are painted into a matrix and grouped the
+same way (plan_blocks). Every softmax row is complete within its group, so
+the forward is one pass, and so is the backward: its row-wise <p, dp>
+(= rowsum(dO * O), as in FlashAttention-2) needs no second sweep.
 Groups, and long 2-D dense calls, are cut into row chunks, so working memory
 stays O(L*d + chunk * keys).
 
@@ -26,7 +28,7 @@ import numpy as np
 
 from .core import STRUCTURAL_MASKS, Table, ValidationError, derive_rng
 from .linearize import EncodedInput, linearize
-from .mask import AttentionMask, build_mask
+from .mask import AttentionMask, _row_groups, blocks_cover, build_mask
 
 # the row-group loops give the dense core at most _DENSE_CHUNK query rows, so no
 # call holds more than a few hundred MB of logits (rows are independent, so the
@@ -205,12 +207,12 @@ def _backward_loop(q, k, v, d_out, plan, allowed, bias, scale, rel=None, n_class
 # ---------------------------------------------------------------------------
 
 def plan_blocks(blocks, length: int):
-    """Turn a rectangle tiling into row-disjoint groups [(r0, r1, key_idx)].
+    """Row-disjoint groups [(r0, r1, key_idx)] of rectangles that are not a
+    mask's own tiling (an AttentionMask plans from its rows, AttentionMask.plan).
 
-    Query ranges are cut at every rectangle boundary, so each row of [0, L)
-    sits in exactly one group, whose sorted key_idx is the union of the key
-    ranges of the rectangles covering it. Raises ValidationError for a
-    rectangle out of range, a row no rectangle covers, or a key covered twice.
+    The rectangles are painted into an allow-matrix, whose runs of identical
+    rows become the groups. Raises ValidationError for a rectangle out of
+    range, a key covered twice, or a row no rectangle covers.
     """
     flat = np.fromiter(itertools.chain.from_iterable(blocks), dtype=np.intp)
     if flat.size != 4 * len(blocks):
@@ -222,38 +224,17 @@ def plan_blocks(blocks, length: int):
         raise ValidationError(
             f"block {tuple(b[np.argmax(bad)].tolist())} out of range for L={length}"
         )
-    cuts = np.unique(np.concatenate(([0, length], q0, q1)))
-    # one entry per (group, rectangle covering it)
-    s0 = np.searchsorted(cuts, q0)
-    span = np.searchsorted(cuts, q1) - s0
-    rect = np.repeat(np.arange(len(b)), span)
-    group = np.arange(len(rect)) - np.repeat(np.cumsum(span) - span - s0, span)
-    per_group = np.bincount(group, minlength=len(cuts) - 1)
-    if (per_group == 0).any():
-        raise ValidationError("blocks leave at least one query row uncovered")
-    order = np.lexsort((k0[rect], group))
-    rect = rect[order]
-    width = (k1 - k0)[rect]
-    ends = np.cumsum(width)
-    keys = np.arange(width.sum()) - np.repeat(ends - width - k0[rect], width)
-    key_ends = ends[np.cumsum(per_group) - 1]
-    # sorted by k0, a group's keys increase strictly unless two ranges overlap
-    step = np.diff(keys)
-    step[key_ends[:-1] - 1] = 1
-    repeats = np.flatnonzero(step <= 0)
-    if repeats.size:
-        pos = int(repeats[0]) + 1
-        g = int(np.searchsorted(key_ends, pos, side="right"))
-        raise ValidationError(
-            f"blocks cover key {int(keys[pos])} twice for query rows "
-            f"[{int(cuts[g])}, {int(cuts[g + 1])})"
-        )
-    return list(zip(cuts[:-1].tolist(), cuts[1:].tolist(), np.split(keys, key_ends[:-1])))
+    allowed = blocks_cover(b.tolist(), length)
+    covered = allowed.any(axis=1)
+    if not covered.all():
+        raise ValidationError(f"blocks leave query row {int(np.argmin(covered))} uncovered")
+    return _row_groups(allowed)
 
 
 def block_sparse_forward(q, k, v, blocks, bias=None, scale=None, plan=None):
     """Attention restricted to the given rectangles: the dense core per row
-    group. `plan`, when given, is plan_blocks(blocks, L) built beforehand."""
+    group. `plan`, when given, is the row groups to run (AttentionMask.plan,
+    or plan_blocks(blocks, L) built beforehand), and blocks is not read."""
     if plan is None:
         plan = plan_blocks(blocks, q.shape[0])
     return _forward_loop(q, k, v, plan, None, bias, scale)
@@ -275,11 +256,11 @@ def block_sparse_backward(q, k, v, blocks, d_out, bias=None, scale=None,
 
 
 def _mask_plan(inp: AttentionInput, blocks):
-    """The mask's cached plan when `blocks` is its own tiling, else None.
-    The tiling is read from the instance dict, so a mask never tiled is not
-    tiled here just to be compared."""
+    """The mask's cached plan when `blocks` is None or the mask's own tiling,
+    else None. The tiling is read from the instance dict, so a mask never
+    tiled is not tiled here just to be compared."""
     mask = inp.mask
-    if isinstance(mask, AttentionMask) and blocks is mask.__dict__.get("blocks"):
+    if isinstance(mask, AttentionMask) and (blocks is None or blocks is mask.__dict__.get("blocks")):
         return mask.plan
     return None
 
@@ -297,10 +278,8 @@ def attn_dense(inp: AttentionInput, return_weights: bool = False) -> AttentionOu
 
 
 def attn_block_sparse(inp: AttentionInput, blocks=None) -> AttentionOutput:
-    if blocks is None:
-        if not isinstance(inp.mask, AttentionMask):
-            raise ValidationError("attn_block_sparse needs rectangle blocks")
-        blocks = inp.mask.blocks
+    if blocks is None and not isinstance(inp.mask, AttentionMask):
+        raise ValidationError("attn_block_sparse needs rectangle blocks")
     out = block_sparse_forward(inp.q, inp.k, inp.v, blocks, inp.bias_values, inp.scale,
                                plan=_mask_plan(inp, blocks))
     return AttentionOutput(out=out)
@@ -436,11 +415,11 @@ def bench_attention(
         rng = derive_rng(seed, "bench-qkv", L)
         q, k, v = (rng.standard_normal((L, head_dim)).astype(np.float32) for _ in range(3))
         scale = 1.0 / float(np.sqrt(head_dim))
-        blocks, plan = m.blocks, m.plan  # mask structures are built once, as m.dense is
+        plan = m.plan  # built once, as m.dense is
 
         dense_fwd = _time_median(lambda: dense_forward(q, k, v, m.dense, None, scale), trials)
         sparse_fwd = _time_median(
-            lambda: block_sparse_forward(q, k, v, blocks, None, scale, plan), trials
+            lambda: block_sparse_forward(q, k, v, None, None, scale, plan), trials
         )
         rows.append(BenchRow(L, scheme, "forward", dense_fwd * 1e3, sparse_fwd * 1e3))
 
@@ -450,7 +429,7 @@ def bench_attention(
                 lambda: dense_backward(q, k, v, d_out, m.dense, None, scale), trials
             )
             sparse_bwd = _time_median(
-                lambda: block_sparse_backward(q, k, v, blocks, d_out, None, scale, plan=plan),
+                lambda: block_sparse_backward(q, k, v, None, d_out, None, scale, plan=plan),
                 trials,
             )
             rows.append(BenchRow(L, scheme, "backward", dense_bwd * 1e3, sparse_bwd * 1e3))

@@ -180,7 +180,10 @@ def _read_predictions(path: str) -> list[list[str]]:
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"{path}:{lineno}: prediction is not JSON: {exc}") from None
             if isinstance(obj, dict):
                 obj = obj.get("answer")
             if not isinstance(obj, list) or not all(isinstance(v, str) for v in obj):
@@ -399,35 +402,44 @@ def _cmd_eval(args) -> int:
 # anova
 # ---------------------------------------------------------------------------
 
-def _read_results_csv(path: str) -> list[dict]:
-    from .core import ValidationError
-
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValidationError(f"{path}: empty results file")
-        rows = list(reader)
-    if not rows:
-        raise ValidationError(f"{path}: no data rows")
-    return rows
-
-
-def _drop_failed_rows(rows: list[dict], response: str) -> tuple[list[dict], int]:
+def _read_results_csv(path: str, response: str) -> tuple[list[dict], int]:
+    """The rows of a results CSV whose `response` is finite, and the number of
+    failed-run rows (nan/inf) left out. A row with the wrong number of fields
+    or a response that is not a number is a malformed file, not a failed run."""
     import math
 
-    good = []
-    dropped = 0
-    for row in rows:
-        try:
-            value = float(row[response])
-        except (KeyError, TypeError, ValueError):
-            dropped += 1
-            continue
-        if math.isfinite(value):
-            good.append(row)
-        else:
-            dropped += 1
-    return good, dropped
+    from .core import ValidationError
+
+    rows, dropped = [], 0
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError(f"{path}: empty results file")
+        if response not in header:
+            raise ValidationError(f"{path}: results file missing column {response!r}")
+        for fields in reader:
+            if not fields:
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(fields) != len(header):
+                raise ValidationError(
+                    f"{where}: row has {len(fields)} fields, the header has {len(header)}"
+                )
+            row = dict(zip(header, fields))
+            try:
+                value = float(row[response])
+            except ValueError:
+                raise ValidationError(
+                    f"{where}: {response} {row[response]!r} is not a number"
+                ) from None
+            if math.isfinite(value):
+                rows.append(row)
+            else:
+                dropped += 1
+    if not rows and not dropped:
+        raise ValidationError(f"{path}: no data rows")
+    return rows, dropped
 
 
 def _anova_csv(report) -> str:
@@ -446,10 +458,9 @@ def _cmd_anova(args) -> int:
     from .core import ValidationError
     from .stats import anova
 
-    rows = _read_results_csv(args.results)
-    rows, dropped = _drop_failed_rows(rows, args.response)
+    rows, dropped = _read_results_csv(args.results, args.response)
     if dropped:
-        sys.stderr.write(f"tabenc: dropped {dropped} row(s) with missing/non-finite "
+        sys.stderr.write(f"tabenc: dropped {dropped} row(s) with non-finite "
                          f"{args.response}\n")
     if not rows:
         raise ValidationError("no usable data rows after dropping failures")
@@ -772,8 +783,7 @@ def _cmd_report(args) -> int:
     from .core import ValidationError
     from .stats import DegenerateDataError, UnbalancedDesignError, anova
 
-    rows = _read_results_csv(args.results)
-    rows, dropped = _drop_failed_rows(rows, "da")
+    rows, dropped = _read_results_csv(args.results, "da")
     if dropped:
         sys.stderr.write(f"tabenc: dropped {dropped} failed row(s)\n")
     if not rows:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MASK_SCHEMES, STRUCTURAL_MASKS, TabencError, ValidationError
+from .core import MASK_SCHEMES, STRUCTURAL_MASKS, ValidationError
 from .linearize import HEADER_ROW, EncodedInput, TokenRole
 
 # which content-pair rules each scheme enables
@@ -50,16 +50,15 @@ class AttentionMask:
     def blocks(self) -> tuple[tuple[int, int, int, int], ...]:
         """(q0, q1, k0, k1) half-open rectangles that tile the allowed set
         exactly (disjoint, union equal to the True entries); computed on
-        first use, since only the block-sparse kernel and block files need it."""
+        first use, since only block files and tiling checks need it."""
         return export_blocks_from_dense(self.dense)
 
     @functools.cached_property
     def plan(self) -> list:
-        """attention.plan_blocks of the mask's own blocks, built once per mask
-        and shared by the block-sparse forward and backward."""
-        from . import attention  # attention imports this module
-
-        return attention.plan_blocks(self.blocks, self.length)
+        """Row-disjoint groups [(r0, r1, key_idx)]: the runs of identical rows
+        of dense, each with its rows' allowed keys. Built once per mask and
+        shared by the block-sparse forward and backward; never tiles."""
+        return _row_groups(self.dense)
 
 
 def _check_scheme(enc: EncodedInput, scheme: str) -> None:
@@ -135,56 +134,62 @@ def export_blocks(mask: AttentionMask) -> tuple[tuple[int, int, int, int], ...]:
 
 
 def export_blocks_from_dense(dense: np.ndarray) -> tuple[tuple[int, int, int, int], ...]:
-    """Tile a symmetric allow-matrix into disjoint rectangles.
+    """Tile a symmetric allow-matrix into disjoint rectangles, sorted by (q0, k0).
 
     The question band (the maximal all-True leading column prefix, which by
     symmetry is also an all-True leading row prefix) is emitted as at most two
-    rectangles; the remaining region is tiled by grouping consecutive equal
-    row patterns into maximal column runs. Residual diagonal entries come out
-    as 1x1 rectangles.
+    rectangles; the remaining region is tiled by its runs of identical rows,
+    each split into maximal runs of allowed columns. Residual diagonal entries
+    come out as 1x1 rectangles.
     """
     L = int(dense.shape[0])
     full_cols = dense.all(axis=0)
-    b = int(np.argmin(full_cols)) if not full_cols.all() else L
-    rects: list[tuple[int, int, int, int]] = []
-    if b == L:
+    if full_cols.all():
         return ((0, L, 0, L),)
-    if b > 0:
-        rects.append((0, b, 0, L))
-        rects.append((b, L, 0, b))
+    b = int(np.argmin(full_cols))
+    band = ((0, b, 0, L), (b, L, 0, b)) if b else ()
     sub = dense[b:, b:]
-    n = L - b
-    if n:
-        # group consecutive identical rows, then split each group's shared
-        # pattern into maximal runs of allowed columns
-        changed = np.empty(n, dtype=bool)
-        changed[0] = True
-        if n > 1:
-            changed[1:] = np.any(sub[1:] != sub[:-1], axis=1)
-        starts = np.flatnonzero(changed)
-        ends = np.append(starts[1:], n)
-        for r0, r1 in zip(starts, ends):
-            pattern = sub[r0]
-            padded = np.empty(n + 1, dtype=np.int8)
-            padded[:n] = pattern
-            padded[n] = 0
-            diffs = np.diff(np.concatenate(([0], padded)))
-            run_starts = np.flatnonzero(diffs == 1)
-            run_ends = np.flatnonzero(diffs == -1)
-            for c0, c1 in zip(run_starts, run_ends):
-                rects.append((b + int(r0), b + int(r1), b + int(c0), b + int(c1)))
-    rects.sort(key=lambda r: (r[0], r[2]))
-    return tuple(rects)
+    starts, ends = _row_runs(sub)
+    # column runs of every row run at once: +1/-1 steps of the zero-padded rows
+    padded = np.zeros((len(starts), L - b + 2), dtype=np.int8)
+    padded[:, 1:-1] = sub[starts]
+    steps = np.diff(padded, axis=1)
+    run, c0 = np.divmod(np.flatnonzero(steps == 1), steps.shape[1])
+    c1 = np.flatnonzero(steps == -1) % steps.shape[1]
+    # flatnonzero walks row-major, so the rectangles come out in (q0, k0) order
+    return band + tuple(zip(
+        (starts[run] + b).tolist(), (ends[run] + b).tolist(), (c0 + b).tolist(), (c1 + b).tolist()
+    ))
 
 
 def blocks_cover(blocks, L: int) -> np.ndarray:
-    """Paint rectangles into a matrix; raises if any pair is covered twice."""
-    cover = np.zeros((L, L), dtype=np.uint8)
+    """Paint rectangles into an L x L allow-matrix; raises ValidationError,
+    naming the first pair in row-major order, if any pair is covered twice."""
+    cover = np.zeros((L, L), dtype=bool)
+    twice = np.zeros((L, L), dtype=bool)  # a flag, not a count, so it cannot wrap
     for q0, q1, k0, k1 in blocks:
-        cover[q0:q1, k0:k1] += 1
-    if (cover > 1).any():
-        raise TabencError("blocks overlap")
-    return cover.astype(bool)
+        twice[q0:q1, k0:k1] |= cover[q0:q1, k0:k1]
+        cover[q0:q1, k0:k1] = True
+    if twice.any():
+        r, k = divmod(int(np.argmax(twice)), L)
+        raise ValidationError(f"blocks cover key {k} twice for query row {r}")
+    return cover
+
+
+def _row_runs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends) of the runs of identical consecutive rows of a 2-D array."""
+    n = matrix.shape[0]
+    changed = np.ones(n, dtype=bool)
+    changed[1:] = (matrix[1:] != matrix[:-1]).any(axis=1)
+    starts = np.flatnonzero(changed)
+    return starts, np.append(starts[1:], n)
+
+
+def _row_groups(allowed: np.ndarray) -> list:
+    """[(r0, r1, key_idx)] over the row runs of an allow-matrix."""
+    starts, ends = _row_runs(allowed)
+    return [(r0, r1, np.flatnonzero(allowed[r0]))
+            for r0, r1 in zip(starts.tolist(), ends.tolist())]
 
 
 def block_area(blocks) -> int:
@@ -336,15 +341,20 @@ def read_blocks_file(path) -> tuple[dict, tuple[tuple[int, int, int, int], ...]]
         for part in header_line.split():
             key, _, value = part.partition("=")
             meta[key] = value
+        if "L" not in meta or "scheme" not in meta:
+            raise ValidationError(f"{path}: malformed blocks header: {header_line!r}")
         blocks = []
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, 2):
+            fields = line.split()
+            if not fields:
                 continue
-            q0, q1, k0, k1 = (int(x) for x in line.split())
+            try:
+                q0, q1, k0, k1 = (int(x) for x in fields)
+            except ValueError:
+                raise ValidationError(
+                    f"{path}:{lineno}: a block line is four integers, got {line.strip()!r}"
+                ) from None
             blocks.append((q0, q1, k0, k1))
-    if "L" not in meta or "scheme" not in meta:
-        raise ValidationError(f"{path}: malformed blocks header: {header_line!r}")
     meta["L"] = int(meta["L"])
     if "sparsity" in meta:
         meta["sparsity"] = float(meta["sparsity"])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import tabenc.attention as attention
+import tabenc.mask as mask_module
 from tabenc.attention import (
     AttentionInput,
     attn_backward,
@@ -243,6 +244,7 @@ def test_wrapper_round_trip(rng):
     inp = AttentionInput(q=q, k=k, v=v, mask=m, bias_values=bias)
     dense_out = attn_dense(inp).out
     sparse_out = attn_block_sparse(inp).out
+    assert "blocks" not in m.__dict__  # the mask path plans from rows and never tiles
     assert np.allclose(dense_out, sparse_out, atol=1e-10)
     d_out = rng.standard_normal(q.shape)
     g_dense = attn_backward(inp, d_out, rel_map=rel)
@@ -261,12 +263,14 @@ def test_mask_plan_built_once_per_mask(rng, monkeypatch):
              block_sparse_backward(q, k, v, m.blocks, d_out, bias, rel=rel.rel,
                                    n_classes=rel.n_classes))
     calls = []
+    row_runs = mask_module._row_runs
 
-    def counted(blocks, length):
-        calls.append(length)
-        return plan_blocks(blocks, length)
+    def counted(matrix):
+        calls.append(matrix.shape[0])
+        return row_runs(matrix)
 
-    monkeypatch.setattr(attention, "plan_blocks", counted)
+    # every plan, the mask's own or one of foreign blocks, finds its row runs here
+    monkeypatch.setattr(mask_module, "_row_runs", counted)
     out = attn_block_sparse(inp).out
     grads = attn_backward(inp, d_out, blocks=m.blocks, rel_map=rel)
     assert calls == [q.shape[0]]
@@ -324,11 +328,14 @@ def test_plan_blocks_range_check():
 def test_plan_blocks_rejects_overlap(rng):
     # the second rectangle covers key 1 of rows 0..1 again
     blocks = [(0, 2, 0, 2), (0, 2, 1, 2)]
-    with pytest.raises(ValidationError, match="key 1 twice"):
+    with pytest.raises(ValidationError, match="key 1 twice for query row 0"):
         plan_blocks(blocks, 2)
     # a range nested inside an earlier one is caught too
     with pytest.raises(ValidationError, match="key 1 twice"):
         plan_blocks([(0, 4, 0, 4), (0, 4, 1, 2)], 4)
+    # the first doubly covered pair is named, in row-major order
+    with pytest.raises(ValidationError, match="key 2 twice for query row 1"):
+        plan_blocks([(0, 4, 0, 1), (1, 3, 1, 4), (2, 4, 2, 3), (0, 1, 1, 4), (1, 2, 2, 3)], 4)
     q = rng.standard_normal((2, 4))
     with pytest.raises(ValidationError):
         block_sparse_forward(q, q, q, blocks)
@@ -336,7 +343,7 @@ def test_plan_blocks_rejects_overlap(rng):
 
 def test_uncovered_query_rows_rejected(rng):
     q = rng.standard_normal((4, 2))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="query row 2 uncovered"):
         block_sparse_forward(q, q, q, [(0, 2, 0, 4)])
 
 

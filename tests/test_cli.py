@@ -139,6 +139,16 @@ def test_score_count_mismatch_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_score_non_json_line_exits_2(tmp_path, capsys):
+    data = tmp_path / "d.jsonl"
+    run(capsys, "gen", "--n", "3", "--seed", "4", "--out", str(data))
+    pred = tmp_path / "p.jsonl"
+    pred.write_text('["1"]\n["unterminated\n["2"]\n')
+    code, _, err = run(capsys, "score", "--data", str(data), "--pred", str(pred))
+    assert code == 2
+    assert f"{pred}:2:" in err
+
+
 # ---------------------------------------------------------------------------
 # dump-encoding / mask
 # ---------------------------------------------------------------------------
@@ -405,6 +415,23 @@ def test_anova_drops_nan_rows(tmp_path, capsys):
     code, stdout, err = run(capsys, "anova", "--results", str(path), "--terms", "T")
     assert code == 0
     assert "dropped 1" in err
+
+
+@pytest.mark.parametrize("bad_row,fault", [
+    ("T2,M0,TPE,B0,E0,train,1,abc", "'abc' is not a number"),
+    ("T2,M0,TPE,B0,E0,train,1", "row has 7 fields, the header has 8"),
+    ("T2,M0,TPE,B0,E0,train,1,0.5,extra", "row has 9 fields, the header has 8"),
+])
+@pytest.mark.parametrize("command", ["anova", "report"])
+def test_malformed_results_row_exits_2(tmp_path, capsys, command, bad_row, fault):
+    path = results_csv(tmp_path)
+    with open(path, "a") as fh:
+        fh.write(bad_row + "\n")
+    extra = ("--terms", "T") if command == "anova" else ("--out", str(tmp_path / "r"))
+    code, _, err = run(capsys, command, "--results", str(path), *extra)
+    assert code == 2
+    assert f"{path}:10: " in err
+    assert fault in err
 
 
 def test_report_command(tmp_path, capsys):

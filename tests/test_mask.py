@@ -12,10 +12,12 @@ from tabenc.mask import (
     build_mask,
     build_mask_bruteforce,
     export_blocks,
+    export_blocks_from_dense,
     read_blocks_file,
     sparsity,
     write_blocks_file,
 )
+from tabenc.attention import plan_blocks
 
 from conftest import make_table, random_question
 
@@ -174,9 +176,65 @@ def test_blocks_tile_exactly(rng):
         assert block_area(blocks) == int(m.dense.sum())
 
 
+def tiling_loop(dense):
+    """Group-by-group tiling, the reference for the vectorized export_blocks:
+    the question band as at most two rectangles, then each run of identical
+    rows of the rest split into its column runs, sorted by (q0, k0)."""
+    L = int(dense.shape[0])
+    full_cols = dense.all(axis=0)
+    if full_cols.all():
+        return ((0, L, 0, L),)
+    b = int(np.argmin(full_cols))
+    rects = [(0, b, 0, L), (b, L, 0, b)] if b else []
+    sub = dense[b:, b:]
+    n = L - b
+    changed = np.empty(n, dtype=bool)
+    changed[0] = True
+    changed[1:] = np.any(sub[1:] != sub[:-1], axis=1)
+    starts = np.flatnonzero(changed)
+    for r0, r1 in zip(starts, np.append(starts[1:], n)):
+        diffs = np.diff(np.concatenate(([0], sub[r0].astype(np.int8), [0])))
+        for c0, c1 in zip(np.flatnonzero(diffs == 1), np.flatnonzero(diffs == -1)):
+            rects.append((b + int(r0), b + int(r1), b + int(c0), b + int(c1)))
+    rects.sort(key=lambda r: (r[0], r[2]))
+    return tuple(rects)
+
+
+@pytest.mark.parametrize("tokens,scheme", list(legal_pairs()))
+def test_blocks_match_tiling_loop(rng, tokens, scheme):
+    for _ in range(20):
+        t = make_table(rng)
+        m = build_mask(linearize(random_question(rng, t), t, tokens), scheme)
+        assert export_blocks(m) == tiling_loop(m.dense)
+
+
+def test_blocks_from_dense_match_tiling_loop_on_any_symmetric_matrix(rng):
+    # densities from empty to full: with or without a question band (b = 0),
+    # long row runs, rows that differ in one column
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        upper = np.triu(rng.random((n, n)) < rng.random())
+        dense = upper | upper.T | np.eye(n, dtype=bool)
+        assert export_blocks_from_dense(dense) == tiling_loop(dense)
+
+
+@pytest.mark.parametrize("tokens,scheme", list(legal_pairs()))
+def test_plan_is_the_tiling_planned(rng, tokens, scheme):
+    for _ in range(20):
+        t = make_table(rng)
+        m = build_mask(linearize(random_question(rng, t), t, tokens), scheme)
+        want = plan_blocks(m.blocks, m.length)
+        assert [(r0, r1) for r0, r1, _ in m.plan] == [(r0, r1) for r0, r1, _ in want]
+        for (_, _, got_keys), (_, _, want_keys) in zip(m.plan, want):
+            assert np.array_equal(got_keys, want_keys)
+
+
 def test_blocks_cover_detects_overlap():
     with pytest.raises(TabencError):
         blocks_cover([(0, 2, 0, 2), (1, 3, 1, 3)], 4)
+    # 256 layers would wrap a uint8 count back to "uncovered"
+    with pytest.raises(TabencError, match="key 0 twice for query row 0"):
+        blocks_cover([(0, 1, 0, 1)] * 256, 1)
 
 
 def test_blocks_file_round_trip(tmp_path):
@@ -198,6 +256,11 @@ def test_blocks_file_rejects_garbage(tmp_path):
     path.write_text("hello world\n")
     with pytest.raises(ValidationError):
         read_blocks_file(path)
+    # a rectangle line that is not four integers names its line
+    path.write_text("L=4 scheme=M0 sparsity=0.000000\n0 4 0 4\n1 2 3\n")
+    with pytest.raises(ValidationError) as err:
+        read_blocks_file(path)
+    assert f"{path}:3:" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
