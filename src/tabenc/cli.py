@@ -18,8 +18,8 @@ import os
 import sys
 from pathlib import Path
 
-_SUITE_CHOICES = ("train", "structure", "consistency", "compositional", "mixability")
-_RESULT_FIELDS = ("T", "M", "PE", "B", "E", "suite", "replicate", "da")
+_FACTORS = ("T", "M", "PE", "B", "E")
+_RESULT_FIELDS = _FACTORS + ("suite", "replicate", "da")
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -53,7 +53,9 @@ def _apply_thread_cap() -> tuple[int | None, str | None]:
 def _atomic_write(path: Path, write) -> None:
     """Call write(tmp) on a sibling temp file, fsync it, then rename it over
     path, so a reader never sees a partial file and the renamed file's data is
-    on disk; the temp file is removed if writing fails."""
+    on disk; the temp file is removed if writing fails. Missing parent
+    directories are created first."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
     try:
         write(tmp)
@@ -70,6 +72,14 @@ def _atomic_write(path: Path, write) -> None:
 
 def _atomic_write_text(path: Path, text: str) -> None:
     _atomic_write(path, lambda tmp: tmp.write_text(text, encoding="utf-8", newline="\n"))
+
+
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
 
 
 def _factor_levels() -> dict:
@@ -90,13 +100,6 @@ def _load_table(path: str):
 
     with open(path, encoding="utf-8") as fh:
         return Table.from_json(json.load(fh))
-
-
-def _factor_from_args(args):
-    from .core import FactorConfig
-
-    return FactorConfig(tokens=args.tokens, mask=args.mask, pe=args.pe,
-                        bias=args.bias, emb=args.emb)
 
 
 def _derived_seed(master: int, tag: str) -> int:
@@ -127,21 +130,15 @@ def _cmd_gen(args) -> int:
         overrides["row_values"] = _int_list(args.rows)
     if args.cols:
         overrides["col_values"] = _int_list(args.cols)
-    if args.value_max is not None:
-        overrides["value_max"] = args.value_max
-    if args.consistency_rate is not None:
-        overrides["consistency_rate"] = args.consistency_rate
-    if args.mix_strength is not None:
-        overrides["mix_strength"] = args.mix_strength
-    if args.mix_alphabet is not None:
-        overrides["mix_alphabet"] = args.mix_alphabet
+    for name in ("value_max", "consistency_rate", "mix_strength", "mix_alphabet"):
+        if getattr(args, name) is not None:
+            overrides[name] = getattr(args, name)
     if args.drop_empty:
         overrides["keep_empty"] = False
     spec = suite_spec(args.suite, args.n, args.seed, **overrides)
 
     examples, report = gen_dataset(spec)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write(out, lambda tmp: write_jsonl(examples, tmp))
 
     _print_json({
@@ -223,11 +220,10 @@ def _cmd_dump_encoding(args) -> int:
     rows = list(encoding_rows(enc, default_vocab()))
     if enc.unk_count:
         sys.stderr.write(f"tabenc: {enc.unk_count} token(s) outside the vocabulary became UNK\n")
-    if args.json:
-        keys = ("idx", "symbol", "role", "row", "col", "cell", "seg", "pos")
-        _print_json([dict(zip(keys, r)) for r in rows])
-        return 0
     header = ("idx", "symbol", "role", "row", "col", "cell", "seg", "pos")
+    if args.json:
+        _print_json([dict(zip(header, r)) for r in rows])
+        return 0
     table_rows = [tuple(str(v) for v in r) for r in rows]
     widths = [max(len(h), *(len(r[i]) for r in table_rows)) for i, h in enumerate(header)]
     line = "  ".join(h.ljust(widths[i]) for i, h in enumerate(header))
@@ -264,7 +260,6 @@ def _cmd_mask(args) -> int:
     }
     if args.out:
         out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
         _atomic_write(out, lambda tmp: write_blocks_file(tmp, mask))
         summary["out"] = str(out)
     _print_json(summary)
@@ -275,16 +270,6 @@ def _cmd_mask(args) -> int:
 # bench
 # ---------------------------------------------------------------------------
 
-def _bench_csv(rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(("length", "scheme", "direction", "dense_ms", "sparse_ms", "speedup"))
-    for r in rows:
-        w.writerow((r.length, r.scheme, r.direction,
-                    f"{r.dense_ms:.3f}", f"{r.sparse_ms:.3f}", f"{r.speedup:.2f}"))
-    return buf.getvalue()
-
-
 def _cmd_bench(args) -> int:
     from .attention import bench_attention
 
@@ -292,11 +277,12 @@ def _cmd_bench(args) -> int:
     rows = bench_attention(lengths, scheme=args.scheme, trials=args.trials,
                            head_dim=args.head_dim, seed=args.seed,
                            include_backward=args.backward)
-    text = _bench_csv(rows)
+    text = _csv_text(
+        ("length", "scheme", "direction", "dense_ms", "sparse_ms", "speedup"),
+        ((r.length, r.scheme, r.direction, f"{r.dense_ms:.3f}", f"{r.sparse_ms:.3f}",
+          f"{r.speedup:.2f}") for r in rows))
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write_text(out, text)
+        _atomic_write_text(Path(args.out), text)
     sys.stdout.write(text)
     return 0
 
@@ -305,16 +291,9 @@ def _cmd_bench(args) -> int:
 # train / eval
 # ---------------------------------------------------------------------------
 
-def _model_config_from_args(args, factor):
-    from .model import ModelConfig
-
-    return ModelConfig(
-        factor=factor,
-        d_model=args.d_model,
-        n_heads=args.n_heads,
-        n_enc_layers=args.enc_layers,
-        n_dec_layers=args.dec_layers,
-        ffn_dim=args.ffn_dim,
+def _model_kwargs(args) -> dict:
+    """The ModelConfig fields that train and grid both take from flags."""
+    return dict(
         context_len=args.context_len,
         max_positions=max(args.context_len, 512),
         steps=args.steps,
@@ -322,37 +301,37 @@ def _model_config_from_args(args, factor):
         learning_rate=args.lr,
         patience=args.patience,
         eval_every=args.eval_every,
-        eval_fraction=args.eval_fraction,
     )
-
-
-def _trace_csv(trace) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(("step", "loss", "eval_da"))
-    for row in trace:
-        w.writerow((row["step"], f"{row['loss']:.6f}", f"{row['eval_da']:.6f}"))
-    return buf.getvalue()
 
 
 def _cmd_train(args) -> int:
     from .core import read_jsonl
     from .linearize import default_vocab
-    from .model import save_checkpoint, train
+    from .core import FactorConfig
+    from .model import ModelConfig, save_checkpoint, train
 
-    factor = _factor_from_args(args)
-    cfg = _model_config_from_args(args, factor)
+    cfg = ModelConfig(
+        factor=FactorConfig(args.tokens, args.mask, args.pe, args.bias, args.emb),
+        d_model=args.d_model,
+        n_heads=args.n_heads,
+        n_enc_layers=args.enc_layers,
+        n_dec_layers=args.dec_layers,
+        ffn_dim=args.ffn_dim,
+        eval_fraction=args.eval_fraction,
+        **_model_kwargs(args),
+    )
     examples = read_jsonl(args.data)
 
     log = None if args.quiet else (lambda msg: sys.stderr.write(msg + "\n"))
     result = train(examples, cfg, seed=args.seed, stop_da=args.stop_da, log=log)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     vocab = default_vocab()
     ckpt = out / "checkpoint.bin"
     _atomic_write(ckpt, lambda tmp: save_checkpoint(tmp, result.params, cfg, vocab.size))
-    _atomic_write_text(out / "trace.csv", _trace_csv(result.trace))
+    _atomic_write_text(out / "trace.csv", _csv_text(
+        ("step", "loss", "eval_da"),
+        ((row["step"], f"{row['loss']:.6f}", f"{row['eval_da']:.6f}") for row in result.trace)))
 
     summary = {
         "seed": args.seed,
@@ -373,7 +352,7 @@ def _cmd_eval(args) -> int:
     from .core import ValidationError, read_jsonl
     from .linearize import default_vocab
     from .model import load_checkpoint, predict
-    from .sqlexec import denotation_match
+    from .sqlexec import denotation_accuracy
 
     params, cfg, vocab_size = load_checkpoint(args.checkpoint)
     vocab = default_vocab()
@@ -385,39 +364,37 @@ def _cmd_eval(args) -> int:
     if not examples:
         raise ValidationError(f"{args.data}: no examples")
     preds = predict(params, cfg, examples, vocab, batch_size=args.batch_size)
-    hits = sum(
-        denotation_match(p, ex.answer, args.set_semantics)
-        for p, ex in zip(preds, examples)
-    )
+    da = denotation_accuracy(preds, [ex.answer for ex in examples], args.set_semantics)
     if args.pred_out:
         lines = "".join(json.dumps({"answer": p}, sort_keys=True) + "\n" for p in preds)
-        out = Path(args.pred_out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write_text(out, lines)
-    _print_json({"n": len(examples), "da": round(hits / len(examples), 6)})
+        _atomic_write_text(Path(args.pred_out), lines)
+    _print_json({"n": len(examples), "da": round(da, 6)})
     return 0
 
 
 # ---------------------------------------------------------------------------
-# anova
+# results table: one reader for grid, anova and report
 # ---------------------------------------------------------------------------
 
-def _read_results_csv(path: str, response: str) -> tuple[list[dict], int]:
-    """The rows of a results CSV whose `response` is finite, and the number of
-    failed-run rows (nan/inf) left out. A row with the wrong number of fields
-    or a response that is not a number is a malformed file, not a failed run."""
-    import math
-
+def _read_results_csv(path, response: str, columns=()) -> list[dict]:
+    """Every data row of a results CSV, as text. A missing required column, a
+    row with the wrong number of fields, a response that is not a number (nan
+    and inf are numbers: failed runs), a replicate that is not a positive
+    integer or a factor level outside its factor raises ValidationError naming
+    path:line. A file without a header has no rows."""
     from .core import ValidationError
 
-    rows, dropped = [], 0
+    levels = _factor_levels()
+    rows = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise ValidationError(f"{path}: empty results file")
-        if response not in header:
-            raise ValidationError(f"{path}: results file missing column {response!r}")
+            return rows
+        for column in (response, *columns):
+            if column not in header:
+                raise ValidationError(f"{path}:1: results file missing column {column!r}")
+        factors = [k for k in _FACTORS if k in header]
         for fields in reader:
             if not fields:
                 continue
@@ -428,49 +405,67 @@ def _read_results_csv(path: str, response: str) -> tuple[list[dict], int]:
                 )
             row = dict(zip(header, fields))
             try:
-                value = float(row[response])
+                float(row[response])
             except ValueError:
                 raise ValidationError(
                     f"{where}: {response} {row[response]!r} is not a number"
                 ) from None
-            if math.isfinite(value):
-                rows.append(row)
-            else:
-                dropped += 1
-    if not rows and not dropped:
-        raise ValidationError(f"{path}: no data rows")
-    return rows, dropped
+            rep = row.get("replicate")
+            if rep is not None and not (rep.isdecimal() and int(rep) > 0):
+                raise ValidationError(f"{where}: replicate {rep!r} is not a positive integer")
+            for k in factors:
+                if row[k] not in levels[k]:
+                    raise ValidationError(
+                        f"{where}: {k} level {row[k]!r} is not one of {levels[k]}"
+                    )
+            rows.append(row)
+    return rows
 
+
+def _finished_rows(path, response: str, columns=()) -> tuple[list[dict], int]:
+    """The rows of a results CSV whose response is finite, and the number of
+    failed-run rows (nan/inf) left out, which a note on stderr reports."""
+    import math
+
+    from .core import ValidationError
+
+    rows = _read_results_csv(path, response, columns)
+    finished = [row for row in rows if math.isfinite(float(row[response]))]
+    dropped = len(rows) - len(finished)
+    if dropped:
+        sys.stderr.write(f"tabenc: dropped {dropped} row(s) with non-finite {response}\n")
+    if not finished:
+        raise ValidationError(f"{path}: no usable data rows")
+    return finished, dropped
+
+
+def _run_key(row: dict) -> tuple:
+    """What identifies one run's result in a results row."""
+    return tuple(row[k] for k in (*_FACTORS, "suite")) + (int(row["replicate"]),)
+
+
+# ---------------------------------------------------------------------------
+# anova
+# ---------------------------------------------------------------------------
 
 def _anova_csv(report) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(("term", "ss", "df", "f", "p", "eta_sq"))
-    for t in report.terms:
-        w.writerow((t.name, _fmt_float(t.ss), t.df, _fmt_float(t.f_stat),
-                    _fmt_float(t.p_value), _fmt_float(t.eta_sq)))
-    w.writerow(("residual", _fmt_float(report.residual_ss), report.residual_df, "", "", ""))
-    w.writerow(("total", _fmt_float(report.total_ss), report.n - 1, "", "", ""))
-    return buf.getvalue()
+    rows = [(t.name, _fmt_float(t.ss), t.df, _fmt_float(t.f_stat),
+             _fmt_float(t.p_value), _fmt_float(t.eta_sq)) for t in report.terms]
+    rows.append(("residual", _fmt_float(report.residual_ss), report.residual_df, "", "", ""))
+    rows.append(("total", _fmt_float(report.total_ss), report.n - 1, "", "", ""))
+    return _csv_text(("term", "ss", "df", "f", "p", "eta_sq"), rows)
 
 
 def _cmd_anova(args) -> int:
-    from .core import ValidationError
     from .stats import anova
 
-    rows, dropped = _read_results_csv(args.results, args.response)
-    if dropped:
-        sys.stderr.write(f"tabenc: dropped {dropped} row(s) with non-finite "
-                         f"{args.response}\n")
-    if not rows:
-        raise ValidationError("no usable data rows after dropping failures")
+    rows, _dropped = _finished_rows(args.results, args.response)
     terms = [t.strip() for t in args.terms.split(",") if t.strip()]
     report = anova(rows, terms, response=args.response,
                    allow_unbalanced=args.allow_unbalanced)
     text = _anova_csv(report)
     if args.out:
         out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
         _atomic_write_text(out, text)
         _print_json({"out": str(out), "n": report.n,
                      "residual_df": report.residual_df})
@@ -482,11 +477,6 @@ def _cmd_anova(args) -> int:
 # ---------------------------------------------------------------------------
 # grid
 # ---------------------------------------------------------------------------
-
-def _config_key(factor) -> str:
-    f = factor.csv_fields()
-    return "/".join(f[k] for k in ("T", "M", "PE", "B", "E"))
-
 
 def _config_parts(text: str) -> list[str]:
     """Split a T/M/PE/B/E config string into its five levels."""
@@ -502,15 +492,18 @@ def _build_plan(args) -> dict:
     import itertools
 
     from .core import FactorConfig, ValidationError, is_legal_combination
+    from .datagen import SUITES
 
     suites = tuple(s.strip() for s in args.suites.split(",") if s.strip())
     for s in suites:
-        if s not in _SUITE_CHOICES:
-            raise ValidationError(f"unknown suite {s!r}; choose from {_SUITE_CHOICES}")
+        if s not in SUITES:
+            raise ValidationError(f"unknown suite {s!r}; choose from {SUITES}")
     if not suites:
         raise ValidationError("at least one evaluation suite required")
-    if args.replicates < 1:
-        raise ValidationError("replicates must be >= 1")
+    for flag, n in (("replicates", args.replicates), ("train-n", args.train_n),
+                    ("eval-n", args.eval_n)):
+        if n < 1:
+            raise ValidationError(f"--{flag} must be >= 1, got {n}")
 
     if args.configs:
         points = (_config_parts(p) for p in args.configs.split(";") if p.strip())
@@ -520,7 +513,8 @@ def _build_plan(args) -> dict:
     for parts in points:
         n_raw += 1
         if is_legal_combination(parts[0], parts[1]):
-            configs.append(FactorConfig(*parts))
+            FactorConfig(*parts)  # rejects unknown levels
+            configs.append("/".join(parts))
     dropped = n_raw - len(configs)
     if not configs:
         raise ValidationError("plan has no legal configurations")
@@ -529,7 +523,7 @@ def _build_plan(args) -> dict:
         "seed": args.seed,
         "replicates": args.replicates,
         "suites": list(suites),
-        "configs": [_config_key(c) for c in configs],
+        "configs": configs,
         "raw_points": n_raw * args.replicates,
         "dropped_points": dropped * args.replicates,
         "dropped_configs": dropped,
@@ -541,22 +535,16 @@ def _build_plan(args) -> dict:
     }
 
 
-def _grid_data_paths(outdir: Path, suites) -> dict:
-    paths = {"train": outdir / "data" / "train.jsonl"}
-    for s in suites:
-        paths[f"eval-{s}"] = outdir / "data" / f"eval-{s}.jsonl"
-    return paths
-
-
 def _ensure_grid_data(outdir: Path, suites, seed: int, train_n: int, eval_n: int) -> dict:
+    """Generate data/train.jsonl and data/eval-<suite>.jsonl where missing;
+    returns their paths keyed "train" and "eval-<suite>"."""
     from .core import write_jsonl
     from .datagen import gen_dataset, suite_spec
 
-    paths = _grid_data_paths(outdir, suites)
-    (outdir / "data").mkdir(parents=True, exist_ok=True)
-    jobs = [("train", "train", train_n, paths["train"])]
-    jobs += [(f"eval-{s}", s, eval_n, paths[f"eval-{s}"]) for s in suites]
-    for tag, suite, n, path in jobs:
+    paths = {}
+    jobs = [("train", "train", train_n)] + [(f"eval-{s}", s, eval_n) for s in suites]
+    for tag, suite, n in jobs:
+        path = paths[tag] = outdir / "data" / f"{tag}.jsonl"
         if path.exists():
             continue
         spec = suite_spec(suite, n, _derived_seed(seed, f"grid-data-{tag}"))
@@ -569,7 +557,7 @@ def _append_rows(results_path: Path, lines: list[str]) -> None:
     with open(results_path, "a", encoding="utf-8", newline="\n") as fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
         try:
-            if fh.tell() == 0 and not lines[0].startswith("T,"):
+            if fh.tell() == 0:
                 fh.write(",".join(_RESULT_FIELDS) + "\n")
             for line in lines:
                 fh.write(line)
@@ -577,21 +565,6 @@ def _append_rows(results_path: Path, lines: list[str]) -> None:
             os.fsync(fh.fileno())
         finally:
             fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-
-
-def _read_done_keys(results_path: Path) -> set[tuple]:
-    done = set()
-    if not results_path.exists():
-        return done
-    with open(results_path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            try:
-                key = tuple(row[k] for k in ("T", "M", "PE", "B", "E", "suite")) + (
-                    int(row["replicate"]),)
-            except (KeyError, TypeError, ValueError):
-                continue
-            done.add(key)
-    return done
 
 
 def _grid_run_one(payload: dict) -> list[str]:
@@ -603,12 +576,12 @@ def _grid_run_one(payload: dict) -> list[str]:
     from .core import FactorConfig, read_jsonl
     from .linearize import default_vocab
     from .model import ModelConfig, TrainingDivergedError, predict, train
-    from .sqlexec import denotation_match
+    from .sqlexec import denotation_accuracy
 
     factor = FactorConfig.from_dict(payload["factor"])
     cfg = ModelConfig(factor=factor, **payload["model"])
     examples = read_jsonl(payload["train_path"])
-    prefix = ",".join(factor.csv_fields()[k] for k in ("T", "M", "PE", "B", "E"))
+    prefix = ",".join(factor.csv_fields()[k] for k in _FACTORS)
     rep = payload["replicate"]
 
     try:
@@ -623,47 +596,46 @@ def _grid_run_one(payload: dict) -> list[str]:
         eval_examples = read_jsonl(payload["eval_paths"][suite])
         preds = predict(result.params, cfg, eval_examples, vocab,
                         batch_size=payload["eval_batch"])
-        hits = sum(denotation_match(p, ex.answer)
-                   for p, ex in zip(preds, eval_examples))
-        da = hits / len(eval_examples) if eval_examples else 0.0
+        da = denotation_accuracy(preds, [ex.answer for ex in eval_examples])
         lines.append(f"{prefix},{suite},{rep},{da:.6f}\n")
     return lines
 
 
+def _grid_outcomes(work: list[dict], workers: int):
+    """Run each payload, in a process pool when more than one worker is
+    allowed, and yield its CSV lines, or the exception it raised, as soon as
+    the run finishes."""
+    if workers > 1 and len(work) > 1:
+        import concurrent.futures as cf
+        import multiprocessing as mp
+
+        ctx = mp.get_context("spawn")
+        with cf.ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            futures = [pool.submit(_grid_run_one, payload) for payload in work]
+            for fut in cf.as_completed(futures):
+                exc = fut.exception()
+                yield fut.result() if exc is None else exc
+    else:
+        for payload in work:
+            try:
+                outcome = _grid_run_one(payload)
+            except Exception as exc:
+                outcome = exc
+            yield outcome
+
+
 def _canonicalize_results(results_path: Path) -> int:
-    scheme_order = _factor_levels()
-    with open(results_path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    seen = set()
-    unique = []
-    for row in rows:
-        key = tuple(row.get(k, "") for k in ("T", "M", "PE", "B", "E", "suite", "replicate"))
-        if key in seen:
-            continue
-        seen.add(key)
-        unique.append(row)
-
-    def sort_key(row):
-        parts = []
-        for k in ("T", "M", "PE", "B", "E"):
-            order = scheme_order[k]
-            v = row.get(k, "")
-            parts.append(order.index(v) if v in order else len(order))
-        parts.append(row.get("suite", ""))
-        try:
-            parts.append(int(row.get("replicate", 0)))
-        except (TypeError, ValueError):
-            parts.append(0)
-        return tuple(parts)
-
-    unique.sort(key=sort_key)
-    buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=_RESULT_FIELDS, lineterminator="\n")
-    w.writeheader()
-    for row in unique:
-        w.writerow({k: row.get(k, "") for k in _RESULT_FIELDS})
-    _atomic_write_text(results_path, buf.getvalue())
-    return len(unique)
+    """Rewrite results.csv with one row per run, in grid order; returns the
+    number of rows."""
+    levels = _factor_levels()
+    unique = {}
+    for row in _read_results_csv(results_path, "da", _RESULT_FIELDS):
+        unique.setdefault(_run_key(row), row)
+    rows = sorted(unique.values(), key=lambda row: (
+        *(levels[k].index(row[k]) for k in _FACTORS), row["suite"], int(row["replicate"])))
+    _atomic_write_text(results_path, _csv_text(
+        _RESULT_FIELDS, ([row[k] for k in _RESULT_FIELDS] for row in rows)))
+    return len(rows)
 
 
 def _cmd_grid(args) -> int:
@@ -680,23 +652,16 @@ def _cmd_grid(args) -> int:
         workers = min(workers, cap)
 
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    results_path = outdir / "results.csv"
+    done = set()
+    if results_path.exists():
+        done = {_run_key(row) for row in _read_results_csv(results_path, "da", _RESULT_FIELDS)}
     _atomic_write_text(outdir / "plan.json",
                        json.dumps(plan, sort_keys=True, indent=2) + "\n")
     paths = _ensure_grid_data(outdir, plan["suites"], args.seed,
                               args.train_n, args.eval_n)
-    results_path = outdir / "results.csv"
-    done = _read_done_keys(results_path)
 
-    model_kwargs = dict(
-        context_len=args.context_len,
-        max_positions=max(args.context_len, 512),
-        steps=args.steps,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        patience=args.patience,
-        eval_every=args.eval_every,
-    )
+    model_kwargs = _model_kwargs(args)
     work = []
     skipped = 0
     for key in plan["configs"]:
@@ -719,20 +684,16 @@ def _cmd_grid(args) -> int:
                 "eval_batch": args.eval_batch,
             })
 
-    if workers > 1 and len(work) > 1:
-        import concurrent.futures as cf
-        import multiprocessing as mp
-
-        ctx = mp.get_context("spawn")
-        with cf.ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            for lines in pool.map(_grid_run_one, work):
-                _append_rows(results_path, lines)
-    else:
-        for payload in work:
-            lines = _grid_run_one(payload)
-            _append_rows(results_path, lines)
-
+    # every run that finishes keeps its rows; the first failure decides the exit
+    failure = None
+    for outcome in _grid_outcomes(work, workers):
+        if isinstance(outcome, Exception):
+            failure = failure or outcome
+        else:
+            _append_rows(results_path, outcome)
     n_rows = _canonicalize_results(results_path) if results_path.exists() else 0
+    if failure is not None:
+        raise failure
     _print_json({
         "results": str(results_path),
         "rows": n_rows,
@@ -748,21 +709,13 @@ def _cmd_grid(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _paired_differences(rows: list[dict]) -> str:
-    scheme_order = _factor_levels()
-    factors = ("T", "M", "PE", "B", "E")
-    by_key = {}
-    for row in rows:
-        key = tuple(row[k] for k in factors) + (row["suite"], row["replicate"])
-        by_key[key] = float(row["da"])
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(("factor", "left", "right", "n_pairs", "mean_diff", "min_diff", "max_diff"))
-    for fi, factor in enumerate(factors):
-        levels = sorted({row[factor] for row in rows},
-                        key=lambda v: scheme_order[factor].index(v))
-        for i, left in enumerate(levels):
-            for right in levels[i + 1:]:
+    levels = _factor_levels()
+    by_key = {_run_key(row): float(row["da"]) for row in rows}
+    out = []
+    for fi, factor in enumerate(_FACTORS):
+        present = sorted({row[factor] for row in rows}, key=levels[factor].index)
+        for i, left in enumerate(present):
+            for right in present[i + 1:]:
                 diffs = []
                 for key, da_left in by_key.items():
                     if key[fi] != left:
@@ -771,34 +724,22 @@ def _paired_differences(rows: list[dict]) -> str:
                     if other in by_key:
                         diffs.append(da_left - by_key[other])
                 if diffs:
-                    w.writerow((
-                        factor, left, right, len(diffs),
-                        f"{sum(diffs) / len(diffs):.6f}",
-                        f"{min(diffs):.6f}", f"{max(diffs):.6f}",
-                    ))
-    return buf.getvalue()
+                    out.append((factor, left, right, len(diffs),
+                                f"{sum(diffs) / len(diffs):.6f}",
+                                f"{min(diffs):.6f}", f"{max(diffs):.6f}"))
+    return _csv_text(
+        ("factor", "left", "right", "n_pairs", "mean_diff", "min_diff", "max_diff"), out)
 
 
 def _cmd_report(args) -> int:
-    from .core import ValidationError
     from .stats import DegenerateDataError, UnbalancedDesignError, anova
 
-    rows, dropped = _read_results_csv(args.results, "da")
-    if dropped:
-        sys.stderr.write(f"tabenc: dropped {dropped} failed row(s)\n")
-    if not rows:
-        raise ValidationError("no usable data rows after dropping failures")
-    for field in _RESULT_FIELDS:
-        if field not in rows[0]:
-            raise ValidationError(f"results file missing column {field!r}")
-
+    rows, dropped = _finished_rows(args.results, "da", _RESULT_FIELDS)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     diff_path = outdir / "differences.csv"
     _atomic_write_text(diff_path, _paired_differences(rows))
 
-    varying = [f for f in ("T", "M", "PE", "B", "E")
-               if len({row[f] for row in rows}) >= 2]
+    varying = [f for f in _FACTORS if len({row[f] for row in rows}) >= 2]
     anova_path = None
     anova_note = None
     if not varying:
@@ -860,6 +801,8 @@ def _add_model_flags(sp):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .datagen import SUITES
+
     common = argparse.ArgumentParser(add_help=False)
     # SUPPRESS keeps a pre-subcommand --json-errors from being reset by the
     # subparser's default for the same destination
@@ -874,7 +817,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True, metavar="command")
 
     sp = sub.add_parser("gen", parents=[common], help="generate a synthetic QA dataset")
-    sp.add_argument("--suite", default="train", choices=_SUITE_CHOICES)
+    sp.add_argument("--suite", default="train", choices=SUITES)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
@@ -1008,10 +951,7 @@ def main(argv=None) -> int:
         if env_error:
             raise ValidationError(env_error)
         return args.func(args)
-    except ValidationError as exc:
-        _emit_error(exc, json_mode)
-        return 2
-    except (FileNotFoundError, IsADirectoryError, PermissionError,
+    except (ValidationError, FileNotFoundError, IsADirectoryError, PermissionError,
             json.JSONDecodeError, csv.Error) as exc:
         _emit_error(exc, json_mode)
         return 2

@@ -57,6 +57,7 @@ TRAINING_SIZES = (6, 7, 8)
 STRUCTURE_SIZES = (4, 5, 9, 10, 11, 12)
 
 DISTURBANCES = ("none", "structure", "consistency", "compositional", "mixability")
+SUITES = ("train", "structure", "consistency", "compositional", "mixability")
 CONSISTENCY_RATES = (0.2, 0.4)
 
 
@@ -110,10 +111,10 @@ class GenSpec:
 
 def suite_spec(suite: str, n: int, seed: int = 0, **overrides) -> GenSpec:
     """GenSpec presets for the five evaluation suites."""
+    if suite not in SUITES:
+        raise ValidationError(f"unknown suite {suite!r}; choose from {SUITES}")
     base = dict(n=n, seed=seed)
-    if suite == "train":
-        pass
-    elif suite == "structure":
+    if suite == "structure":
         base.update(row_values=STRUCTURE_SIZES, col_values=STRUCTURE_SIZES,
                     disturbance="structure")
     elif suite == "consistency":
@@ -122,8 +123,6 @@ def suite_spec(suite: str, n: int, seed: int = 0, **overrides) -> GenSpec:
         base.update(templates=COMPOSITIONAL_TEMPLATES, disturbance="compositional")
     elif suite == "mixability":
         base.update(disturbance="mixability")
-    else:
-        raise ValidationError(f"unknown suite {suite!r}")
     base.update(overrides)
     return GenSpec(**base)
 

@@ -64,6 +64,9 @@ class TruncationError(ValidationError):
         self.required = required
         self.limit = limit
 
+    def __reduce__(self):
+        return type(self), (self.required, self.limit)
+
 
 class Vocabulary:
     """Closed symbol set with a fixed, contiguous id assignment (PAD = 0).

@@ -355,7 +355,10 @@ def read_blocks_file(path) -> tuple[dict, tuple[tuple[int, int, int, int], ...]]
                     f"{path}:{lineno}: a block line is four integers, got {line.strip()!r}"
                 ) from None
             blocks.append((q0, q1, k0, k1))
-    meta["L"] = int(meta["L"])
-    if "sparsity" in meta:
-        meta["sparsity"] = float(meta["sparsity"])
+    try:
+        meta["L"] = int(meta["L"])
+        if "sparsity" in meta:
+            meta["sparsity"] = float(meta["sparsity"])
+    except ValueError:
+        raise ValidationError(f"{path}: malformed blocks header: {header_line!r}") from None
     return meta, tuple(blocks)

@@ -26,7 +26,7 @@ from .attention import dense_backward, dense_forward
 from .core import FactorConfig, QAExample, TabencError, ValidationError, derive_rng
 from .linearize import EncodedInput, Vocabulary, default_vocab, encode_input
 from .mask import N_BIAS_CLASSES, build_bias_map, build_mask
-from .sqlexec import denotation_match
+from .sqlexec import denotation_accuracy
 
 _ADAM_B1 = 0.9
 _ADAM_B2 = 0.999
@@ -637,8 +637,7 @@ def predict(params, cfg: ModelConfig, examples: list[QAExample],
 
 def _da(params, cfg, prepared, vocab) -> float:
     preds = predict_prepared(params, cfg, prepared, vocab)
-    hits = sum(denotation_match(p, it.answer) for p, it in zip(preds, prepared))
-    return hits / len(prepared) if prepared else 0.0
+    return denotation_accuracy(preds, [it.answer for it in prepared]) if prepared else 0.0
 
 
 def train(examples: list[QAExample], cfg: ModelConfig, seed: int,
@@ -721,10 +720,7 @@ def evaluate_da(params, cfg: ModelConfig, examples: list[QAExample],
                 vocab: Vocabulary | None = None, set_semantics: bool = False) -> float:
     vocab = vocab or default_vocab()
     preds = predict(params, cfg, examples, vocab)
-    hits = sum(
-        denotation_match(p, ex.answer, set_semantics) for p, ex in zip(preds, examples)
-    )
-    return hits / len(examples)
+    return denotation_accuracy(preds, [ex.answer for ex in examples], set_semantics)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,11 @@ class SqlSyntaxError(ValidationError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
+        self.reason = message
         self.offset = offset
+
+    def __reduce__(self):
+        return type(self), (self.reason, self.offset)
 
 
 class ExecutionError(ValidationError):

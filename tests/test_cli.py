@@ -317,17 +317,17 @@ def test_eval_rejects_damaged_checkpoint(trained, tmp_path, capsys, corrupt):
 def test_atomic_write_removes_temp_file_on_failure(tmp_path):
     from tabenc.cli import _atomic_write
 
-    target = tmp_path / "out.txt"
+    target = tmp_path / "new" / "out.txt"  # the parent directory is created
 
     def fail(tmp):
         tmp.write_text("partial")
         raise OSError("disk full")
 
-    with pytest.raises(OSError):
+    with pytest.raises(OSError, match="disk full"):
         _atomic_write(target, fail)
-    assert list(tmp_path.iterdir()) == []
+    assert list(target.parent.iterdir()) == []
     _atomic_write(target, lambda tmp: tmp.write_text("done"))
-    assert target.read_text() == "done" and list(tmp_path.iterdir()) == [target]
+    assert target.read_text() == "done" and list(target.parent.iterdir()) == [target]
 
 
 def test_atomic_write_fsyncs_temp_file_before_rename(tmp_path, monkeypatch):
@@ -421,17 +421,24 @@ def test_anova_drops_nan_rows(tmp_path, capsys):
     ("T2,M0,TPE,B0,E0,train,1,abc", "'abc' is not a number"),
     ("T2,M0,TPE,B0,E0,train,1", "row has 7 fields, the header has 8"),
     ("T2,M0,TPE,B0,E0,train,1,0.5,extra", "row has 9 fields, the header has 8"),
+    ("T1,M0,TPE,B0,E0,train,x,0.5", "replicate 'x' is not a positive integer"),
+    ("T9,M0,TPE,B0,E0,train,1,0.5", "T level 'T9' is not one of"),
 ])
-@pytest.mark.parametrize("command", ["anova", "report"])
+@pytest.mark.parametrize("command", ["anova", "report", "grid"])
 def test_malformed_results_row_exits_2(tmp_path, capsys, command, bad_row, fault):
     path = results_csv(tmp_path)
     with open(path, "a") as fh:
         fh.write(bad_row + "\n")
-    extra = ("--terms", "T") if command == "anova" else ("--out", str(tmp_path / "r"))
-    code, _, err = run(capsys, command, "--results", str(path), *extra)
+    argv = {
+        "anova": ("--results", str(path), "--terms", "T"),
+        "report": ("--results", str(path), "--out", str(tmp_path / "r")),
+        "grid": ("--out", str(tmp_path), *GRID_ARGS),  # resume reads results.csv
+    }[command]
+    code, _, err = run(capsys, command, *argv)
     assert code == 2
     assert f"{path}:10: " in err
     assert fault in err
+    assert not (tmp_path / "plan.json").exists()
 
 
 def test_report_command(tmp_path, capsys):
@@ -469,6 +476,15 @@ def test_grid_rejects_unknown_suite(tmp_path, capsys):
     code, _, _ = run(capsys, "grid", "--out", str(tmp_path / "g"),
                      "--suites", "holdout", "--plan-only")
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--train-n", "--eval-n"])
+def test_grid_rejects_empty_datasets_before_writing(tmp_path, capsys, flag):
+    out = tmp_path / "g"
+    code, _, err = run(capsys, "grid", "--out", str(out), *GRID_ARGS, flag, "0")
+    assert code == 2
+    assert f"{flag} must be >= 1" in err
+    assert not out.exists()
 
 
 GRID_ARGS = (
@@ -516,6 +532,24 @@ def test_grid_diverged_run_writes_nan(tmp_path, capsys):
     assert code == 0
     lines = (out / "results.csv").read_text().splitlines()
     assert lines[1].endswith(",nan")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_grid_keeps_finished_runs_after_a_failed_run(tmp_path, capsys, workers):
+    # at this context length T2/M5 (planned first) overflows and T0/M1 fits;
+    # in a pool the TruncationError must also survive pickling
+    out = tmp_path / "g"
+    code, _, err = run(
+        capsys, "grid", "--out", str(out), "--workers", workers,
+        "--configs", "T2/M5/CPE/B1/E1;T0/M1/TPE/B0/E0", "--context-len", "270",
+        "--replicates", "1", "--suites", "train", "--train-n", "10", "--eval-n", "4",
+        "--steps", "2", "--eval-every", "1", "--batch-size", "4",
+    )
+    assert code == 2
+    assert "encoding needs 277 tokens but the limit is 270" in err
+    lines = (out / "results.csv").read_text().splitlines()
+    assert lines[0] == "T,M,PE,B,E,suite,replicate,da"
+    assert [line.rsplit(",", 1)[0] for line in lines[1:]] == ["T0,M1,TPE,B0,E0,train,1"]
 
 
 # ---------------------------------------------------------------------------

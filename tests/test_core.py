@@ -147,3 +147,54 @@ def test_seed_range_check():
         Seed(-1)
     with pytest.raises(ValidationError):
         Seed(2**64)
+
+
+# ---------------------------------------------------------------------------
+# errors cross process boundaries (grid workers) intact
+# ---------------------------------------------------------------------------
+
+# constructor arguments and the attributes they must come back with
+ERROR_CASES = {
+    "TabencError": (("boom",), {}),
+    "ValidationError": (("bad input",), {}),
+    "SqlSyntaxError": (("unexpected token", 7), {"reason": "unexpected token", "offset": 7}),
+    "ExecutionError": (("no column c9",), {}),
+    "TruncationError": ((248, 200), {"required": 248, "limit": 200}),
+    "GenerationError": (("no table",), {}),
+    "TrainingDivergedError": (("loss is nan",), {}),
+    "DegenerateDataError": (("no variance",), {}),
+    "UnbalancedDesignError": (("cells differ",), {}),
+}
+
+
+def _error_classes():
+    import importlib
+    import pkgutil
+
+    import tabenc
+    from tabenc.core import TabencError
+
+    for info in pkgutil.iter_modules(tabenc.__path__):
+        importlib.import_module(f"tabenc.{info.name}")
+    found, todo = {}, [TabencError]
+    while todo:
+        cls = todo.pop()
+        if cls.__module__.startswith("tabenc."):
+            found[cls.__name__] = cls
+        todo.extend(cls.__subclasses__())
+    return found
+
+
+def test_every_error_survives_pickle():
+    import pickle
+
+    classes = _error_classes()
+    assert set(classes) == set(ERROR_CASES), "add new error classes to ERROR_CASES"
+    for name, cls in classes.items():
+        args, attrs = ERROR_CASES[name]
+        exc = cls(*args)
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert str(back) == str(exc)
+        for attr, value in attrs.items():
+            assert getattr(back, attr) == value

@@ -261,6 +261,12 @@ def test_blocks_file_rejects_garbage(tmp_path):
     with pytest.raises(ValidationError) as err:
         read_blocks_file(path)
     assert f"{path}:3:" in str(err.value)
+    # header values that are not numbers name the file
+    for header in ("L=abc scheme=M0", "L=4 scheme=M0 sparsity=lots"):
+        path.write_text(header + "\n0 4 0 4\n")
+        with pytest.raises(ValidationError, match="malformed blocks header") as err:
+            read_blocks_file(path)
+        assert str(path) in str(err.value)
 
 
 # ---------------------------------------------------------------------------
