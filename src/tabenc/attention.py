@@ -1,17 +1,29 @@
-"""Masked, biased softmax attention: one dense core, run densely or per row group.
+"""Masked, biased softmax attention: one dense core, run densely or per shape bucket.
 
 The dense core materializes the logits of the rows it is given; masked
 positions are excluded from the reduction (their weight is exactly 0.0, never
-a large negative constant pushed through exp). The block-sparse path runs
-the dense core on row-disjoint groups, each on the gathered key set that all
-of its rows attend. An AttentionMask's groups are the runs of identical rows
-of its own matrix (AttentionMask.plan), so the kernel path never tiles; other
-rectangles, such as a block file's, are painted into a matrix and grouped the
-same way (plan_blocks). Every softmax row is complete within its group, so
-the forward is one pass, and so is the backward: its row-wise <p, dp>
-(= rowsum(dO * O), as in FlashAttention-2) needs no second sweep.
-Groups, and long 2-D dense calls, are cut into row chunks, so working memory
-stays O(L*d + chunk * keys).
+a large negative constant pushed through exp).
+
+The block-sparse path runs the dense core on a Plan (mask.Plan) of shape
+buckets. A bucket stacks every run of identical rows that has the same
+(R rows, K keys) shape as (G, R) row and (G, K) key index arrays; the kernel
+gathers a chunk's (G, R, d) queries, (G, K, d) keys and values and (G, R, K)
+bias and calls the dense core once on them (BigBird-style blockification).
+An AttentionMask plans from the row runs of its own matrix
+(AttentionMask.plan), so the kernel path never tiles; other rectangles, such
+as a block file's, are painted into a matrix and bucketed the same way
+(plan_blocks).
+
+Every softmax row is complete within its bucket line, so the forward is one
+pass. The backward is two. The query-major pass gives dq and the per-class
+bias gradient, and keeps each row's logsumexp and <p, dp> (= rowsum(dO * O),
+as in FlashAttention-2). The key-major pass runs the plan's key buckets, the
+buckets of the transposed matrix (a symmetric mask's are its query buckets):
+it rebuilds p for all the queries of its keys and writes those keys' dk and
+dv rows, which no other bucket writes, so nothing is scattered or summed
+twice. Buckets, and long 2-D dense calls (one bucket line of every row against
+every key), are cut into chunks, so working memory stays
+O(L*d + _DENSE_CHUNK * L).
 
 Both paths compute in the dtype of their inputs (float32 by default;
 float64 is used by the finite-difference tests). Backward passes are
@@ -28,12 +40,16 @@ import numpy as np
 
 from .core import STRUCTURAL_MASKS, Table, ValidationError, derive_rng
 from .linearize import EncodedInput, linearize
-from .mask import AttentionMask, _row_groups, blocks_cover, build_mask
+from .mask import AttentionMask, Plan, _buckets, blocks_cover, build_mask
 
-# the row-group loops give the dense core at most _DENSE_CHUNK query rows, so no
-# call holds more than a few hundred MB of logits (rows are independent, so the
-# numerics are unchanged); 2-D dense calls over _CHUNK_THRESHOLD rows use them too
+# no dense-core call holds more than _DENSE_CHUNK * L logits, so a line larger
+# than that (such as a 2-D dense call over _CHUNK_THRESHOLD rows, run as one
+# bucket line) is cut into row pieces; whole lines are batched while their logits
+# and gathered (K, d) keys stay within _BUCKET_CHUNK entries each (2 MB in
+# float32), which keeps a chunk in cache at any L. Lines and rows are
+# independent, so chunks change no result.
 _DENSE_CHUNK = 2048
+_BUCKET_CHUNK = 1 << 19
 _CHUNK_THRESHOLD = 4096
 
 
@@ -112,25 +128,35 @@ class AttentionGrads:
 # dense core (batched, shared with the model; leading dims broadcast)
 # ---------------------------------------------------------------------------
 
+def _logits(q, k, allowed, bias, scale):
+    """q k^T * scale + bias, and -inf wherever `allowed` is False."""
+    logits = np.matmul(q, np.swapaxes(k, -1, -2)) * scale
+    if bias is not None:
+        logits = logits + bias
+    if allowed is not None:
+        logits = np.where(allowed, logits, -np.inf)
+    return logits
+
+
+def _softmax(logits):
+    """Row softmax of the logits and each row's logsumexp (keepdims)."""
+    m = np.max(logits, axis=-1, keepdims=True)
+    w = np.exp(logits - m)
+    s = np.sum(w, axis=-1, keepdims=True)
+    return w / s, m + np.log(s)
+
+
 def dense_forward(q, k, v, allowed=None, bias=None, scale=None, return_weights=False):
     """Masked softmax(q k^T * scale + bias) v with arbitrary leading batch dims.
 
     allowed and bias broadcast against the (..., Lq, Lk) logit shape. Rows of
     `allowed` must each keep at least one key.
     """
-    if q.ndim == 2 and q.shape[0] > _CHUNK_THRESHOLD and not return_weights:
-        return _forward_loop(q, k, v, [(0, q.shape[0], slice(None))], allowed, bias, scale), None
     if scale is None:
         scale = 1.0 / float(np.sqrt(q.shape[-1]))
-    logits = np.matmul(q, np.swapaxes(k, -1, -2)) * scale
-    if bias is not None:
-        logits = logits + bias
-    if allowed is not None:
-        logits = np.where(allowed, logits, -np.inf)
-    m = np.max(logits, axis=-1, keepdims=True)
-    w = np.exp(logits - m)
-    s = np.sum(w, axis=-1, keepdims=True)
-    p = w / s
+    if q.ndim == 2 and q.shape[0] > _CHUNK_THRESHOLD and not return_weights:
+        return _forward(q, k, v, _whole(len(q), len(k)).query, allowed, bias, scale), None
+    p, _ = _softmax(_logits(q, k, allowed, bias, scale))
     out = np.matmul(p, v)
     return (out, p) if return_weights else (out, None)
 
@@ -145,8 +171,7 @@ def dense_backward(q, k, v, d_out, allowed=None, bias=None, scale=None, weights=
     """
     if weights is None:
         if q.ndim == 2 and q.shape[0] > _CHUNK_THRESHOLD:
-            whole = [(0, q.shape[0], slice(None))]
-            return _backward_loop(q, k, v, d_out, whole, allowed, bias, scale)
+            return _backward(q, k, v, d_out, _whole(len(q), len(k)), allowed, bias, scale)
         _, weights = dense_forward(q, k, v, allowed, bias, scale, return_weights=True)
     if scale is None:
         scale = 1.0 / float(np.sqrt(q.shape[-1]))
@@ -161,44 +186,91 @@ def dense_backward(q, k, v, d_out, allowed=None, bias=None, scale=None, weights=
 
 
 # ---------------------------------------------------------------------------
-# row-group loops: the dense core on each group's keys, in row chunks
+# bucket kernel: the dense core once per chunk of a shape bucket
 # ---------------------------------------------------------------------------
 
-def _row_chunks(plan, k, v, allowed, bias):
-    """Yield (c0, c1, key_idx, k_g, v_g, allowed_c, bias_c) for every chunk of
-    at most _DENSE_CHUNK rows of every plan group (r0, r1, key_idx)."""
-    for r0, r1, idx in plan:
-        kg, vg = k[idx], v[idx]
-        for c0 in range(r0, r1, _DENSE_CHUNK):
-            c1 = min(c0 + _DENSE_CHUNK, r1)
-            a = None if allowed is None else allowed[c0:c1][:, idx]
-            b = None if bias is None else bias[c0:c1][:, idx]
-            yield c0, c1, idx, kg, vg, a, b
+def _whole(n_q: int, n_k: int) -> Plan:
+    """The plan of a dense call: one line of every query row against every key,
+    and no key buckets (see _backward)."""
+    return Plan([(np.arange(n_q)[None], np.arange(n_k)[None])], None)
 
 
-def _forward_loop(q, k, v, plan, allowed, bias, scale):
+def _chunks(buckets, n_keys: int, dim: int):
+    """(rows, keys) pieces of every bucket: runs of whole lines within
+    _BUCKET_CHUNK logits and gathered (keys, dim) entries, or parts of one
+    line's rows within _DENSE_CHUNK * n_keys logits."""
+    for rows, keys in buckets:
+        (G, R), K = rows.shape, keys.shape[1]
+        if R * K <= _DENSE_CHUNK * n_keys:
+            step = max(1, _BUCKET_CHUNK // (max(R, dim) * K))
+            for g in range(0, G, step):
+                yield rows[g:g + step], keys[g:g + step]
+        else:
+            step = max(1, _DENSE_CHUNK * n_keys // K)
+            for g in range(G):
+                for r in range(0, R, step):
+                    yield rows[g:g + 1, r:r + step], keys[g:g + 1]
+
+
+def _pairs(mat, rows, cols):
+    """mat[rows[g, r], cols[g, c]] as a (G, R, C) array; None stays None."""
+    if mat is None:
+        return None
+    if len(rows) == 1 and all(i[0, -1] - i[0, 0] == i.shape[1] - 1 for i in (rows, cols)):
+        # one line of consecutive rows and keys, such as a dense call's chunk: a view
+        return mat[None, rows[0, 0]:rows[0, -1] + 1, cols[0, 0]:cols[0, -1] + 1]
+    return mat[rows[:, :, None], cols[:, None, :]]
+
+
+def _forward(q, k, v, buckets, allowed, bias, scale):
     out = np.empty((q.shape[0], v.shape[-1]), dtype=q.dtype)
-    for c0, c1, _idx, kg, vg, a, b in _row_chunks(plan, k, v, allowed, bias):
-        out[c0:c1], _ = dense_forward(q[c0:c1], kg, vg, a, b, scale)
+    for rows, keys in _chunks(buckets, *k.shape):
+        out[rows], _ = dense_forward(q.take(rows, 0), k.take(keys, 0), v.take(keys, 0),
+                                     _pairs(allowed, rows, keys), _pairs(bias, rows, keys), scale)
     return out
 
 
-def _backward_loop(q, k, v, d_out, plan, allowed, bias, scale, rel=None, n_classes=None):
-    """Single pass per chunk: a group holds every key of its rows, so the
-    chunk's softmax and its row-wise <p, dp> are complete; dk and dv are
-    scattered back through the group's (unique) key indices."""
+def _backward(q, k, v, d_out, plan, allowed, bias, scale, rel=None, n_classes=None):
+    """Two batched passes over the plan, with no scatter-add.
+
+    The query-major pass holds complete softmax rows: it gives dq and the
+    per-class bias gradient, and keeps each row's logsumexp and <p, dp>
+    (= rowsum(dO * O), as in FlashAttention-2). The key-major pass rebuilds
+    p = exp(logit - logsumexp) for all the queries of each key bucket and
+    writes those keys' dk and dv rows, which no other bucket writes. A plan
+    without key buckets (a dense call, whose one line holds every key) adds
+    its dk and dv up in the query-major pass instead.
+    """
+    if scale is None:
+        scale = 1.0 / float(np.sqrt(q.shape[-1]))
     dq = np.empty_like(q)
-    dk = np.zeros_like(k)
-    dv = np.zeros_like(v)
+    dk, dv = np.zeros_like(k), np.zeros_like(v)  # a key no query attends keeps 0
+    lse = np.empty((q.shape[0], 1), dtype=q.dtype)
+    rowdot = np.empty_like(lse)
     dbias_class = None if rel is None else np.zeros(n_classes, dtype=np.float64)
-    for c0, c1, idx, kg, vg, a, b in _row_chunks(plan, k, v, allowed, bias):
-        dq[c0:c1], gdk, gdv, ds = dense_backward(q[c0:c1], kg, vg, d_out[c0:c1], a, b, scale)
-        dk[idx] += gdk
-        dv[idx] += gdv
+    for rows, keys in _chunks(plan.query, *k.shape):
+        qg, kg, dog = q.take(rows, 0), k.take(keys, 0), d_out.take(rows, 0)
+        p, lse[rows] = _softmax(_logits(qg, kg, _pairs(allowed, rows, keys),
+                                        _pairs(bias, rows, keys), scale))
+        dp = np.matmul(dog, np.swapaxes(v.take(keys, 0), -1, -2))
+        rowdot[rows] = dot = np.sum(p * dp, axis=-1, keepdims=True)
+        ds = p * (dp - dot)
+        dq[rows] = np.matmul(ds, kg) * scale
+        if plan.key is None:
+            dk += np.matmul(np.swapaxes(ds, -1, -2), qg)[0] * scale
+            dv += np.matmul(np.swapaxes(p, -1, -2), dog)[0]
         if dbias_class is not None:
-            dbias_class += np.bincount(
-                rel[c0:c1][:, idx].ravel(), weights=ds.ravel(), minlength=n_classes
-            )
+            dbias_class += np.bincount(_pairs(rel, rows, keys).ravel(), weights=ds.ravel(),
+                                       minlength=n_classes)
+    # a key bucket's rows are keys and its keys are their queries; the logits
+    # stay (queries, keys), as above
+    for kj, qi in _chunks(plan.key or (), *k.shape):
+        qg, dog = q.take(qi, 0), d_out.take(qi, 0)
+        logits = _logits(qg, k.take(kj, 0), _pairs(allowed, qi, kj), _pairs(bias, qi, kj), scale)
+        p = np.exp(logits - lse.take(qi, 0))
+        ds = p * (np.matmul(dog, np.swapaxes(v.take(kj, 0), -1, -2)) - rowdot.take(qi, 0))
+        dk[kj] = np.matmul(np.swapaxes(ds, -1, -2), qg) * scale
+        dv[kj] = np.matmul(np.swapaxes(p, -1, -2), dog)
     return dq, dk, dv, dbias_class
 
 
@@ -206,12 +278,13 @@ def _backward_loop(q, k, v, d_out, plan, allowed, bias, scale, rel=None, n_class
 # block-sparse path
 # ---------------------------------------------------------------------------
 
-def plan_blocks(blocks, length: int):
-    """Row-disjoint groups [(r0, r1, key_idx)] of rectangles that are not a
-    mask's own tiling (an AttentionMask plans from its rows, AttentionMask.plan).
+def plan_blocks(blocks, length: int) -> Plan:
+    """The Plan of rectangles that are not a mask's own tiling (an
+    AttentionMask plans from its rows, AttentionMask.plan).
 
-    The rectangles are painted into an allow-matrix, whose runs of identical
-    rows become the groups. Raises ValidationError for a rectangle out of
+    The rectangles are painted into an allow-matrix; its row runs give the
+    query buckets and its transpose's the key buckets, so the rectangles
+    need not be symmetric. Raises ValidationError for a rectangle out of
     range, a key covered twice, or a row no rectangle covers.
     """
     flat = np.fromiter(itertools.chain.from_iterable(blocks), dtype=np.intp)
@@ -228,21 +301,23 @@ def plan_blocks(blocks, length: int):
     covered = allowed.any(axis=1)
     if not covered.all():
         raise ValidationError(f"blocks leave query row {int(np.argmin(covered))} uncovered")
-    return _row_groups(allowed)
+    return Plan(_buckets(allowed), _buckets(allowed.T))
 
 
 def block_sparse_forward(q, k, v, blocks, bias=None, scale=None, plan=None):
-    """Attention restricted to the given rectangles: the dense core per row
-    group. `plan`, when given, is the row groups to run (AttentionMask.plan,
-    or plan_blocks(blocks, L) built beforehand), and blocks is not read."""
+    """Attention restricted to the given rectangles: the dense core once per
+    chunk of each query bucket. `plan`, when given, is the Plan to run
+    (AttentionMask.plan, or plan_blocks(blocks, L) built beforehand), and
+    blocks is not read."""
     if plan is None:
         plan = plan_blocks(blocks, q.shape[0])
-    return _forward_loop(q, k, v, plan, None, bias, scale)
+    return _forward(q, k, v, plan.query, None, bias, scale)
 
 
 def block_sparse_backward(q, k, v, blocks, d_out, bias=None, scale=None,
                           rel=None, n_classes=None, plan=None):
-    """Analytic backward of block_sparse_forward, one pass over the row groups.
+    """Analytic backward of block_sparse_forward: a query-major and a
+    key-major pass over the plan's buckets.
 
     When `rel` (a per-pair relation-class map) is given, the bias gradient is
     reduced to one scalar per class; pairs outside the blocks contribute
@@ -252,7 +327,7 @@ def block_sparse_backward(q, k, v, blocks, d_out, bias=None, scale=None,
         n_classes = int(rel.max()) + 1
     if plan is None:
         plan = plan_blocks(blocks, q.shape[0])
-    return _backward_loop(q, k, v, d_out, plan, None, bias, scale, rel, n_classes)
+    return _backward(q, k, v, d_out, plan, None, bias, scale, rel, n_classes)
 
 
 def _mask_plan(inp: AttentionInput, blocks):
@@ -312,8 +387,8 @@ def attn_backward(
     L = inp.q.shape[0]
     if L > _CHUNK_THRESHOLD:
         # the chunked dense path keeps no L x L dbias; it reduces per class as it goes
-        dq, dk, dv, dclass = _backward_loop(
-            inp.q, inp.k, inp.v, d_out, [(0, L, slice(None))], inp.allowed,
+        dq, dk, dv, dclass = _backward(
+            inp.q, inp.k, inp.v, d_out, _whole(L, L), inp.allowed,
             inp.bias_values, inp.scale, rel, n_classes,
         )
         return AttentionGrads(dq=dq, dk=dk, dv=dv, dbias=None, dbias_class=dclass)

@@ -640,8 +640,11 @@ def _canonicalize_results(results_path: Path) -> int:
 
 def _cmd_grid(args) -> int:
     from .core import FactorConfig
+    from .model import ModelConfig
 
     plan = _build_plan(args)
+    model_kwargs = _model_kwargs(args)
+    ModelConfig(**model_kwargs)  # rejects bad model flags before anything is written
     if args.plan_only:
         _print_json(plan)
         return 0
@@ -661,7 +664,6 @@ def _cmd_grid(args) -> int:
     paths = _ensure_grid_data(outdir, plan["suites"], args.seed,
                               args.train_n, args.eval_n)
 
-    model_kwargs = _model_kwargs(args)
     work = []
     skipped = 0
     for key in plan["configs"]:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,11 +55,13 @@ class AttentionMask:
         return export_blocks_from_dense(self.dense)
 
     @functools.cached_property
-    def plan(self) -> list:
-        """Row-disjoint groups [(r0, r1, key_idx)]: the runs of identical rows
-        of dense, each with its rows' allowed keys. Built once per mask and
-        shared by the block-sparse forward and backward; never tiles."""
-        return _row_groups(self.dense)
+    def plan(self) -> Plan:
+        """The shape buckets of dense's row runs (see Plan). Built once per
+        mask and shared by the block-sparse forward and backward; never
+        tiles. dense is symmetric (build_mask makes it so), so the key plan
+        is the query plan."""
+        buckets = _buckets(self.dense)
+        return Plan(buckets, buckets)
 
 
 def _check_scheme(enc: EncodedInput, scheme: str) -> None:
@@ -185,11 +188,33 @@ def _row_runs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.append(starts[1:], n)
 
 
-def _row_groups(allowed: np.ndarray) -> list:
-    """[(r0, r1, key_idx)] over the row runs of an allow-matrix."""
+class Plan(NamedTuple):
+    """Shape buckets of an allow-matrix for the block-sparse kernel.
+
+    A bucket is (rows, keys): rows (G, R) and keys (G, K) index arrays, one
+    line per run of R identical rows that each allow the same K keys, in
+    ascending order. `query` buckets the rows of the matrix; `key` buckets
+    the rows of its transpose, so its rows are keys and its keys the queries
+    that attend them. A dense call's plan has no key buckets (None): its one
+    line holds every key.
+    """
+
+    query: list
+    key: list | None
+
+
+def _buckets(allowed: np.ndarray) -> list:
+    """[(rows (G, R), keys (G, K))] over the row runs of an allow-matrix, one
+    bucket per (R, K) shape in ascending order; runs that allow no key are
+    left out."""
     starts, ends = _row_runs(allowed)
-    return [(r0, r1, np.flatnonzero(allowed[r0]))
-            for r0, r1 in zip(starts.tolist(), ends.tolist())]
+    lines: dict[tuple[int, int], list] = {}
+    for r0, r1 in zip(starts.tolist(), ends.tolist()):
+        keys = np.flatnonzero(allowed[r0])
+        lines.setdefault((r1 - r0, len(keys)), []).append((r0, keys))
+    return [(np.array([r0 for r0, _ in runs])[:, None] + np.arange(R),
+             np.stack([keys for _, keys in runs]))
+            for (R, K), runs in sorted(lines.items()) if K]
 
 
 def block_area(blocks) -> int:

@@ -67,6 +67,9 @@ class ModelConfig:
             raise ValidationError("max_positions must cover the context length")
         if self.max_answer_len > self.dec_positions:
             raise ValidationError("max_answer_len must fit in decoder positions")
+        for name in ("batch_size", "steps", "eval_every"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def head_dim(self) -> int:

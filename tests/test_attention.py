@@ -180,9 +180,10 @@ def test_chunked_dense_paths_match(rng, monkeypatch):
     monkeypatch.setattr(attention, "_CHUNK_THRESHOLD", 4)
     monkeypatch.setattr(attention, "_DENSE_CHUNK", 2)
     L = q.shape[0]
-    # the 2-D dense call is chunked, and so is at least one block-sparse group
+    # the 2-D dense call is chunked, and so is at least one block-sparse bucket
     assert L > 4
-    assert max(r1 - r0 for r0, r1, _ in plan_blocks(m.blocks, L)) > 2
+    plan = plan_blocks(m.blocks, L)
+    assert len(list(attention._chunks(plan.query, L, 4))) > len(plan.query)
     chunked = (
         (dense_forward(q, k, v, m.dense)[0], dense_backward(q, k, v, d_out, m.dense)),
         (block_sparse_forward(q, k, v, m.blocks),
@@ -209,6 +210,55 @@ def test_chunked_dense_bias_class_gradient(rng, monkeypatch):
     assert np.allclose(chunked.dbias_class, want, rtol=0, atol=1e-12)
     for a, b in ((chunked.dq, plain.dq), (chunked.dk, plain.dk), (chunked.dv, plain.dv)):
         assert np.allclose(a, b, atol=1e-12)
+
+
+def dense_reference(q, k, v, d_out, allowed, scales, rel):
+    """Plain dense core on the whole matrix: out, dq, dk, dv and per-class dbias."""
+    out, _ = dense_forward(q, k, v, allowed, scales[rel])
+    dq, dk, dv, ds = dense_backward(q, k, v, d_out, allowed, scales[rel])
+    return out, dq, dk, dv, np.bincount(rel.ravel(), weights=ds.ravel(), minlength=len(scales))
+
+
+def test_bucket_chunks_match_dense(rng, monkeypatch):
+    enc, m, q, k, v, bias, scales, rel = random_case(rng, "M3", d=4, with_bias=True)
+    d_out = rng.standard_normal(q.shape)
+    want = dense_reference(q, k, v, d_out, m.dense, scales, rel.rel)
+    L = len(enc)
+    monkeypatch.setattr(attention, "_DENSE_CHUNK", 1)
+    monkeypatch.setattr(attention, "_BUCKET_CHUNK", 1)
+    assert len({(rows.shape, keys.shape[1]) for rows, keys in m.plan.query}) > 2
+    # one many-line bucket is cut into runs of whole lines, and one one-line
+    # bucket into parts of its rows
+    cut_lines = cut_rows = False
+    for rows, keys in m.plan.query:
+        parts = list(attention._chunks([(rows, keys)], L, 4))
+        for part_rows, part_keys in parts:
+            assert part_rows.size * part_keys.shape[1] <= L
+        cut_lines |= len(parts) > 1 and all(r.shape[1] == rows.shape[1] for r, _ in parts)
+        cut_rows |= rows.shape[0] == 1 and len(parts) > 1
+    assert cut_lines and cut_rows
+    inp = AttentionInput(q=q, k=k, v=v, mask=m, bias_values=bias)
+    grads = attn_backward(inp, d_out, blocks=m.blocks, rel_map=rel)
+    got = (attn_block_sparse(inp).out, grads.dq, grads.dk, grads.dv, grads.dbias_class)
+    for a, b in zip(got, want):
+        assert np.allclose(a, b, rtol=0, atol=1e-12)
+
+
+def test_asymmetric_blocks_match_dense(rng, monkeypatch):
+    blocks = [(0, 2, 0, 3), (0, 2, 5, 6), (2, 6, 1, 6)]
+    allowed = blocks_cover(blocks, 6)
+    assert not np.array_equal(allowed, allowed.T)
+    rel = rng.integers(0, 4, size=(6, 6))
+    scales = rng.standard_normal(4)
+    q, k, v, d_out = (rng.standard_normal((6, 3)) for _ in range(4))
+    want = dense_reference(q, k, v, d_out, allowed, scales, rel)
+    for chunk in (2048, 1):  # whole buckets, then pieces of single rows
+        monkeypatch.setattr(attention, "_DENSE_CHUNK", chunk)
+        monkeypatch.setattr(attention, "_BUCKET_CHUNK", chunk)
+        out = block_sparse_forward(q, k, v, blocks, scales[rel])
+        grads = block_sparse_backward(q, k, v, blocks, d_out, scales[rel], rel=rel, n_classes=4)
+        for a, b in zip((out, *grads), want):
+            assert np.allclose(a, b, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +327,10 @@ def test_mask_plan_built_once_per_mask(rng, monkeypatch):
     assert np.array_equal(out, fresh[0])
     for a, b in zip((grads.dq, grads.dk, grads.dv, grads.dbias_class), fresh[1]):
         assert np.array_equal(a, b)
-    # blocks other than the mask's own tiling get a plan of their own
+    # blocks other than the mask's own tiling get a plan of their own, from
+    # the painted matrix and from its transpose
     attn_backward(inp, d_out, blocks=list(m.blocks), rel_map=rel)
-    assert len(calls) == 2
+    assert calls == [q.shape[0]] * 3
 
 
 def test_block_sparse_needs_blocks(rng):
@@ -289,21 +340,32 @@ def test_block_sparse_needs_blocks(rng):
         attn_block_sparse(inp)
 
 
+def buckets_as_lists(buckets):
+    return [(rows.tolist(), keys.tolist()) for rows, keys in buckets]
+
+
 def test_plan_blocks_merges_query_ranges():
     blocks = [(0, 2, 0, 3), (0, 2, 5, 6), (2, 4, 0, 4), (0, 4, 6, 8), (4, 8, 0, 8)]
     plan = plan_blocks(blocks, 8)
-    assert [(r0, r1, idx.tolist()) for r0, r1, idx in plan] == [
-        (0, 2, [0, 1, 2, 5, 6, 7]),
-        (2, 4, [0, 1, 2, 3, 6, 7]),
-        (4, 8, list(range(8))),
+    # the two (2 rows, 6 keys) runs share one bucket
+    assert buckets_as_lists(plan.query) == [
+        ([[0, 1], [2, 3]], [[0, 1, 2, 5, 6, 7], [0, 1, 2, 3, 6, 7]]),
+        ([[4, 5, 6, 7]], [list(range(8))]),
+    ]
+    # the painted matrix is not symmetric: its key buckets come from its columns
+    assert buckets_as_lists(plan.key) == [
+        ([[4]], [[4, 5, 6, 7]]),
+        ([[3], [5]], [[2, 3, 4, 5, 6, 7], [0, 1, 4, 5, 6, 7]]),
+        ([[6, 7]], [list(range(8))]),
+        ([[0, 1, 2]], [list(range(8))]),
     ]
 
 
 def test_plan_blocks_splits_overlapping_query_ranges(rng):
     blocks = [(0, 4, 0, 2), (2, 6, 2, 6)]
     plan = plan_blocks(blocks, 6)
-    assert [(r0, r1, idx.tolist()) for r0, r1, idx in plan] == [
-        (0, 2, [0, 1]), (2, 4, [0, 1, 2, 3, 4, 5]), (4, 6, [2, 3, 4, 5]),
+    assert buckets_as_lists(plan.query) == [
+        ([[0, 1]], [[0, 1]]), ([[4, 5]], [[2, 3, 4, 5]]), ([[2, 3]], [[0, 1, 2, 3, 4, 5]]),
     ]
     allowed = blocks_cover(blocks, 6)
     rel = rng.integers(0, 3, size=(6, 6))

@@ -353,6 +353,18 @@ def test_atomic_write_fsyncs_temp_file_before_rename(tmp_path, monkeypatch):
     assert target.read_text() == "done"
 
 
+@pytest.mark.parametrize("flag", ["--batch-size", "--steps", "--eval-every"])
+def test_train_rejects_zero_model_counts(tmp_path, capsys, flag):
+    data = tmp_path / "d.jsonl"
+    run(capsys, "gen", "--n", "3", "--seed", "1", "--out", str(data))
+    out_dir = tmp_path / "run"
+    code, _, err = run(capsys, "train", "--data", str(data), "--out", str(out_dir),
+                       "--tokens", "T0", "--mask", "M1", flag, "0", "--quiet")
+    assert code == 2
+    assert f"{flag[2:].replace('-', '_')} must be >= 1, got 0" in err
+    assert not out_dir.exists()
+
+
 def test_train_validates_before_writing(tmp_path, capsys):
     data = tmp_path / "d.jsonl"
     run(capsys, "gen", "--n", "3", "--seed", "1", "--out", str(data))
@@ -484,6 +496,15 @@ def test_grid_rejects_empty_datasets_before_writing(tmp_path, capsys, flag):
     code, _, err = run(capsys, "grid", "--out", str(out), *GRID_ARGS, flag, "0")
     assert code == 2
     assert f"{flag} must be >= 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--batch-size", "--steps", "--eval-every"])
+def test_grid_rejects_zero_model_counts_before_writing(tmp_path, capsys, flag):
+    out = tmp_path / "g"
+    code, _, err = run(capsys, "grid", "--out", str(out), *GRID_ARGS, flag, "0")
+    assert code == 2
+    assert f"{flag[2:].replace('-', '_')} must be >= 1, got 0" in err
     assert not out.exists()
 
 
