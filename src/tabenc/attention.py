@@ -9,10 +9,11 @@ buckets. A bucket stacks every run of identical rows that has the same
 (R rows, K keys) shape as (G, R) row and (G, K) key index arrays; the kernel
 gathers a chunk's (G, R, d) queries, (G, K, d) keys and values and (G, R, K)
 bias and calls the dense core once on them (BigBird-style blockification).
-An AttentionMask plans from the row runs of its own matrix
-(AttentionMask.plan), so the kernel path never tiles; other rectangles, such
-as a block file's, are painted into a matrix and bucketed the same way
-(plan_blocks).
+Its sparsity comes in one argument, `blocks`: an AttentionMask runs the plan
+of its own rows (AttentionMask.plan), built once and never tiled; (q0, q1,
+k0, k1) rectangles, such as a block file's, are painted into a matrix and
+bucketed the same way (mask.plan_blocks). An AttentionInput whose mask is an
+AttentionMask always runs that mask.
 
 Every softmax row is complete within its bucket line, so the forward is one
 pass. The backward is two. The query-major pass gives dq and the per-class
@@ -21,9 +22,14 @@ as in FlashAttention-2). The key-major pass runs the plan's key buckets, the
 buckets of the transposed matrix (a symmetric mask's are its query buckets):
 it rebuilds p for all the queries of its keys and writes those keys' dk and
 dv rows, which no other bucket writes, so nothing is scattered or summed
-twice. Buckets, and long 2-D dense calls (one bucket line of every row against
-every key), are cut into chunks, so working memory stays
+twice. Buckets are cut into chunks, so working memory stays
 O(L*d + _DENSE_CHUNK * L).
+
+dense_forward and dense_backward are the plain batched core, as the model
+calls it. Only the single-head operations decide how to run a long input:
+attn_dense runs one of more than _CHUNK_THRESHOLD rows as one bucket line of
+every row against every key, cut into row chunks like any bucket, and the
+dense side of attn_backward always runs as that one line.
 
 Both paths compute in the dtype of their inputs (float32 by default;
 float64 is used by the finite-difference tests). Backward passes are
@@ -32,7 +38,6 @@ analytic; gradients at masked pairs are exactly zero by construction.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 
@@ -40,11 +45,11 @@ import numpy as np
 
 from .core import STRUCTURAL_MASKS, Table, ValidationError, derive_rng
 from .linearize import EncodedInput, linearize
-from .mask import AttentionMask, Plan, _buckets, blocks_cover, build_mask
+from .mask import AttentionMask, Plan, build_mask, plan_blocks
 
 # no dense-core call holds more than _DENSE_CHUNK * L logits, so a line larger
-# than that (such as a 2-D dense call over _CHUNK_THRESHOLD rows, run as one
-# bucket line) is cut into row pieces; whole lines are batched while their logits
+# than that (such as the one line of attn_dense over more than _CHUNK_THRESHOLD
+# rows) is cut into row pieces; whole lines are batched while their logits
 # and gathered (K, d) keys stay within _BUCKET_CHUNK entries each (2 MB in
 # float32), which keeps a chunk in cache at any L. Lines and rows are
 # independent, so chunks change no result.
@@ -112,7 +117,6 @@ class AttentionInput:
 @dataclass
 class AttentionOutput:
     out: np.ndarray
-    weights: np.ndarray | None = None
 
 
 @dataclass
@@ -120,7 +124,6 @@ class AttentionGrads:
     dq: np.ndarray
     dk: np.ndarray
     dv: np.ndarray
-    dbias: np.ndarray | None = None
     dbias_class: np.ndarray | None = None
 
 
@@ -154,8 +157,6 @@ def dense_forward(q, k, v, allowed=None, bias=None, scale=None, return_weights=F
     """
     if scale is None:
         scale = 1.0 / float(np.sqrt(q.shape[-1]))
-    if q.ndim == 2 and q.shape[0] > _CHUNK_THRESHOLD and not return_weights:
-        return _forward(q, k, v, _whole(len(q), len(k)).query, allowed, bias, scale), None
     p, _ = _softmax(_logits(q, k, allowed, bias, scale))
     out = np.matmul(p, v)
     return (out, p) if return_weights else (out, None)
@@ -166,12 +167,9 @@ def dense_backward(q, k, v, d_out, allowed=None, bias=None, scale=None, weights=
 
     dbias has the logit shape and is exactly zero at masked pairs (the
     softmax weight there is exactly zero). Pass `weights` to reuse a saved
-    forward; otherwise the forward is recomputed. Long 2-D inputs are
-    processed in row chunks and return dbias None.
+    forward; otherwise the forward is recomputed.
     """
     if weights is None:
-        if q.ndim == 2 and q.shape[0] > _CHUNK_THRESHOLD:
-            return _backward(q, k, v, d_out, _whole(len(q), len(k)), allowed, bias, scale)
         _, weights = dense_forward(q, k, v, allowed, bias, scale, return_weights=True)
     if scale is None:
         scale = 1.0 / float(np.sqrt(q.shape[-1]))
@@ -239,8 +237,12 @@ def _backward(q, k, v, d_out, plan, allowed, bias, scale, rel=None, n_classes=No
     p = exp(logit - logsumexp) for all the queries of each key bucket and
     writes those keys' dk and dv rows, which no other bucket writes. A plan
     without key buckets (a dense call, whose one line holds every key) adds
-    its dk and dv up in the query-major pass instead.
+    its dk and dv up in the query-major pass instead. With `rel`, a per-pair
+    relation-class map, the bias gradient is reduced to one scalar per class
+    (n_classes of them, rel.max() + 1 when not given).
     """
+    if rel is not None and n_classes is None:
+        n_classes = int(rel.max()) + 1
     if scale is None:
         scale = 1.0 / float(np.sqrt(q.shape[-1]))
     dq = np.empty_like(q)
@@ -278,44 +280,24 @@ def _backward(q, k, v, d_out, plan, allowed, bias, scale, rel=None, n_classes=No
 # block-sparse path
 # ---------------------------------------------------------------------------
 
-def plan_blocks(blocks, length: int) -> Plan:
-    """The Plan of rectangles that are not a mask's own tiling (an
-    AttentionMask plans from its rows, AttentionMask.plan).
-
-    The rectangles are painted into an allow-matrix; its row runs give the
-    query buckets and its transpose's the key buckets, so the rectangles
-    need not be symmetric. Raises ValidationError for a rectangle out of
-    range, a key covered twice, or a row no rectangle covers.
-    """
-    flat = np.fromiter(itertools.chain.from_iterable(blocks), dtype=np.intp)
-    if flat.size != 4 * len(blocks):
-        raise ValidationError("blocks must be (q0, q1, k0, k1) rectangles")
-    b = flat.reshape(-1, 4)
-    q0, q1, k0, k1 = b.T
-    bad = ~((0 <= q0) & (q0 < q1) & (q1 <= length) & (0 <= k0) & (k0 < k1) & (k1 <= length))
-    if bad.any():
-        raise ValidationError(
-            f"block {tuple(b[np.argmax(bad)].tolist())} out of range for L={length}"
-        )
-    allowed = blocks_cover(b.tolist(), length)
-    covered = allowed.any(axis=1)
-    if not covered.all():
-        raise ValidationError(f"blocks leave query row {int(np.argmin(covered))} uncovered")
-    return Plan(_buckets(allowed), _buckets(allowed.T))
+def _plan_of(blocks, length: int) -> Plan:
+    """The Plan of `blocks`: an AttentionMask's own (AttentionMask.plan), or
+    that of (q0, q1, k0, k1) rectangles (plan_blocks)."""
+    if isinstance(blocks, AttentionMask):
+        if blocks.length != length:
+            raise ValidationError(f"mask length {blocks.length} does not match L={length}")
+        return blocks.plan
+    return plan_blocks(blocks, length)
 
 
-def block_sparse_forward(q, k, v, blocks, bias=None, scale=None, plan=None):
-    """Attention restricted to the given rectangles: the dense core once per
-    chunk of each query bucket. `plan`, when given, is the Plan to run
-    (AttentionMask.plan, or plan_blocks(blocks, L) built beforehand), and
-    blocks is not read."""
-    if plan is None:
-        plan = plan_blocks(blocks, q.shape[0])
-    return _forward(q, k, v, plan.query, None, bias, scale)
+def block_sparse_forward(q, k, v, blocks, bias=None, scale=None):
+    """Attention restricted to `blocks`, an AttentionMask or (q0, q1, k0, k1)
+    rectangles: the dense core once per chunk of each query bucket."""
+    return _forward(q, k, v, _plan_of(blocks, q.shape[0]).query, None, bias, scale)
 
 
 def block_sparse_backward(q, k, v, blocks, d_out, bias=None, scale=None,
-                          rel=None, n_classes=None, plan=None):
+                          rel=None, n_classes=None):
     """Analytic backward of block_sparse_forward: a query-major and a
     key-major pass over the plan's buckets.
 
@@ -323,41 +305,38 @@ def block_sparse_backward(q, k, v, blocks, d_out, bias=None, scale=None,
     reduced to one scalar per class; pairs outside the blocks contribute
     exactly zero because they are never touched.
     """
-    if rel is not None and n_classes is None:
-        n_classes = int(rel.max()) + 1
-    if plan is None:
-        plan = plan_blocks(blocks, q.shape[0])
-    return _backward(q, k, v, d_out, plan, None, bias, scale, rel, n_classes)
-
-
-def _mask_plan(inp: AttentionInput, blocks):
-    """The mask's cached plan when `blocks` is None or the mask's own tiling,
-    else None. The tiling is read from the instance dict, so a mask never
-    tiled is not tiled here just to be compared."""
-    mask = inp.mask
-    if isinstance(mask, AttentionMask) and (blocks is None or blocks is mask.__dict__.get("blocks")):
-        return mask.plan
-    return None
+    return _backward(q, k, v, d_out, _plan_of(blocks, q.shape[0]), None, bias, scale,
+                     rel, n_classes)
 
 
 # ---------------------------------------------------------------------------
 # named single-head operations
 # ---------------------------------------------------------------------------
 
-def attn_dense(inp: AttentionInput, return_weights: bool = False) -> AttentionOutput:
-    out, p = dense_forward(
-        inp.q, inp.k, inp.v, inp.allowed, inp.bias_values, inp.scale,
-        return_weights=return_weights,
-    )
-    return AttentionOutput(out=out, weights=p)
+def _sparsity(inp: AttentionInput, blocks):
+    """What the sparse kernel runs for `inp`: its mask when that is an
+    AttentionMask, else `blocks`."""
+    return inp.mask if isinstance(inp.mask, AttentionMask) else blocks
+
+
+def attn_dense(inp: AttentionInput) -> AttentionOutput:
+    L = inp.q.shape[0]
+    if L > _CHUNK_THRESHOLD:
+        out = _forward(inp.q, inp.k, inp.v, _whole(L, L).query, inp.allowed,
+                       inp.bias_values, inp.scale)
+    else:
+        out, _ = dense_forward(inp.q, inp.k, inp.v, inp.allowed, inp.bias_values, inp.scale)
+    return AttentionOutput(out=out)
 
 
 def attn_block_sparse(inp: AttentionInput, blocks=None) -> AttentionOutput:
-    if blocks is None and not isinstance(inp.mask, AttentionMask):
+    """The block-sparse forward of `inp`; `blocks` (rectangles) is read only
+    when its mask is not an AttentionMask."""
+    sparsity = _sparsity(inp, blocks)
+    if sparsity is None:
         raise ValidationError("attn_block_sparse needs rectangle blocks")
-    out = block_sparse_forward(inp.q, inp.k, inp.v, blocks, inp.bias_values, inp.scale,
-                               plan=_mask_plan(inp, blocks))
-    return AttentionOutput(out=out)
+    return AttentionOutput(out=block_sparse_forward(inp.q, inp.k, inp.v, sparsity,
+                                                    inp.bias_values, inp.scale))
 
 
 def attn_backward(
@@ -366,41 +345,28 @@ def attn_backward(
     blocks=None,
     rel_map=None,
 ) -> AttentionGrads:
-    """Gradients of sum(out * d_out) w.r.t. q, k, v and the bias matrix.
+    """Gradients of sum(out * d_out) w.r.t. q, k, v, and per relation class
+    of the bias when `rel_map` (see mask.build_bias_map) is given.
 
-    With `blocks` the block-sparse kernel is used; with `rel_map` (see
-    mask.build_bias_map) per-class bias scalar gradients are returned as well.
+    With `blocks` the block-sparse kernel runs, on the input's AttentionMask
+    when it has one (blocks is then not read) and on the blocks otherwise;
+    without, the dense core runs as one line of every row against every key.
     """
     d_out = np.asarray(d_out, dtype=inp.q.dtype)
     if d_out.shape != inp.q.shape:
         raise ValidationError("d_out must match the output shape")
     rel = rel_map.rel if hasattr(rel_map, "rel") else rel_map
-    n_classes = None
-    if rel is not None:
-        n_classes = rel_map.n_classes if hasattr(rel_map, "n_classes") else int(rel.max()) + 1
+    n_classes = getattr(rel_map, "n_classes", None)
     if blocks is not None:
         dq, dk, dv, dclass = block_sparse_backward(
-            inp.q, inp.k, inp.v, blocks, d_out, inp.bias_values, inp.scale,
-            rel=rel, n_classes=n_classes, plan=_mask_plan(inp, blocks),
+            inp.q, inp.k, inp.v, _sparsity(inp, blocks), d_out, inp.bias_values, inp.scale,
+            rel=rel, n_classes=n_classes,
         )
-        return AttentionGrads(dq=dq, dk=dk, dv=dv, dbias=None, dbias_class=dclass)
-    L = inp.q.shape[0]
-    if L > _CHUNK_THRESHOLD:
-        # the chunked dense path keeps no L x L dbias; it reduces per class as it goes
-        dq, dk, dv, dclass = _backward(
-            inp.q, inp.k, inp.v, d_out, _whole(L, L), inp.allowed,
-            inp.bias_values, inp.scale, rel, n_classes,
-        )
-        return AttentionGrads(dq=dq, dk=dk, dv=dv, dbias=None, dbias_class=dclass)
-    dq, dk, dv, dbias = dense_backward(
-        inp.q, inp.k, inp.v, d_out, inp.allowed, inp.bias_values, inp.scale
-    )
-    dclass = None
-    if rel is not None:
-        dclass = np.bincount(
-            rel.ravel(), weights=dbias.ravel().astype(np.float64), minlength=n_classes
-        )
-    return AttentionGrads(dq=dq, dk=dk, dv=dv, dbias=dbias, dbias_class=dclass)
+    else:
+        L = inp.q.shape[0]
+        dq, dk, dv, dclass = _backward(inp.q, inp.k, inp.v, d_out, _whole(L, L), inp.allowed,
+                                       inp.bias_values, inp.scale, rel, n_classes)
+    return AttentionGrads(dq=dq, dk=dk, dv=dv, dbias_class=dclass)
 
 
 # ---------------------------------------------------------------------------
@@ -490,22 +456,17 @@ def bench_attention(
         rng = derive_rng(seed, "bench-qkv", L)
         q, k, v = (rng.standard_normal((L, head_dim)).astype(np.float32) for _ in range(3))
         scale = 1.0 / float(np.sqrt(head_dim))
-        plan = m.plan  # built once, as m.dense is
+        inp = AttentionInput(q, k, v, m, scale=scale)
 
-        dense_fwd = _time_median(lambda: dense_forward(q, k, v, m.dense, None, scale), trials)
-        sparse_fwd = _time_median(
-            lambda: block_sparse_forward(q, k, v, None, None, scale, plan), trials
-        )
+        dense_fwd = _time_median(lambda: attn_dense(inp), trials)
+        sparse_fwd = _time_median(lambda: block_sparse_forward(q, k, v, m, None, scale), trials)
         rows.append(BenchRow(L, scheme, "forward", dense_fwd * 1e3, sparse_fwd * 1e3))
 
         if include_backward:
             d_out = rng.standard_normal((L, head_dim)).astype(np.float32)
-            dense_bwd = _time_median(
-                lambda: dense_backward(q, k, v, d_out, m.dense, None, scale), trials
-            )
+            dense_bwd = _time_median(lambda: attn_backward(inp, d_out), trials)
             sparse_bwd = _time_median(
-                lambda: block_sparse_backward(q, k, v, None, d_out, None, scale, plan=plan),
-                trials,
+                lambda: block_sparse_backward(q, k, v, m, d_out, None, scale), trials
             )
             rows.append(BenchRow(L, scheme, "backward", dense_bwd * 1e3, sparse_bwd * 1e3))
     return rows

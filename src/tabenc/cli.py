@@ -115,8 +115,15 @@ def _fmt_float(x: float) -> str:
 # gen
 # ---------------------------------------------------------------------------
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(",") if p.strip())
+def _int_list(text: str, flag: str) -> tuple[int, ...]:
+    from .core import ValidationError
+
+    try:
+        return tuple(int(p) for p in text.split(",") if p.strip())
+    except ValueError:
+        raise ValidationError(
+            f"--{flag} must be comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _cmd_gen(args) -> int:
@@ -127,9 +134,9 @@ def _cmd_gen(args) -> int:
     if args.templates:
         overrides["templates"] = tuple(p.strip() for p in args.templates.split(",") if p.strip())
     if args.rows:
-        overrides["row_values"] = _int_list(args.rows)
+        overrides["row_values"] = _int_list(args.rows, "rows")
     if args.cols:
-        overrides["col_values"] = _int_list(args.cols)
+        overrides["col_values"] = _int_list(args.cols, "cols")
     for name in ("value_max", "consistency_rate", "mix_strength", "mix_alphabet"):
         if getattr(args, name) is not None:
             overrides[name] = getattr(args, name)
@@ -272,8 +279,15 @@ def _cmd_mask(args) -> int:
 
 def _cmd_bench(args) -> int:
     from .attention import bench_attention
+    from .core import ValidationError
 
-    lengths = _int_list(args.lengths)
+    lengths = _int_list(args.lengths, "lengths")
+    if not lengths:
+        raise ValidationError("--lengths needs at least one length")
+    for flag, value in (("lengths", min(lengths)), ("trials", args.trials),
+                        ("head-dim", args.head_dim)):
+        if value < 1:
+            raise ValidationError(f"--{flag} must be >= 1, got {value}")
     rows = bench_attention(lengths, scheme=args.scheme, trials=args.trials,
                            head_dim=args.head_dim, seed=args.seed,
                            include_backward=args.backward)
@@ -553,6 +567,31 @@ def _ensure_grid_data(outdir: Path, suites, seed: int, train_n: int, eval_n: int
     return paths
 
 
+def _check_context(configs, paths: dict, context_len: int) -> None:
+    """Linearize every example of the grid's data files once per token
+    scheme of `configs`; the first encoding longer than `context_len` raises
+    ValidationError naming its config (the first one with that scheme, in
+    plan order), path:line, the tokens it needs and the limit."""
+    from .core import ValidationError, iter_jsonl
+    from .linearize import TruncationError, linearize
+
+    examples = [(path, line_no, ex) for path in paths.values()
+                for line_no, ex in iter_jsonl(path)]
+    checked = set()
+    for key in configs:
+        tokens = _config_parts(key)[0]
+        if tokens in checked:
+            continue
+        checked.add(tokens)
+        for path, line_no, ex in examples:
+            try:
+                linearize(ex.query, ex.table, tokens, max_len=context_len)
+            except TruncationError as exc:
+                raise ValidationError(
+                    f"config {key}: {path}:{line_no}: {exc} (--context-len)"
+                ) from None
+
+
 def _append_rows(results_path: Path, lines: list[str]) -> None:
     with open(results_path, "a", encoding="utf-8", newline="\n") as fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
@@ -663,6 +702,7 @@ def _cmd_grid(args) -> int:
                        json.dumps(plan, sort_keys=True, indent=2) + "\n")
     paths = _ensure_grid_data(outdir, plan["suites"], args.seed,
                               args.train_n, args.eval_n)
+    _check_context(plan["configs"], paths, args.context_len)
 
     work = []
     skipped = 0

@@ -209,16 +209,17 @@ def write_jsonl(examples: Iterable[QAExample], path: str | Path) -> int:
 
 
 def read_jsonl(path: str | Path) -> list[QAExample]:
-    return list(iter_jsonl(path))
+    return [ex for _line_no, ex in iter_jsonl(path)]
 
 
-def iter_jsonl(path: str | Path) -> Iterator[QAExample]:
+def iter_jsonl(path: str | Path) -> Iterator[tuple[int, QAExample]]:
+    """(line number, example) for every non-blank line of a JSONL file."""
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield QAExample.from_json(json.loads(line))
+                yield line_no, QAExample.from_json(json.loads(line))
             except (KeyError, ValueError, TypeError) as exc:
                 raise ValidationError(f"{path}:{line_no}: bad example line: {exc}") from exc

@@ -25,6 +25,7 @@ those tables pair by pair and then set the diagonal.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -215,6 +216,32 @@ def _buckets(allowed: np.ndarray) -> list:
     return [(np.array([r0 for r0, _ in runs])[:, None] + np.arange(R),
              np.stack([keys for _, keys in runs]))
             for (R, K), runs in sorted(lines.items()) if K]
+
+
+def plan_blocks(blocks, length: int) -> Plan:
+    """The Plan of rectangles that are not a mask's own tiling (an
+    AttentionMask plans from its rows, AttentionMask.plan).
+
+    The rectangles are painted into an allow-matrix; its row runs give the
+    query buckets and its transpose's the key buckets, so the rectangles
+    need not be symmetric. Raises ValidationError for a rectangle out of
+    range, a key covered twice, or a row no rectangle covers.
+    """
+    flat = np.fromiter(itertools.chain.from_iterable(blocks), dtype=np.intp)
+    if flat.size != 4 * len(blocks):
+        raise ValidationError("blocks must be (q0, q1, k0, k1) rectangles")
+    b = flat.reshape(-1, 4)
+    q0, q1, k0, k1 = b.T
+    bad = ~((0 <= q0) & (q0 < q1) & (q1 <= length) & (0 <= k0) & (k0 < k1) & (k1 <= length))
+    if bad.any():
+        raise ValidationError(
+            f"block {tuple(b[np.argmax(bad)].tolist())} out of range for L={length}"
+        )
+    allowed = blocks_cover(b.tolist(), length)
+    covered = allowed.any(axis=1)
+    if not covered.all():
+        raise ValidationError(f"blocks leave query row {int(np.argmin(covered))} uncovered")
+    return Plan(_buckets(allowed), _buckets(allowed.T))
 
 
 def block_area(blocks) -> int:

@@ -180,12 +180,16 @@ def test_chunked_dense_paths_match(rng, monkeypatch):
     monkeypatch.setattr(attention, "_CHUNK_THRESHOLD", 4)
     monkeypatch.setattr(attention, "_DENSE_CHUNK", 2)
     L = q.shape[0]
-    # the 2-D dense call is chunked, and so is at least one block-sparse bucket
+    # the dense operations run one line cut into row chunks, and at least one
+    # block-sparse bucket is chunked too
     assert L > 4
+    assert len(list(attention._chunks(attention._whole(L, L).query, L, 4))) > 1
     plan = plan_blocks(m.blocks, L)
     assert len(list(attention._chunks(plan.query, L, 4))) > len(plan.query)
+    inp = AttentionInput(q=q, k=k, v=v, mask=m)
+    grads = attn_backward(inp, d_out)
     chunked = (
-        (dense_forward(q, k, v, m.dense)[0], dense_backward(q, k, v, d_out, m.dense)),
+        (attn_dense(inp).out, (grads.dq, grads.dk, grads.dv)),
         (block_sparse_forward(q, k, v, m.blocks),
          block_sparse_backward(q, k, v, m.blocks, d_out)),
     )
@@ -199,16 +203,15 @@ def test_chunked_dense_bias_class_gradient(rng, monkeypatch):
     _, m, q, k, v, bias, _, rel = random_case(rng, "M4", d=4, with_bias=True)
     inp = AttentionInput(q=q, k=k, v=v, mask=m, bias_values=bias)
     d_out = rng.standard_normal(q.shape)
-    plain = attn_backward(inp, d_out, rel_map=rel)
-    want = np.bincount(rel.rel.ravel(), weights=plain.dbias.ravel(), minlength=rel.n_classes)
+    dq, dk, dv, ds = dense_backward(q, k, v, d_out, m.dense, bias)
+    want = np.bincount(rel.rel.ravel(), weights=ds.ravel(), minlength=rel.n_classes)
     monkeypatch.setattr(attention, "_CHUNK_THRESHOLD", 4)
     monkeypatch.setattr(attention, "_DENSE_CHUNK", 3)
     assert q.shape[0] > 4
     chunked = attn_backward(inp, d_out, rel_map=rel)
-    assert chunked.dbias is None
     assert chunked.dbias_class.shape == (rel.n_classes,) == (13,)
     assert np.allclose(chunked.dbias_class, want, rtol=0, atol=1e-12)
-    for a, b in ((chunked.dq, plain.dq), (chunked.dk, plain.dk), (chunked.dv, plain.dv)):
+    for a, b in ((chunked.dq, dq), (chunked.dk, dk), (chunked.dv, dv)):
         assert np.allclose(a, b, atol=1e-12)
 
 
@@ -327,10 +330,34 @@ def test_mask_plan_built_once_per_mask(rng, monkeypatch):
     assert np.array_equal(out, fresh[0])
     for a, b in zip((grads.dq, grads.dk, grads.dv, grads.dbias_class), fresh[1]):
         assert np.array_equal(a, b)
-    # blocks other than the mask's own tiling get a plan of their own, from
-    # the painted matrix and from its transpose
-    attn_backward(inp, d_out, blocks=list(m.blocks), rel_map=rel)
-    assert calls == [q.shape[0]] * 3
+    # an AttentionMask input runs its own plan even when other rectangles
+    # are passed: they only choose the sparse path
+    L = q.shape[0]
+    again = attn_backward(inp, d_out, blocks=[(0, L, 0, L)], rel_map=rel)
+    assert calls == [L]
+    for a, b in zip((again.dq, again.dk, again.dv, again.dbias_class), fresh[1]):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("scheme", ["M1", "M5"])
+def test_mask_as_blocks_matches_its_rectangles(rng, scheme):
+    _, m, q, k, v, bias, _, rel = random_case(rng, scheme, d=4, with_bias=True)
+    d_out = rng.standard_normal(q.shape)
+    assert np.array_equal(block_sparse_forward(q, k, v, m, bias),
+                          block_sparse_forward(q, k, v, m.blocks, bias))
+    got, want = (block_sparse_backward(q, k, v, blocks, d_out, bias, rel=rel.rel)
+                 for blocks in (m, m.blocks))
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_mask_length_must_match_the_input(rng):
+    _, m, q, _, _, _, _, _ = random_case(rng, "M3", d=4)
+    short = q[:-1]
+    with pytest.raises(ValidationError, match=f"mask length {len(q)} does not match"):
+        block_sparse_forward(short, short, short, m)
+    with pytest.raises(ValidationError, match=f"mask length {len(q)} does not match"):
+        block_sparse_backward(short, short, short, m, short)
 
 
 def test_block_sparse_needs_blocks(rng):

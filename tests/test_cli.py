@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import pytest
 
 import tabenc
 from tabenc.cli import main
+from tabenc.core import QAExample, Table, write_jsonl
+from tabenc.linearize import linearize
 
 pytestmark = pytest.mark.usefixtures("clean_thread_env")
 
@@ -92,6 +95,15 @@ def test_gen_bad_spec_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "gen", "--n", "-5", "--out", str(tmp_path / "x.jsonl"))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("flag", ["--rows", "--cols"])
+def test_gen_non_integer_sizes_exit_2(tmp_path, capsys, flag):
+    out = tmp_path / "x.jsonl"
+    code, _, err = run(capsys, "gen", "--n", "3", "--out", str(out), flag, "abc")
+    assert code == 2
+    assert f"{flag} must be comma-separated integers, got 'abc'" in err
+    assert not out.exists()
 
 
 def test_exec(tmp_path, capsys):
@@ -217,6 +229,22 @@ def test_bench_writes_csv(tmp_path, capsys):
     assert lines[0] == "length,scheme,direction,dense_ms,sparse_ms,speedup"
     assert len(lines) == 3
     assert out.read_text() == stdout
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--trials", "0", "--trials must be >= 1, got 0"),
+    ("--trials", "-1", "--trials must be >= 1, got -1"),
+    ("--head-dim", "0", "--head-dim must be >= 1, got 0"),
+    ("--lengths", "64,0", "--lengths must be >= 1, got 0"),
+    ("--lengths", "abc", "--lengths must be comma-separated integers, got 'abc'"),
+    ("--lengths", ",", "--lengths needs at least one length"),
+])
+def test_bench_bad_flag_exits_2(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "bench.csv"
+    code, stdout, err = run(capsys, "bench", "--lengths", "64", flag, value, "--out", str(out))
+    assert code == 2
+    assert message in err
+    assert stdout == "" and not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -557,20 +585,45 @@ def test_grid_diverged_run_writes_nan(tmp_path, capsys):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_grid_keeps_finished_runs_after_a_failed_run(tmp_path, capsys, workers):
-    # at this context length T2/M5 (planned first) overflows and T0/M1 fits;
-    # in a pool the TruncationError must also survive pickling
+    # every encoding fits the context, so both runs start; the training set is
+    # a 65-row table, which the E1 run (planned first) rejects and the E0 run
+    # trains on. In a pool the error must also survive pickling
     out = tmp_path / "g"
+    (out / "data").mkdir(parents=True)
+    tall = Table(("c1",), tuple((str(i),) for i in range(65)))
+    write_jsonl([QAExample(tall, "select c1 where c1 = 5", ("5",))] * 4,
+                out / "data" / "train.jsonl")
     code, _, err = run(
         capsys, "grid", "--out", str(out), "--workers", workers,
-        "--configs", "T2/M5/CPE/B1/E1;T0/M1/TPE/B0/E0", "--context-len", "270",
+        "--configs", "T0/M1/TPE/B0/E1;T0/M1/TPE/B0/E0",
         "--replicates", "1", "--suites", "train", "--train-n", "10", "--eval-n", "4",
         "--steps", "2", "--eval-every", "1", "--batch-size", "4",
     )
     assert code == 2
-    assert "encoding needs 277 tokens but the limit is 270" in err
+    assert "table exceeds 64 rows" in err
     lines = (out / "results.csv").read_text().splitlines()
     assert lines[0] == "T,M,PE,B,E,suite,replicate,da"
     assert [line.rsplit(",", 1)[0] for line in lines[1:]] == ["T0,M1,TPE,B0,E0,train,1"]
+
+
+def test_grid_checks_every_encoding_before_any_run(tmp_path, capsys):
+    # at this context length T0 fits and T2 overflows
+    out = tmp_path / "g"
+    code, _, err = run(
+        capsys, "grid", "--out", str(out),
+        "--configs", "T0/M1/TPE/B0/E0;T2/M5/CPE/B1/E1;T2/M3/TPE/B0/E0", "--context-len", "270",
+        "--replicates", "1", "--suites", "train", "--train-n", "10", "--eval-n", "4",
+        "--steps", "2", "--eval-every", "1", "--batch-size", "4",
+    )
+    assert code == 2
+    train = out / "data" / "train.jsonl"
+    match = re.search(rf"config T2/M5/CPE/B1/E1: {re.escape(str(train))}:(\d+): "
+                      r"encoding needs (\d+) tokens but the limit is 270", err)
+    assert match, err
+    line_no, needed = int(match[1]), int(match[2])
+    ex = QAExample.from_json(json.loads(train.read_text().splitlines()[line_no - 1]))
+    assert len(linearize(ex.query, ex.table, "T2")) == needed > 270
+    assert not (out / "results.csv").exists()
 
 
 # ---------------------------------------------------------------------------
