@@ -187,10 +187,11 @@ def dense_backward(q, k, v, d_out, allowed=None, bias=None, scale=None, weights=
 # bucket kernel: the dense core once per chunk of a shape bucket
 # ---------------------------------------------------------------------------
 
-def _whole(n_q: int, n_k: int) -> Plan:
-    """The plan of a dense call: one line of every query row against every key,
-    and no key buckets (see _backward)."""
-    return Plan([(np.arange(n_q)[None], np.arange(n_k)[None])], None)
+def _whole(n: int) -> Plan:
+    """The plan of a dense call over n tokens: one line of every query row
+    against every key, and no key buckets (see _backward)."""
+    line = np.arange(n)[None]
+    return Plan([(line, line)], None)
 
 
 def _chunks(buckets, n_keys: int, dim: int):
@@ -320,9 +321,11 @@ def _sparsity(inp: AttentionInput, blocks):
 
 
 def attn_dense(inp: AttentionInput) -> AttentionOutput:
+    """The dense forward of `inp`; more than _CHUNK_THRESHOLD rows run as one
+    bucket line, cut into row chunks."""
     L = inp.q.shape[0]
     if L > _CHUNK_THRESHOLD:
-        out = _forward(inp.q, inp.k, inp.v, _whole(L, L).query, inp.allowed,
+        out = _forward(inp.q, inp.k, inp.v, _whole(L).query, inp.allowed,
                        inp.bias_values, inp.scale)
     else:
         out, _ = dense_forward(inp.q, inp.k, inp.v, inp.allowed, inp.bias_values, inp.scale)
@@ -364,7 +367,7 @@ def attn_backward(
         )
     else:
         L = inp.q.shape[0]
-        dq, dk, dv, dclass = _backward(inp.q, inp.k, inp.v, d_out, _whole(L, L), inp.allowed,
+        dq, dk, dv, dclass = _backward(inp.q, inp.k, inp.v, d_out, _whole(L), inp.allowed,
                                        inp.bias_values, inp.scale, rel, n_classes)
     return AttentionGrads(dq=dq, dk=dk, dv=dv, dbias_class=dclass)
 

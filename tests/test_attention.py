@@ -183,7 +183,7 @@ def test_chunked_dense_paths_match(rng, monkeypatch):
     # the dense operations run one line cut into row chunks, and at least one
     # block-sparse bucket is chunked too
     assert L > 4
-    assert len(list(attention._chunks(attention._whole(L, L).query, L, 4))) > 1
+    assert len(list(attention._chunks(attention._whole(L).query, L, 4))) > 1
     plan = plan_blocks(m.blocks, L)
     assert len(list(attention._chunks(plan.query, L, 4))) > len(plan.query)
     inp = AttentionInput(q=q, k=k, v=v, mask=m)
