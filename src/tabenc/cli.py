@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 2 input/validation error, 3 runtime failure.
 --json-errors switches stderr diagnostics to one JSON object per error.
-TABENC_THREADS caps both BLAS thread pools and grid worker processes, which
-is why numpy and the sibling modules are imported lazily inside handlers.
+TABENC_THREADS caps both BLAS thread pools and grid worker processes. The cap
+works only if it is applied before numpy loads, so every sibling module but
+core is imported lazily inside handlers; core loads no numpy at import and is
+imported here at the top.
 """
 
 from __future__ import annotations
@@ -11,15 +13,30 @@ from __future__ import annotations
 import argparse
 import csv
 import fcntl
-import hashlib
 import io
+import itertools
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
-_FACTORS = ("T", "M", "PE", "B", "E")
-_RESULT_FIELDS = _FACTORS + ("suite", "replicate", "da")
+from .core import (
+    FACTORS,
+    FactorConfig,
+    TabencError,
+    Table,
+    ValidationError,
+    derive_seed,
+    is_legal_combination,
+    iter_jsonl,
+    read_jsonl,
+    write_jsonl,
+)
+
+# levels of each results-CSV factor column, in grid order
+_LEVELS = {column: levels for column, (_field, levels) in FACTORS.items()}
+_RESULT_FIELDS = (*FACTORS, "suite", "replicate", "da")
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -82,29 +99,20 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _factor_levels() -> dict:
-    """Levels of each results-CSV factor column, in grid order. core imports
-    numpy, so this runs only after _apply_thread_cap."""
-    from .core import BIAS_SETTINGS, EMB_SETTINGS, MASK_SCHEMES, PE_SCHEMES, TOKEN_SCHEMES
-
-    return {"T": TOKEN_SCHEMES, "M": MASK_SCHEMES, "PE": PE_SCHEMES,
-            "B": BIAS_SETTINGS, "E": EMB_SETTINGS}
-
-
 def _print_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _load_table(path: str):
-    from .core import Table
-
+def _load_table(path: str) -> Table:
     with open(path, encoding="utf-8") as fh:
         return Table.from_json(json.load(fh))
 
 
-def _derived_seed(master: int, tag: str) -> int:
-    material = int(master).to_bytes(8, "little", signed=False) + tag.encode("utf-8")
-    return int.from_bytes(hashlib.blake2b(material, digest_size=8).digest(), "little")
+def _factor(args) -> FactorConfig:
+    """The FactorConfig of a command's factor flags; a factor without a flag
+    takes its first level."""
+    return FactorConfig(**{field: getattr(args, field)
+                           for field, _levels in FACTORS.values() if hasattr(args, field)})
 
 
 def _fmt_float(x: float) -> str:
@@ -116,8 +124,6 @@ def _fmt_float(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 def _int_list(text: str, flag: str) -> tuple[int, ...]:
-    from .core import ValidationError
-
     try:
         return tuple(int(p) for p in text.split(",") if p.strip())
     except ValueError:
@@ -127,7 +133,6 @@ def _int_list(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _cmd_gen(args) -> int:
-    from .core import write_jsonl
     from .datagen import gen_dataset, suite_spec
 
     overrides = {}
@@ -176,8 +181,6 @@ def _cmd_exec(args) -> int:
 
 
 def _read_predictions(path: str) -> list[list[str]]:
-    from .core import ValidationError
-
     preds = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -200,7 +203,6 @@ def _read_predictions(path: str) -> list[list[str]]:
 
 
 def _cmd_score(args) -> int:
-    from .core import ValidationError, read_jsonl
     from .sqlexec import denotation_accuracy
 
     golds = [ex.answer for ex in read_jsonl(args.data)]
@@ -217,11 +219,9 @@ def _cmd_score(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_dump_encoding(args) -> int:
-    from .core import FactorConfig
     from .linearize import default_vocab, encode_input, encoding_rows
 
-    factor = FactorConfig(tokens=args.tokens, mask="M0", pe=args.pe,
-                          bias="B0", emb=args.emb)
+    factor = _factor(args)
     table = _load_table(args.table)
     enc = encode_input(args.question, table, factor, max_len=args.max_len)
     rows = list(encoding_rows(enc, default_vocab()))
@@ -241,15 +241,13 @@ def _cmd_dump_encoding(args) -> int:
 
 
 def _cmd_mask(args) -> int:
-    from .core import FactorConfig
     from .linearize import encode_input
     from .mask import build_mask, sparsity, write_blocks_file
 
-    factor = FactorConfig(tokens=args.tokens, mask=args.mask, pe="TPE",
-                          bias="B0", emb="E0")
+    factor = _factor(args)
     table = _load_table(args.table)
     enc = encode_input(args.question, table, factor, max_len=args.max_len)
-    mask = build_mask(enc, args.mask)
+    mask = build_mask(enc, factor.mask)
 
     if args.show:
         limit = 200
@@ -261,7 +259,7 @@ def _cmd_mask(args) -> int:
 
     summary = {
         "length": mask.length,
-        "scheme": args.mask,
+        "scheme": factor.mask,
         "sparsity": round(sparsity(mask), 6),
         "n_blocks": len(mask.blocks),
     }
@@ -279,7 +277,6 @@ def _cmd_mask(args) -> int:
 
 def _cmd_bench(args) -> int:
     from .attention import bench_attention
-    from .core import ValidationError
 
     lengths = _int_list(args.lengths, "lengths")
     if not lengths:
@@ -319,13 +316,11 @@ def _model_kwargs(args) -> dict:
 
 
 def _cmd_train(args) -> int:
-    from .core import read_jsonl
     from .linearize import default_vocab
-    from .core import FactorConfig
     from .model import ModelConfig, save_checkpoint, train
 
     cfg = ModelConfig(
-        factor=FactorConfig(args.tokens, args.mask, args.pe, args.bias, args.emb),
+        factor=_factor(args),
         d_model=args.d_model,
         n_heads=args.n_heads,
         n_enc_layers=args.enc_layers,
@@ -363,7 +358,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .core import ValidationError, read_jsonl
     from .linearize import default_vocab
     from .model import load_checkpoint, predict
     from .sqlexec import denotation_accuracy
@@ -396,9 +390,6 @@ def _read_results_csv(path, response: str, columns=()) -> list[dict]:
     and inf are numbers: failed runs), a replicate that is not a positive
     integer or a factor level outside its factor raises ValidationError naming
     path:line. A file without a header has no rows."""
-    from .core import ValidationError
-
-    levels = _factor_levels()
     rows = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -408,7 +399,7 @@ def _read_results_csv(path, response: str, columns=()) -> list[dict]:
         for column in (response, *columns):
             if column not in header:
                 raise ValidationError(f"{path}:1: results file missing column {column!r}")
-        factors = [k for k in _FACTORS if k in header]
+        factors = [k for k in FACTORS if k in header]
         for fields in reader:
             if not fields:
                 continue
@@ -428,9 +419,9 @@ def _read_results_csv(path, response: str, columns=()) -> list[dict]:
             if rep is not None and not (rep.isdecimal() and int(rep) > 0):
                 raise ValidationError(f"{where}: replicate {rep!r} is not a positive integer")
             for k in factors:
-                if row[k] not in levels[k]:
+                if row[k] not in _LEVELS[k]:
                     raise ValidationError(
-                        f"{where}: {k} level {row[k]!r} is not one of {levels[k]}"
+                        f"{where}: {k} level {row[k]!r} is not one of {_LEVELS[k]}"
                     )
             rows.append(row)
     return rows
@@ -439,10 +430,6 @@ def _read_results_csv(path, response: str, columns=()) -> list[dict]:
 def _finished_rows(path, response: str, columns=()) -> tuple[list[dict], int]:
     """The rows of a results CSV whose response is finite, and the number of
     failed-run rows (nan/inf) left out, which a note on stderr reports."""
-    import math
-
-    from .core import ValidationError
-
     rows = _read_results_csv(path, response, columns)
     finished = [row for row in rows if math.isfinite(float(row[response]))]
     dropped = len(rows) - len(finished)
@@ -455,7 +442,7 @@ def _finished_rows(path, response: str, columns=()) -> tuple[list[dict], int]:
 
 def _run_key(row: dict) -> tuple:
     """What identifies one run's result in a results row."""
-    return tuple(row[k] for k in (*_FACTORS, "suite")) + (int(row["replicate"]),)
+    return tuple(row[k] for k in (*FACTORS, "suite")) + (int(row["replicate"]),)
 
 
 # ---------------------------------------------------------------------------
@@ -492,20 +479,7 @@ def _cmd_anova(args) -> int:
 # grid
 # ---------------------------------------------------------------------------
 
-def _config_parts(text: str) -> list[str]:
-    """Split a T/M/PE/B/E config string into its five levels."""
-    from .core import ValidationError
-
-    parts = text.strip().split("/")
-    if len(parts) != 5:
-        raise ValidationError(f"config must look like T0/M1/TPE/B0/E1, got {text!r}")
-    return parts
-
-
 def _build_plan(args) -> dict:
-    import itertools
-
-    from .core import FactorConfig, ValidationError, is_legal_combination
     from .datagen import SUITES
 
     suites = tuple(s.strip() for s in args.suites.split(",") if s.strip())
@@ -515,20 +489,19 @@ def _build_plan(args) -> dict:
     if not suites:
         raise ValidationError("at least one evaluation suite required")
     for flag, n in (("replicates", args.replicates), ("train-n", args.train_n),
-                    ("eval-n", args.eval_n)):
+                    ("eval-n", args.eval_n), ("eval-batch", args.eval_batch)):
         if n < 1:
             raise ValidationError(f"--{flag} must be >= 1, got {n}")
 
     if args.configs:
-        points = (_config_parts(p) for p in args.configs.split(";") if p.strip())
+        points = (FactorConfig.parse_key(p) for p in args.configs.split(";") if p.strip())
     else:
-        points = itertools.product(*_factor_levels().values())
+        points = itertools.product(*_LEVELS.values())
     configs, n_raw = [], 0
-    for parts in points:
+    for levels in points:
         n_raw += 1
-        if is_legal_combination(parts[0], parts[1]):
-            FactorConfig(*parts)  # rejects unknown levels
-            configs.append("/".join(parts))
+        if is_legal_combination(*levels[:2]):  # FACTORS starts with T, M
+            configs.append(FactorConfig(*levels).key)  # rejects unknown levels
     dropped = n_raw - len(configs)
     if not configs:
         raise ValidationError("plan has no legal configurations")
@@ -552,7 +525,6 @@ def _build_plan(args) -> dict:
 def _ensure_grid_data(outdir: Path, suites, seed: int, train_n: int, eval_n: int) -> dict:
     """Generate data/train.jsonl and data/eval-<suite>.jsonl where missing;
     returns their paths keyed "train" and "eval-<suite>"."""
-    from .core import write_jsonl
     from .datagen import gen_dataset, suite_spec
 
     paths = {}
@@ -561,34 +533,32 @@ def _ensure_grid_data(outdir: Path, suites, seed: int, train_n: int, eval_n: int
         path = paths[tag] = outdir / "data" / f"{tag}.jsonl"
         if path.exists():
             continue
-        spec = suite_spec(suite, n, _derived_seed(seed, f"grid-data-{tag}"))
+        spec = suite_spec(suite, n, derive_seed(seed, f"grid-data-{tag}"))
         examples, _report = gen_dataset(spec)
         _atomic_write(path, lambda tmp: write_jsonl(examples, tmp))
     return paths
 
 
-def _check_context(configs, paths: dict, context_len: int) -> None:
+def _check_context(factors, paths: dict, context_len: int) -> None:
     """Linearize every example of the grid's data files once per token
-    scheme of `configs`; the first encoding longer than `context_len` raises
+    scheme of `factors`; the first encoding longer than `context_len` raises
     ValidationError naming its config (the first one with that scheme, in
     plan order), path:line, the tokens it needs and the limit."""
-    from .core import ValidationError, iter_jsonl
     from .linearize import TruncationError, linearize
 
     examples = [(path, line_no, ex) for path in paths.values()
                 for line_no, ex in iter_jsonl(path)]
     checked = set()
-    for key in configs:
-        tokens = _config_parts(key)[0]
-        if tokens in checked:
+    for factor in factors:
+        if factor.tokens in checked:
             continue
-        checked.add(tokens)
+        checked.add(factor.tokens)
         for path, line_no, ex in examples:
             try:
-                linearize(ex.query, ex.table, tokens, max_len=context_len)
+                linearize(ex.query, ex.table, factor.tokens, max_len=context_len)
             except TruncationError as exc:
                 raise ValidationError(
-                    f"config {key}: {path}:{line_no}: {exc} (--context-len)"
+                    f"config {factor.key}: {path}:{line_no}: {exc} (--context-len)"
                 ) from None
 
 
@@ -612,7 +582,6 @@ def _grid_run_one(payload: dict) -> list[str]:
     Runs in a worker process; returns finished CSV lines. A diverged
     training run yields rows with da=nan instead of failing the grid.
     """
-    from .core import FactorConfig, read_jsonl
     from .linearize import default_vocab
     from .model import ModelConfig, TrainingDivergedError, predict, train
     from .sqlexec import denotation_accuracy
@@ -620,7 +589,7 @@ def _grid_run_one(payload: dict) -> list[str]:
     factor = FactorConfig.from_dict(payload["factor"])
     cfg = ModelConfig(factor=factor, **payload["model"])
     examples = read_jsonl(payload["train_path"])
-    prefix = ",".join(factor.csv_fields()[k] for k in _FACTORS)
+    prefix = ",".join(factor.csv_fields().values())
     rep = payload["replicate"]
 
     try:
@@ -666,19 +635,17 @@ def _grid_outcomes(work: list[dict], workers: int):
 def _canonicalize_results(results_path: Path) -> int:
     """Rewrite results.csv with one row per run, in grid order; returns the
     number of rows."""
-    levels = _factor_levels()
     unique = {}
     for row in _read_results_csv(results_path, "da", _RESULT_FIELDS):
         unique.setdefault(_run_key(row), row)
     rows = sorted(unique.values(), key=lambda row: (
-        *(levels[k].index(row[k]) for k in _FACTORS), row["suite"], int(row["replicate"])))
+        *(_LEVELS[k].index(row[k]) for k in FACTORS), row["suite"], int(row["replicate"])))
     _atomic_write_text(results_path, _csv_text(
         _RESULT_FIELDS, ([row[k] for k in _RESULT_FIELDS] for row in rows)))
     return len(rows)
 
 
 def _cmd_grid(args) -> int:
-    from .core import FactorConfig
     from .model import ModelConfig
 
     plan = _build_plan(args)
@@ -702,13 +669,13 @@ def _cmd_grid(args) -> int:
                        json.dumps(plan, sort_keys=True, indent=2) + "\n")
     paths = _ensure_grid_data(outdir, plan["suites"], args.seed,
                               args.train_n, args.eval_n)
-    _check_context(plan["configs"], paths, args.context_len)
+    factors = [FactorConfig.from_key(key) for key in plan["configs"]]
+    _check_context(factors, paths, args.context_len)
 
     work = []
     skipped = 0
-    for key in plan["configs"]:
-        levels = tuple(_config_parts(key))
-        factor = FactorConfig(*levels)
+    for factor in factors:
+        levels = tuple(factor.csv_fields().values())
         for rep in range(1, plan["replicates"] + 1):
             missing = [s for s in plan["suites"] if levels + (s, rep) not in done]
             if not missing:
@@ -717,7 +684,7 @@ def _cmd_grid(args) -> int:
             work.append({
                 "factor": factor.to_dict(),
                 "replicate": rep,
-                "run_seed": _derived_seed(args.seed, f"grid-run-{key}-r{rep}"),
+                "run_seed": derive_seed(args.seed, f"grid-run-{factor.key}-r{rep}"),
                 "model": model_kwargs,
                 "stop_da": args.stop_da,
                 "suites": missing,
@@ -751,11 +718,10 @@ def _cmd_grid(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _paired_differences(rows: list[dict]) -> str:
-    levels = _factor_levels()
     by_key = {_run_key(row): float(row["da"]) for row in rows}
     out = []
-    for fi, factor in enumerate(_FACTORS):
-        present = sorted({row[factor] for row in rows}, key=levels[factor].index)
+    for fi, factor in enumerate(FACTORS):
+        present = sorted({row[factor] for row in rows}, key=_LEVELS[factor].index)
         for i, left in enumerate(present):
             for right in present[i + 1:]:
                 diffs = []
@@ -781,7 +747,7 @@ def _cmd_report(args) -> int:
     diff_path = outdir / "differences.csv"
     _atomic_write_text(diff_path, _paired_differences(rows))
 
-    varying = [f for f in _FACTORS if len({row[f] for row in rows}) >= 2]
+    varying = [f for f in FACTORS if len({row[f] for row in rows}) >= 2]
     anova_path = None
     anova_note = None
     if not varying:
@@ -821,14 +787,12 @@ def _cmd_report(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_factor_flags(sp, *, tokens=True, mask=True, pe=True, bias=True, emb=True):
-    """Add the chosen factor flags; each defaults to its factor's first level."""
-    levels = _factor_levels()
-    flags = (("--tokens", "T", tokens), ("--mask", "M", mask), ("--pe", "PE", pe),
-             ("--bias", "B", bias), ("--emb", "E", emb))
-    for flag, column, wanted in flags:
-        if wanted:
-            sp.add_argument(flag, default=levels[column][0], choices=levels[column])
+def _add_factor_flags(sp, columns):
+    """Add a --<field> flag for each factor column in `columns`, in FACTORS
+    order; each defaults to its factor's first level."""
+    for column, (field, levels) in FACTORS.items():
+        if column in columns:
+            sp.add_argument(f"--{field}", default=levels[0], choices=levels)
 
 
 def _add_model_flags(sp):
@@ -889,7 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="show the token/role/index channels for one input")
     sp.add_argument("--question", required=True)
     sp.add_argument("--table", required=True)
-    _add_factor_flags(sp, mask=False, bias=False)
+    _add_factor_flags(sp, ("T", "PE", "E"))
     sp.add_argument("--max-len", type=int, default=4096)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_dump_encoding)
@@ -897,7 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mask", parents=[common], help="build and export an attention mask")
     sp.add_argument("--question", required=True)
     sp.add_argument("--table", required=True)
-    _add_factor_flags(sp, pe=False, bias=False, emb=False)
+    _add_factor_flags(sp, ("T", "M"))
     sp.add_argument("--max-len", type=int, default=4096)
     sp.add_argument("--out", help="write the block tiling to this file")
     sp.add_argument("--show", action="store_true", help="print the dense mask as ASCII")
@@ -906,7 +870,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", parents=[common],
                         help="dense vs block-sparse attention wall time")
     sp.add_argument("--lengths", default="1024,2048,4096,8192")
-    sp.add_argument("--scheme", default="M3", choices=_factor_levels()["M"])
+    sp.add_argument("--scheme", default="M3", choices=_LEVELS["M"])
     sp.add_argument("--trials", type=int, default=7)
     sp.add_argument("--head-dim", type=int, default=16)
     sp.add_argument("--seed", type=int, default=0)
@@ -918,7 +882,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--seed", type=int, default=0)
-    _add_factor_flags(sp)
+    _add_factor_flags(sp, FACTORS)
     _add_model_flags(sp)
     sp.add_argument("--d-model", type=int, default=128)
     sp.add_argument("--n-heads", type=int, default=4)
@@ -986,8 +950,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     json_mode = getattr(args, "json_errors", False)
-
-    from .core import TabencError, ValidationError
 
     try:
         if env_error:

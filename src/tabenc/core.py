@@ -1,20 +1,32 @@
-"""Shared domain types, factor-grid validation, seeded RNG streams, and JSONL io."""
+"""Shared domain types, the factor grid, seeded RNG streams, and JSONL io.
+
+This module loads no numpy at import: the command line imports it before it
+applies TABENC_THREADS, which only takes effect if numpy is not loaded yet.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-TOKEN_SCHEMES = ("T0", "T1", "T2")
-MASK_SCHEMES = ("M0", "M1", "M2", "M3", "M4", "M5", "M6")
-PE_SCHEMES = ("TPE", "CPE")
-BIAS_SETTINGS = ("B0", "B1")
-EMB_SETTINGS = ("E0", "E1")
+# The factor grid, in grid order: results-CSV column -> (FactorConfig field,
+# levels). The field name is also the command-line flag (--tokens, ...).
+FACTORS = {
+    "T": ("tokens", ("T0", "T1", "T2")),
+    "M": ("mask", ("M0", "M1", "M2", "M3", "M4", "M5", "M6")),
+    "PE": ("pe", ("TPE", "CPE")),
+    "B": ("bias", ("B0", "B1")),
+    "E": ("emb", ("E0", "E1")),
+}
+TOKEN_SCHEMES, MASK_SCHEMES, PE_SCHEMES, BIAS_SETTINGS, EMB_SETTINGS = (
+    levels for _field, levels in FACTORS.values()
+)
 
 # masks that route attention through [TAB]/[ROW]/[COL]/[CELL] markers, hence need T2
 STRUCTURAL_MASKS = frozenset({"M4", "M5", "M6"})
@@ -111,48 +123,54 @@ class QAExample:
 class FactorConfig:
     """One point of the factor grid: tokens x mask x positions x bias x embeddings."""
 
-    tokens: str = "T0"
-    mask: str = "M0"
-    pe: str = "TPE"
-    bias: str = "B0"
-    emb: str = "E0"
+    tokens: str = TOKEN_SCHEMES[0]
+    mask: str = MASK_SCHEMES[0]
+    pe: str = PE_SCHEMES[0]
+    bias: str = BIAS_SETTINGS[0]
+    emb: str = EMB_SETTINGS[0]
 
     def __post_init__(self) -> None:
-        checks = (
-            ("tokens", self.tokens, TOKEN_SCHEMES),
-            ("mask", self.mask, MASK_SCHEMES),
-            ("pe", self.pe, PE_SCHEMES),
-            ("bias", self.bias, BIAS_SETTINGS),
-            ("emb", self.emb, EMB_SETTINGS),
-        )
-        for field_name, value, allowed in checks:
+        for field_name, allowed in FACTORS.values():
+            value = getattr(self, field_name)
             if value not in allowed:
                 raise ValidationError(f"{field_name}={value!r} not in {allowed}")
-        if self.mask in STRUCTURAL_MASKS and self.tokens != "T2":
+        if not is_legal_combination(self.tokens, self.mask):
             raise ValidationError(
                 f"mask {self.mask} relies on structural marker tokens and is only "
                 f"defined for T2 inputs (got tokens={self.tokens})"
             )
 
     def to_dict(self) -> dict:
-        return {
-            "tokens": self.tokens,
-            "mask": self.mask,
-            "pe": self.pe,
-            "bias": self.bias,
-            "emb": self.emb,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "FactorConfig":
-        return cls(**{k: obj[k] for k in ("tokens", "mask", "pe", "bias", "emb") if k in obj})
+        return cls(**{k: obj[k] for k, _levels in FACTORS.values() if k in obj})
 
     def csv_fields(self) -> dict:
-        """Field names used by the results CSV schema (T,M,PE,B,E)."""
-        return {"T": self.tokens, "M": self.mask, "PE": self.pe, "B": self.bias, "E": self.emb}
+        """The levels keyed by results-CSV column, in FACTORS order."""
+        return {column: getattr(self, k) for column, (k, _levels) in FACTORS.items()}
+
+    @property
+    def key(self) -> str:
+        """The levels in FACTORS order joined by "/", e.g. T2/M5/CPE/B1/E1."""
+        return "/".join(self.csv_fields().values())
+
+    @staticmethod
+    def parse_key(text: str) -> tuple[str, ...]:
+        """The levels of a key, in FACTORS order; only their number is checked."""
+        parts = tuple(text.strip().split("/"))
+        if len(parts) != len(FACTORS):
+            raise ValidationError(f"config must look like T0/M1/TPE/B0/E1, got {text!r}")
+        return parts
+
+    @classmethod
+    def from_key(cls, text: str) -> "FactorConfig":
+        return cls(*cls.parse_key(text))
 
 
 def is_legal_combination(tokens: str, mask: str) -> bool:
+    """The one cross-factor rule: masks M4-M6 need T2 inputs."""
     return not (mask in STRUCTURAL_MASKS and tokens != "T2")
 
 
@@ -180,6 +198,10 @@ def derive_rng(seed: Seed | int, tag: str, index: int = 0) -> np.random.Generato
     overlap and the mapping is stable across runs, platforms, and process
     counts.
     """
+    # imported here, not at the top, so that importing core leaves numpy
+    # unloaded until the command line has applied TABENC_THREADS
+    import numpy as np
+
     master = seed.master if isinstance(seed, Seed) else Seed(seed).master
     if index < 0:
         raise ValidationError("stream index must be non-negative")
@@ -191,6 +213,13 @@ def derive_rng(seed: Seed | int, tag: str, index: int = 0) -> np.random.Generato
     digest = hashlib.blake2b(material, digest_size=16).digest()
     key = int.from_bytes(digest, "little")
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def derive_seed(master: int, tag: str) -> int:
+    """A 64-bit seed for (master, tag): an 8-byte blake2b(master || tag). Grid
+    data files and runs are seeded this way, so it must never change."""
+    material = int(master).to_bytes(8, "little", signed=False) + tag.encode("utf-8")
+    return int.from_bytes(hashlib.blake2b(material, digest_size=8).digest(), "little")
 
 
 def example_to_line(example: QAExample) -> str:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import QAExample, TabencError, Table, ValidationError, derive_rng
+from .linearize import MAX_COLUMNS
 from .sqlexec import (
     Atom,
     ExecutionError,
@@ -90,8 +91,10 @@ class GenSpec:
             raise ValidationError(f"unknown disturbance {self.disturbance!r}")
         if not self.row_values or not self.col_values:
             raise ValidationError("dimension value sets must be non-empty")
-        if max(self.col_values) > 16:
-            raise ValidationError("at most 16 columns (closed column-name vocabulary)")
+        if max(self.col_values) > MAX_COLUMNS:
+            raise ValidationError(
+                f"at most {MAX_COLUMNS} columns (closed column-name vocabulary)"
+            )
         if min(self.row_values) < 1 or min(self.col_values) < 1:
             raise ValidationError("dimensions must be positive")
         if not (0 <= self.value_max <= 999):

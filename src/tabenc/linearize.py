@@ -106,9 +106,6 @@ class Vocabulary:
             raise ValidationError(f"indexed row tokens cover 1..{MAX_INDEXED_ROWS}, got {n}")
         return self._ids[f"[ROW {n}]"]
 
-    def digit_ids(self) -> tuple[int, ...]:
-        return tuple(self._ids[str(d)] for d in range(10))
-
     def piece_ids(self, piece: str) -> tuple[list[int], int]:
         """Map one whitespace-free piece to ids; returns (ids, n_unk)."""
         if piece.isdigit():

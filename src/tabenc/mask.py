@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import MASK_SCHEMES, STRUCTURAL_MASKS, ValidationError
+from .core import MASK_SCHEMES, ValidationError, is_legal_combination
 from .linearize import HEADER_ROW, EncodedInput, TokenRole
 
 # which content-pair rules each scheme enables
@@ -68,7 +68,7 @@ class AttentionMask:
 def _check_scheme(enc: EncodedInput, scheme: str) -> None:
     if scheme not in MASK_SCHEMES:
         raise ValidationError(f"unknown mask scheme {scheme!r}")
-    if scheme in STRUCTURAL_MASKS and enc.tokens_scheme != "T2":
+    if not is_legal_combination(enc.tokens_scheme, scheme):
         raise ValidationError(
             f"{scheme} needs structural marker tokens (T2 input), got {enc.tokens_scheme}"
         )
@@ -284,9 +284,6 @@ class BiasRelationMap:
     @property
     def n_classes(self) -> int:
         return N_BIAS_CLASSES
-
-    def class_name(self, k: int) -> str:
-        return BIAS_CLASSES[k]
 
 
 def build_bias_map(enc: EncodedInput) -> BiasRelationMap:

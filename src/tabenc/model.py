@@ -606,6 +606,8 @@ def predict_prepared(params, cfg: ModelConfig, prepared: list[Prepared],
                      vocab: Vocabulary, batch_size: int = 64) -> list[list[str]]:
     """Greedy decoding, one new position per decoder call through a
     DecodeCache; returns the decoded value list per example."""
+    if batch_size < 1:
+        raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
     out: list[list[str]] = []
     with_rel = cfg.factor.bias == "B1"
     for i in range(0, len(prepared), batch_size):

@@ -299,6 +299,16 @@ def test_eval_and_predictions(trained, tmp_path, capsys):
     assert json.loads(stdout)["da"] == report["da"]
 
 
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_eval_rejects_batch_size_below_1(trained, capsys, size):
+    data, run_dir = trained
+    code, stdout, err = run(capsys, "eval", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                            "--data", str(data), "--batch-size", size)
+    assert code == 2
+    assert stdout == ""
+    assert f"batch_size must be >= 1, got {size}" in err
+
+
 def test_eval_rejects_garbage_checkpoint(tmp_path, capsys):
     data = tmp_path / "d.jsonl"
     run(capsys, "gen", "--n", "3", "--seed", "1", "--out", str(data))
@@ -518,7 +528,7 @@ def test_grid_rejects_unknown_suite(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("flag", ["--train-n", "--eval-n"])
+@pytest.mark.parametrize("flag", ["--train-n", "--eval-n", "--eval-batch"])
 def test_grid_rejects_empty_datasets_before_writing(tmp_path, capsys, flag):
     out = tmp_path / "g"
     code, _, err = run(capsys, "grid", "--out", str(out), *GRID_ARGS, flag, "0")
@@ -689,6 +699,17 @@ def test_invalid_thread_cap_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TABENC_THREADS", "0")
     code, _, _ = run(capsys, "exec", "--table", str(table), "--query", "select c1")
     assert code == 2
+
+
+def test_cli_and_core_imports_leave_numpy_unloaded():
+    # TABENC_THREADS only takes effect if numpy loads after main() applies it
+    src = str(Path(tabenc.__file__).resolve().parent.parent)
+    code = ("import sys, tabenc.cli, tabenc.core; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

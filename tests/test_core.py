@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from tabenc.core import (
+    FACTORS,
     FactorConfig,
     QAExample,
     Seed,
     Table,
     ValidationError,
     derive_rng,
+    derive_seed,
     example_to_line,
     is_legal_combination,
     read_jsonl,
@@ -116,6 +118,31 @@ def test_csv_fields_mapping():
     assert f.csv_fields() == {"T": "T2", "M": "M4", "PE": "CPE", "B": "B1", "E": "E1"}
 
 
+def test_factor_table_matches_config_fields():
+    assert [field for field, _levels in FACTORS.values()] == list(FactorConfig().to_dict())
+    assert FactorConfig().csv_fields() == {c: levels[0] for c, (_f, levels) in FACTORS.items()}
+
+
+def test_factor_key_round_trip():
+    f = FactorConfig(tokens="T2", mask="M5", pe="CPE", bias="B1", emb="E1")
+    assert f.key == "T2/M5/CPE/B1/E1"
+    assert FactorConfig.parse_key(" T2/M5/CPE/B1/E1 ") == ("T2", "M5", "CPE", "B1", "E1")
+    assert FactorConfig.from_key(f.key) == f
+
+
+@pytest.mark.parametrize("text", ["T0/M1/TPE/B0", "T0/M1/TPE/B0/E1/X", ""])
+def test_factor_key_needs_five_levels(text):
+    with pytest.raises(ValidationError, match="config must look like T0/M1/TPE/B0/E1"):
+        FactorConfig.parse_key(text)
+
+
+def test_factor_from_key_checks_levels_and_t2_rule():
+    with pytest.raises(ValidationError, match="bias='B9'"):
+        FactorConfig.from_key("T0/M0/TPE/B9/E0")
+    with pytest.raises(ValidationError, match="only defined for T2 inputs"):
+        FactorConfig.from_key("T1/M4/TPE/B0/E0")
+
+
 # ---------------------------------------------------------------------------
 # seeded RNG derivation
 # ---------------------------------------------------------------------------
@@ -138,6 +165,12 @@ def test_derive_rng_pinned_values():
     # across platforms or library versions
     got = derive_rng(0, "pin", 0).integers(0, 1000, size=3).tolist()
     assert got == derive_rng(0, "pin", 0).integers(0, 1000, size=3).tolist()
+
+
+def test_derive_seed_pinned_values():
+    # grid data files and grid run seeds come from these; they must never drift
+    assert derive_seed(0, "grid-data-train") == 16563527660011646367
+    assert derive_seed(7, "grid-run-T2/M5/CPE/B1/E1-r2") == 3867986928742591800
 
 
 def test_seed_range_check():
