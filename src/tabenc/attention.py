@@ -10,8 +10,10 @@ buckets. A bucket stacks every run of identical rows that has the same
 gathers a chunk's (G, R, d) queries, (G, K, d) keys and values and (G, R, K)
 bias and calls the dense core once on them (BigBird-style blockification).
 Its sparsity comes in one argument, `blocks`: an AttentionMask runs the plan
-of its own rows (AttentionMask.plan), built once and never tiled; (q0, q1,
-k0, k1) rectangles, such as a block file's, are painted into a matrix and
+of its own rows (AttentionMask.plan), built once. The kernel never tiles it;
+the mask's rectangle tiling (AttentionMask.blocks) is cut from that same plan
+only when a block file or a check asks for it. An (n, 4) array of (q0, q1,
+k0, k1) rectangles, such as a block file's, is painted into a matrix and
 bucketed the same way (mask.plan_blocks). An AttentionInput whose mask is an
 AttentionMask always runs that mask.
 
@@ -292,8 +294,9 @@ def _plan_of(blocks, length: int) -> Plan:
 
 
 def block_sparse_forward(q, k, v, blocks, bias=None, scale=None):
-    """Attention restricted to `blocks`, an AttentionMask or (q0, q1, k0, k1)
-    rectangles: the dense core once per chunk of each query bucket."""
+    """Attention restricted to `blocks`, an AttentionMask or an (n, 4) array of
+    (q0, q1, k0, k1) rectangles: the dense core once per chunk of each query
+    bucket."""
     return _forward(q, k, v, _plan_of(blocks, q.shape[0]).query, None, bias, scale)
 
 

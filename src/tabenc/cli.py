@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 input/validation error, 3 runtime failure.
 --json-errors switches stderr diagnostics to one JSON object per error.
-TABENC_THREADS caps both BLAS thread pools and grid worker processes. The cap
+TABENC_THREADS caps both BLAS thread pools and grid worker processes; a BLAS
+thread variable already set to another count is an input error. The cap
 works only if it is applied before numpy loads, so every sibling module but
 core is imported lazily inside handlers; core loads no numpy at import and is
 imported here at the top.
@@ -48,7 +49,8 @@ _THREAD_ENV_VARS = (
 
 
 def _apply_thread_cap() -> tuple[int | None, str | None]:
-    """Honor TABENC_THREADS before numpy is imported anywhere."""
+    """Honor TABENC_THREADS before numpy is imported anywhere: set each BLAS
+    thread variable to it, and refuse one already set to another value."""
     raw = os.environ.get("TABENC_THREADS")
     if raw is None:
         return None, None
@@ -59,7 +61,9 @@ def _apply_thread_cap() -> tuple[int | None, str | None]:
     if n < 1:
         return None, f"TABENC_THREADS must be >= 1, got {n}"
     for var in _THREAD_ENV_VARS:
-        os.environ.setdefault(var, str(n))
+        value = os.environ.setdefault(var, str(n))
+        if value != str(n):
+            return None, f"TABENC_THREADS={n} conflicts with {var}={value}"
     return n, None
 
 

@@ -20,12 +20,15 @@ signature (same_row, same_col, category i, category j); the categories are the
 TokenRoles plus header-row content. The rules are evaluated once, at import,
 at all 2 x 2 x 8 x 8 signatures; build_mask and build_bias_map gather from
 those tables pair by pair and then set the diagonal.
+
+A mask's runs of identical rows are bucketed once (AttentionMask.plan). The
+block-sparse kernel runs those buckets, and the rectangle tiling of block
+files (AttentionMask.blocks) is cut from the same lines, as one (n, 4) array.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,18 +52,22 @@ class AttentionMask:
     dense: np.ndarray
 
     @functools.cached_property
-    def blocks(self) -> tuple[tuple[int, int, int, int], ...]:
-        """(q0, q1, k0, k1) half-open rectangles that tile the allowed set
-        exactly (disjoint, union equal to the True entries); computed on
-        first use, since only block files and tiling checks need it."""
-        return export_blocks_from_dense(self.dense)
+    def blocks(self) -> np.ndarray:
+        """The (q0, q1, k0, k1) half-open rectangles that tile the allowed
+        set exactly (disjoint, union equal to the True entries), as a
+        read-only (n, 4) intp array sorted by (q0, k0). Cut on first use from
+        the lines of `plan`, since only block files and tiling checks need
+        it; the kernel runs the plan itself."""
+        blocks = export_blocks_from_dense(self.dense, self.plan.query)
+        blocks.flags.writeable = False
+        return blocks
 
     @functools.cached_property
     def plan(self) -> Plan:
         """The shape buckets of dense's row runs (see Plan). Built once per
-        mask and shared by the block-sparse forward and backward; never
-        tiles. dense is symmetric (build_mask makes it so), so the key plan
-        is the query plan."""
+        mask and shared by the block-sparse forward and backward and by the
+        tiling (`blocks`). dense is symmetric (build_mask makes it so), so the
+        key plan is the query plan."""
         buckets = _buckets(self.dense)
         return Plan(buckets, buckets)
 
@@ -75,55 +82,11 @@ def _check_scheme(enc: EncodedInput, scheme: str) -> None:
 
 
 def build_mask(enc: EncodedInput, scheme: str) -> AttentionMask:
-    """Mask from the scheme's signature table; see build_mask_bruteforce for the oracle."""
+    """Mask from the scheme's signature table, with the diagonal set."""
     _check_scheme(enc, scheme)
     allowed = _gather_pairs(enc, _MASK_TABLES[scheme])
     np.fill_diagonal(allowed, True)
     return AttentionMask(len(enc), scheme, allowed)
-
-
-def _allowed_pair(enc: EncodedInput, scheme: str, i: int, j: int) -> bool:
-    """Per-pair predicate, deliberately unvectorized (differential oracle)."""
-    if scheme == "M0" or i == j:
-        return True
-    role_i = int(enc.roles[i])
-    role_j = int(enc.roles[j])
-    q = int(TokenRole.QUESTION)
-    if role_i == q or role_j == q:
-        return True
-    c = int(TokenRole.CELL_CONTENT)
-    same_row = int(enc.row_idx[i]) == int(enc.row_idx[j])
-    same_col = int(enc.col_idx[i]) == int(enc.col_idx[j])
-    if role_i == c and role_j == c:
-        if scheme in _SAME_ROW and same_row:
-            return True
-        if scheme in _SAME_COL and same_col:
-            return True
-    if scheme in _STRUCT_RELAY:
-        for a, b in ((role_i, role_j), (role_j, role_i)):
-            pair_same_row = same_row
-            pair_same_col = same_col
-            if b == c:
-                if a == int(TokenRole.ROW_TOK) and pair_same_row:
-                    return True
-                if a == int(TokenRole.COL_TOK) and pair_same_col:
-                    return True
-                if a == int(TokenRole.CELL_TOK) and pair_same_row and pair_same_col:
-                    return True
-                if a == int(TokenRole.TABLE_TOK):
-                    return True
-    return False
-
-
-def build_mask_bruteforce(enc: EncodedInput, scheme: str) -> AttentionMask:
-    """Evaluate the pair predicate over all L^2 pairs; no shortcuts."""
-    _check_scheme(enc, scheme)
-    L = len(enc)
-    dense = np.zeros((L, L), dtype=bool)
-    for i in range(L):
-        for j in range(L):
-            dense[i, j] = _allowed_pair(enc, scheme, i, j)
-    return AttentionMask(L, scheme, dense)
 
 
 def sparsity(mask: AttentionMask) -> float:
@@ -132,38 +95,47 @@ def sparsity(mask: AttentionMask) -> float:
     return float(L * L - int(mask.dense.sum())) / float(L * L)
 
 
-def export_blocks(mask: AttentionMask) -> tuple[tuple[int, int, int, int], ...]:
-    """Rectangle tiling of the allowed set, sorted by (q0, k0)."""
+def export_blocks(mask: AttentionMask) -> np.ndarray:
+    """Rectangle tiling of the allowed set, an (n, 4) array sorted by (q0, k0)."""
     return mask.blocks
 
 
-def export_blocks_from_dense(dense: np.ndarray) -> tuple[tuple[int, int, int, int], ...]:
-    """Tile a symmetric allow-matrix into disjoint rectangles, sorted by (q0, k0).
+def export_blocks_from_dense(dense: np.ndarray, buckets: list | None = None) -> np.ndarray:
+    """Tile a symmetric allow-matrix with a True diagonal into disjoint
+    (q0, q1, k0, k1) rectangles, an (n, 4) intp array sorted by (q0, k0).
 
-    The question band (the maximal all-True leading column prefix, which by
-    symmetry is also an all-True leading row prefix) is emitted as at most two
-    rectangles; the remaining region is tiled by its runs of identical rows,
-    each split into maximal runs of allowed columns. Residual diagonal entries
-    come out as 1x1 rectangles.
+    `buckets` are the matrix's query buckets (_buckets(dense), built here
+    when not given): each line is a run of identical rows with its sorted
+    keys. The question band (the maximal all-True leading row prefix, which
+    by symmetry is also an all-True leading column prefix) is emitted as at
+    most two rectangles; every other line is cut into its runs of
+    consecutive keys at or after the band. Residual diagonal entries come
+    out as 1x1 rectangles.
     """
     L = int(dense.shape[0])
-    full_cols = dense.all(axis=0)
-    if full_cols.all():
-        return ((0, L, 0, L),)
-    b = int(np.argmin(full_cols))
-    band = ((0, b, 0, L), (b, L, 0, b)) if b else ()
-    sub = dense[b:, b:]
-    starts, ends = _row_runs(sub)
-    # column runs of every row run at once: +1/-1 steps of the zero-padded rows
-    padded = np.zeros((len(starts), L - b + 2), dtype=np.int8)
-    padded[:, 1:-1] = sub[starts]
-    steps = np.diff(padded, axis=1)
-    run, c0 = np.divmod(np.flatnonzero(steps == 1), steps.shape[1])
-    c1 = np.flatnonzero(steps == -1) % steps.shape[1]
-    # flatnonzero walks row-major, so the rectangles come out in (q0, k0) order
-    return band + tuple(zip(
-        (starts[run] + b).tolist(), (ends[run] + b).tolist(), (c0 + b).tolist(), (c1 + b).tolist()
-    ))
+    if buckets is None:
+        buckets = _buckets(dense)
+    # the band's rows are one line, starting at row 0, that allows every key
+    b = next((rows.shape[1] for rows, keys in buckets
+              if keys.shape[1] == L and rows[0, 0] == 0), 0)
+    if b == L:
+        return np.array([[0, L, 0, L]], dtype=np.intp)
+    band = np.array([[0, b, 0, L], [b, L, 0, b]], dtype=np.intp)
+    tiles = [band if b else band[:0]]
+    for rows, keys in buckets:
+        live = (keys >= b) & (rows[:, :1] >= b)  # keys right of the band, off its line
+        step = np.diff(keys, axis=1) != 1
+        first, last = live.copy(), live.copy()
+        first[:, 1:] &= step | ~live[:, :-1]
+        last[:, :-1] &= step
+        # flat positions of each run's first and last key, line by line
+        j0, j1 = np.flatnonzero(first), np.flatnonzero(last)
+        q0 = rows[:, 0][j0 // keys.shape[1]]
+        flat = keys.ravel()
+        tiles.append(np.stack([q0, q0 + rows.shape[1], flat[j0], flat[j1] + 1], axis=1))
+    tiles = np.concatenate(tiles)
+    # lines are disjoint row ranges and each line's runs are in key order
+    return tiles[np.argsort(tiles[:, 0], kind="stable")]
 
 
 def blocks_cover(blocks, L: int) -> np.ndarray:
@@ -227,25 +199,20 @@ def plan_blocks(blocks, length: int) -> Plan:
     need not be symmetric. Raises ValidationError for a rectangle out of
     range, a key covered twice, or a row no rectangle covers.
     """
-    flat = np.fromiter(itertools.chain.from_iterable(blocks), dtype=np.intp)
-    if flat.size != 4 * len(blocks):
-        raise ValidationError("blocks must be (q0, q1, k0, k1) rectangles")
-    b = flat.reshape(-1, 4)
+    b = np.asarray(blocks, dtype=np.intp)
+    if b.ndim != 2 or b.shape[1] != 4:
+        raise ValidationError("blocks must be an (n, 4) array of (q0, q1, k0, k1) rectangles")
     q0, q1, k0, k1 = b.T
     bad = ~((0 <= q0) & (q0 < q1) & (q1 <= length) & (0 <= k0) & (k0 < k1) & (k1 <= length))
     if bad.any():
         raise ValidationError(
             f"block {tuple(b[np.argmax(bad)].tolist())} out of range for L={length}"
         )
-    allowed = blocks_cover(b.tolist(), length)
+    allowed = blocks_cover(b, length)
     covered = allowed.any(axis=1)
     if not covered.all():
         raise ValidationError(f"blocks leave query row {int(np.argmin(covered))} uncovered")
     return Plan(_buckets(allowed), _buckets(allowed.T))
-
-
-def block_area(blocks) -> int:
-    return sum((q1 - q0) * (k1 - k0) for q0, q1, k0, k1 in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +343,13 @@ def _gather_pairs(enc: EncodedInput, table: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def write_blocks_file(path, mask: AttentionMask) -> None:
-    blocks = export_blocks(mask)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"L={mask.length} scheme={mask.scheme} sparsity={sparsity(mask):.6f}\n")
-        for q0, q1, k0, k1 in blocks:
-            fh.write(f"{q0} {q1} {k0} {k1}\n")
+        fh.writelines(f"{q0} {q1} {k0} {k1}\n" for q0, q1, k0, k1 in export_blocks(mask).tolist())
 
 
-def read_blocks_file(path) -> tuple[dict, tuple[tuple[int, int, int, int], ...]]:
+def read_blocks_file(path) -> tuple[dict, np.ndarray]:
+    """The header fields and the rectangles, an (n, 4) intp array."""
     with open(path, "r", encoding="utf-8") as fh:
         header_line = fh.readline().strip()
         meta = {}
@@ -410,4 +376,4 @@ def read_blocks_file(path) -> tuple[dict, tuple[tuple[int, int, int, int], ...]]
             meta["sparsity"] = float(meta["sparsity"])
     except ValueError:
         raise ValidationError(f"{path}: malformed blocks header: {header_line!r}") from None
-    return meta, tuple(blocks)
+    return meta, np.array(blocks, dtype=np.intp).reshape(-1, 4)

@@ -232,5 +232,5 @@ def _counts(levels, factors, check_full: bool = True) -> dict[tuple[str, ...], i
         sizes = [sorted(set(levels[f])) for f in factors]
         for combo in itertools.product(*sizes):
             if combo not in counts:
-                raise UnbalancedDesignError(f"empty cell {dict(zip(factors, combo))}")
+                raise UnbalancedDesignError(f"empty cell {dict(zip(factors, map(str, combo)))}")
     return counts

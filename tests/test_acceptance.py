@@ -31,12 +31,13 @@ from tabenc.datagen import (
     perturb_consistency,
 )
 from tabenc.linearize import linearize
-from tabenc.mask import build_bias_map, build_mask, build_mask_bruteforce, blocks_cover
+from tabenc.mask import build_bias_map, build_mask, blocks_cover
 from tabenc.model import ModelConfig, evaluate_da, train
 from tabenc.sqlexec import execute, unparse
 from tabenc.stats import DegenerateDataError, anova
 
 from conftest import make_table, naive_execute, random_question
+from oracles import build_mask_bruteforce
 
 
 def _emit_default(line):
@@ -459,6 +460,8 @@ def _pipeline(root: Path, monkeypatch) -> dict[str, bytes]:
 def test_criterion_9_determinism(tmp_path, monkeypatch, capfd):
     with criterion("criterion 9 byte-identical reruns") as info:
         saved = {v: os.environ.get(v) for v in THREAD_VARS}
+        for var in THREAD_VARS:  # a BLAS variable set to another count would conflict
+            monkeypatch.delenv(var, raising=False)
         monkeypatch.setenv("TABENC_THREADS", "1")
         try:
             first = _pipeline(tmp_path / "a", monkeypatch)

@@ -312,8 +312,10 @@ def test_mask_plan_built_once_per_mask(rng, monkeypatch):
     _, m, q, k, v, bias, _, rel = random_case(rng, "M5", d=4, with_bias=True)
     inp = AttentionInput(q=q, k=k, v=v, mask=m, bias_values=bias)
     d_out = rng.standard_normal(q.shape)
-    fresh = (block_sparse_forward(q, k, v, m.blocks, bias),
-             block_sparse_backward(q, k, v, m.blocks, d_out, bias, rel=rel.rel,
+    # the same rectangles, tiled from the bare matrix so that m.plan is not built yet
+    rects = mask_module.export_blocks_from_dense(m.dense)
+    fresh = (block_sparse_forward(q, k, v, rects, bias),
+             block_sparse_backward(q, k, v, rects, d_out, bias, rel=rel.rel,
                                    n_classes=rel.n_classes))
     calls = []
     row_runs = mask_module._row_runs
@@ -326,7 +328,8 @@ def test_mask_plan_built_once_per_mask(rng, monkeypatch):
     monkeypatch.setattr(mask_module, "_row_runs", counted)
     out = attn_block_sparse(inp).out
     grads = attn_backward(inp, d_out, blocks=m.blocks, rel_map=rel)
-    assert calls == [q.shape[0]]
+    assert calls == [q.shape[0]]  # m.blocks, read above, is cut from the same plan
+    assert np.array_equal(m.blocks, rects)
     assert np.array_equal(out, fresh[0])
     for a, b in zip((grads.dq, grads.dk, grads.dv, grads.dbias_class), fresh[1]):
         assert np.array_equal(a, b)

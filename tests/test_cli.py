@@ -679,15 +679,21 @@ def test_thread_cap_env(tmp_path, capsys, monkeypatch):
     assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
 
 
-def test_thread_cap_respects_existing(tmp_path, capsys, monkeypatch):
+def test_thread_cap_conflict_exits_2(tmp_path, capsys, monkeypatch):
     for var in THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("TABENC_THREADS", "2")
-    monkeypatch.setenv("OMP_NUM_THREADS", "8")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")  # a matching value is fine
     table = write_table(tmp_path)
     code, _, _ = run(capsys, "exec", "--table", str(table), "--query", "select c1")
     assert code == 0
-    assert os.environ["OMP_NUM_THREADS"] == "8"  # setdefault never clobbers
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+        monkeypatch.setenv(var, "8")
+        code, _, err = run(capsys, "exec", "--table", str(table), "--query", "select c1")
+        assert code == 2
+        assert f"TABENC_THREADS=2 conflicts with {var}=8" in err
+        monkeypatch.setenv(var, "2")
 
 
 def test_invalid_thread_cap_exits_2(tmp_path, capsys, monkeypatch):
@@ -741,7 +747,9 @@ def test_console_script(tmp_path):
     src = str(Path(tabenc.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     table = write_table(tmp_path)
-    env = dict(os.environ, PYTHONPATH=pythonpath, TABENC_THREADS="2")
+    # BLAS thread variables set to another count would conflict with the cap
+    base = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env = dict(base, PYTHONPATH=pythonpath, TABENC_THREADS="2")
     proc = subprocess.run(
         [*argv, "exec", "--table", str(table), "--query", "select c2 where c1 = 1"],
         capture_output=True, text=True, env=env, cwd=tmp_path,
@@ -753,7 +761,7 @@ def test_console_script(tmp_path):
         [*argv, "--json-errors", "exec", "--table", str(tmp_path / "missing.json"),
          "--query", "select c1"],
         capture_output=True, text=True, cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=pythonpath, TABENC_THREADS="abc"),
+        env=dict(base, PYTHONPATH=pythonpath, TABENC_THREADS="abc"),
     )
     assert proc.returncode == 2
     assert json.loads(proc.stderr)["error"] == "ValidationError"

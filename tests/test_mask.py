@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,9 @@ from tabenc.linearize import HEADER_ROW, TokenRole, linearize
 from tabenc.mask import (
     BIAS_CLASSES,
     N_BIAS_CLASSES,
-    block_area,
     blocks_cover,
     build_bias_map,
     build_mask,
-    build_mask_bruteforce,
     export_blocks,
     export_blocks_from_dense,
     read_blocks_file,
@@ -18,8 +18,10 @@ from tabenc.mask import (
     write_blocks_file,
 )
 from tabenc.attention import plan_blocks
+from tabenc.cli import main
 
 from conftest import make_table, random_question
+from oracles import block_area, build_mask_bruteforce
 
 ALL_SCHEMES = ("M0", "M1", "M2", "M3", "M4", "M5", "M6")
 STRUCTURAL = ("M4", "M5", "M6")
@@ -64,7 +66,7 @@ def test_m0_is_all_ones():
     m = build_mask(enc, "M0")
     assert m.dense.all()
     assert sparsity(m) == 0.0
-    assert export_blocks(m) == ((0, len(enc), 0, len(enc)),)
+    assert_tiling(export_blocks(m), ((0, len(enc), 0, len(enc)),))
 
 
 def test_masks_are_symmetric_with_diagonal(rng):
@@ -165,6 +167,13 @@ def test_structural_masks_need_t2(rng):
 # block export
 # ---------------------------------------------------------------------------
 
+def assert_tiling(got, want):
+    """got is an (n, 4) integer array holding the rectangles of want, in order."""
+    assert got.shape == (len(want), 4)
+    assert np.issubdtype(got.dtype, np.integer)
+    assert np.array_equal(got, want)
+
+
 def test_blocks_tile_exactly(rng):
     for tokens, scheme in legal_pairs():
         t = make_table(rng)
@@ -205,7 +214,7 @@ def test_blocks_match_tiling_loop(rng, tokens, scheme):
     for _ in range(20):
         t = make_table(rng)
         m = build_mask(linearize(random_question(rng, t), t, tokens), scheme)
-        assert export_blocks(m) == tiling_loop(m.dense)
+        assert_tiling(export_blocks(m), tiling_loop(m.dense))
 
 
 def test_blocks_from_dense_match_tiling_loop_on_any_symmetric_matrix(rng):
@@ -215,7 +224,7 @@ def test_blocks_from_dense_match_tiling_loop_on_any_symmetric_matrix(rng):
         n = int(rng.integers(1, 12))
         upper = np.triu(rng.random((n, n)) < rng.random())
         dense = upper | upper.T | np.eye(n, dtype=bool)
-        assert export_blocks_from_dense(dense) == tiling_loop(dense)
+        assert_tiling(export_blocks_from_dense(dense), tiling_loop(dense))
 
 
 @pytest.mark.parametrize("tokens,scheme", list(legal_pairs()))
@@ -258,9 +267,28 @@ def test_blocks_file_round_trip(tmp_path):
     assert meta["L"] == m.length
     assert meta["scheme"] == "M5"
     assert meta["sparsity"] == pytest.approx(sparsity(m), abs=1e-6)
-    assert blocks == export_blocks(m)
+    assert_tiling(blocks, export_blocks(m))
     first_line = path.read_text().splitlines()[0]
     assert first_line.startswith(f"L={m.length} scheme=M5 sparsity=")
+
+
+@pytest.mark.parametrize("tokens,scheme", [("T0", "M1"), ("T0", "M3"), ("T2", "M5")])
+def test_mask_out_file_is_the_reference_tiling(rng, tmp_path, capsys, tokens, scheme):
+    t = make_table(rng, n_rows=24, n_cols=4)
+    question = random_question(rng, t)
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"header": list(t.headers), "rows": [list(r) for r in t.rows]}))
+    out = tmp_path / "m.blocks"
+    code = main(["mask", "--question", question, "--table", str(table),
+                 "--tokens", tokens, "--mask", scheme, "--out", str(out)])
+    assert code == 0
+    dense = build_mask_bruteforce(linearize(question, t, tokens), scheme).dense
+    L = len(dense)
+    want = tiling_loop(dense)
+    lines = [f"L={L} scheme={scheme} sparsity={(L * L - int(dense.sum())) / (L * L):.6f}"]
+    lines += [f"{q0} {q1} {k0} {k1}" for q0, q1, k0, k1 in want]
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert json.loads(capsys.readouterr().out)["n_blocks"] == len(want)
 
 
 def test_blocks_file_rejects_garbage(tmp_path):

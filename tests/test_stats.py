@@ -239,8 +239,9 @@ def test_missing_cell_is_unbalanced():
     rows = []
     for a, b in (("x", "p"), ("x", "q"), ("y", "p")):  # (y, q) absent
         rows += [{"A": a, "B": b, "da": random.Random(a + b).random()} for _ in range(2)]
-    with pytest.raises(UnbalancedDesignError):
+    with pytest.raises(UnbalancedDesignError) as err:
         anova(rows, terms=["A", "B"])
+    assert str(err.value) == "empty cell {'A': 'y', 'B': 'q'}"  # plain str levels
 
 
 def test_term_validation():
