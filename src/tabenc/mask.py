@@ -43,6 +43,18 @@ _SAME_COL = frozenset({"M1", "M2", "M4"})
 _STRUCT_RELAY = frozenset({"M4", "M5", "M6"})
 
 
+class Tiling(np.ndarray):
+    """An (n, 4) intp array of (q0, q1, k0, k1) rectangles. Adding a tuple or
+    list of rectangles appends them as rows, as adding to a tuple of tuples
+    did; any other operand adds elementwise, as for any array."""
+
+    def __add__(self, other):
+        if isinstance(other, (tuple, list)):
+            rows = np.asarray(other, dtype=np.intp).reshape(-1, 4)
+            return np.concatenate([self.view(np.ndarray), rows]).view(Tiling)
+        return super().__add__(other)
+
+
 @dataclass(frozen=True)
 class AttentionMask:
     """Boolean allow-matrix; dense[i, j] is True when query i may attend key j."""
@@ -52,13 +64,13 @@ class AttentionMask:
     dense: np.ndarray
 
     @functools.cached_property
-    def blocks(self) -> np.ndarray:
+    def blocks(self) -> Tiling:
         """The (q0, q1, k0, k1) half-open rectangles that tile the allowed
         set exactly (disjoint, union equal to the True entries), as a
-        read-only (n, 4) intp array sorted by (q0, k0). Cut on first use from
+        read-only (n, 4) intp Tiling sorted by (q0, k0). Cut on first use from
         the lines of `plan`, since only block files and tiling checks need
         it; the kernel runs the plan itself."""
-        blocks = export_blocks_from_dense(self.dense, self.plan.query)
+        blocks = export_blocks_from_dense(self.dense, self.plan.query).view(Tiling)
         blocks.flags.writeable = False
         return blocks
 
@@ -95,8 +107,8 @@ def sparsity(mask: AttentionMask) -> float:
     return float(L * L - int(mask.dense.sum())) / float(L * L)
 
 
-def export_blocks(mask: AttentionMask) -> np.ndarray:
-    """Rectangle tiling of the allowed set, an (n, 4) array sorted by (q0, k0)."""
+def export_blocks(mask: AttentionMask) -> Tiling:
+    """Rectangle tiling of the allowed set, an (n, 4) Tiling sorted by (q0, k0)."""
     return mask.blocks
 
 
@@ -199,9 +211,13 @@ def plan_blocks(blocks, length: int) -> Plan:
     need not be symmetric. Raises ValidationError for a rectangle out of
     range, a key covered twice, or a row no rectangle covers.
     """
-    b = np.asarray(blocks, dtype=np.intp)
+    shape_error = ValidationError("blocks must be an (n, 4) array of (q0, q1, k0, k1) rectangles")
+    try:
+        b = np.asarray(blocks, dtype=np.intp)
+    except (ValueError, TypeError):  # ragged rows, or not integers
+        raise shape_error from None
     if b.ndim != 2 or b.shape[1] != 4:
-        raise ValidationError("blocks must be an (n, 4) array of (q0, q1, k0, k1) rectangles")
+        raise shape_error
     q0, q1, k0, k1 = b.T
     bad = ~((0 <= q0) & (q0 < q1) & (q1 <= length) & (0 <= k0) & (k0 < k1) & (k1 <= length))
     if bad.any():

@@ -415,6 +415,11 @@ def test_plan_blocks_range_check():
         plan_blocks([(0, 2, 0, 9)], 8)
     with pytest.raises(ValidationError):
         plan_blocks([(3, 3, 0, 2)], 8)
+    with pytest.raises(ValidationError, match=r"\(n, 4\) array"):
+        plan_blocks([(0, 4, 0, 4), (0, 4)], 4)  # ragged
+    with pytest.raises(ValidationError, match=r"\(n, 4\) array"):
+        z = np.zeros((4, 2))
+        block_sparse_forward(z, z, z, [(0, 4, 0, 4), (0, 4)])
 
 
 def test_plan_blocks_rejects_overlap(rng):

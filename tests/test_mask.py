@@ -185,6 +185,16 @@ def test_blocks_tile_exactly(rng):
         assert block_area(blocks) == int(m.dense.sum())
 
 
+def test_tiling_appends_tuples_and_adds_arrays(rng):
+    t = make_table(rng)
+    m = build_mask(linearize(random_question(rng, t), t, "T0"), "M1")
+    last = tuple(m.blocks[-1].tolist())
+    grown = m.blocks[:-1] + (last, last)
+    assert_tiling(grown, np.concatenate([m.blocks, m.blocks[-1:]]))
+    assert np.array_equal(m.blocks + 1, np.asarray(m.blocks) + 1)
+    assert not m.blocks.flags.writeable
+
+
 def tiling_loop(dense):
     """Group-by-group tiling, the reference for the vectorized export_blocks:
     the question band as at most two rectangles, then each run of identical
