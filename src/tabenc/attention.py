@@ -10,12 +10,14 @@ buckets. A bucket stacks every run of identical rows that has the same
 gathers a chunk's (G, R, d) queries, (G, K, d) keys and values and (G, R, K)
 bias and calls the dense core once on them (BigBird-style blockification).
 Its sparsity comes in one argument, `blocks`: an AttentionMask runs the plan
-of its own rows (AttentionMask.plan), built once. The kernel never tiles it;
-the mask's rectangle tiling (AttentionMask.blocks) is cut from that same plan
-only when a block file or a check asks for it. An (n, 4) array of (q0, q1,
-k0, k1) rectangles, such as a block file's, is painted into a matrix and
-bucketed the same way (mask.plan_blocks). An AttentionInput whose mask is an
-AttentionMask always runs that mask.
+of its own rows (AttentionMask.plan), built once from the table layout. The
+kernel never tiles it; the mask's rectangle tiling (AttentionMask.blocks) is
+cut from that same plan only when a block file or a check asks for it. An
+(n, 4) array of (q0, q1, k0, k1) rectangles, such as a block file's, is
+painted into a matrix and bucketed by its row runs (mask.plan_blocks). An
+AttentionInput whose mask is an AttentionMask always runs that mask, and
+checks it without its L x L matrix: its bias is checked along the plan's
+lines, so a block-sparse pass never builds the matrix.
 
 Every softmax row is complete within its bucket line, so the forward is one
 pass. The backward is two. The query-major pass gives dq and the per-class
@@ -77,6 +79,15 @@ def _dense_of(mask) -> np.ndarray | None:
     return np.asarray(mask, dtype=bool)
 
 
+def _allowed_entries(bias, allowed):
+    """The entries of `bias` at the pairs `allowed` (an AttentionMask, a
+    boolean matrix or None for all) allows, in parts: an AttentionMask's
+    come line by line from its plan, so its matrix is never built."""
+    if isinstance(allowed, AttentionMask):
+        return (_pairs(bias, rows, keys) for rows, keys in _chunks(allowed.plan.query, len(bias), 1))
+    return (bias if allowed is None else bias[allowed],)
+
+
 @dataclass
 class AttentionInput:
     """Single-head attention operands; multi-head is composition by the caller."""
@@ -95,8 +106,13 @@ class AttentionInput:
         if self.q.ndim != 2 or self.k.shape != self.q.shape or self.v.shape != self.q.shape:
             raise ValidationError("q, k, v must share one (L, d) shape")
         L = self.q.shape[0]
-        allowed = _dense_of(self.mask)
-        if allowed is not None:
+        allowed = self.mask
+        if isinstance(allowed, AttentionMask):
+            # checked without its matrix; it sets its diagonal, so every row allows a key
+            if allowed.length != L:
+                raise ValidationError("mask shape must be (L, L)")
+        elif allowed is not None:
+            allowed = np.asarray(allowed, dtype=bool)
             if allowed.shape != (L, L):
                 raise ValidationError("mask shape must be (L, L)")
             if not allowed.any(axis=1).all():
@@ -105,8 +121,7 @@ class AttentionInput:
             bias = np.asarray(self.bias_values)
             if bias.shape != (L, L):
                 raise ValidationError("bias shape must be (L, L)")
-            check = bias if allowed is None else bias[allowed]
-            if not np.isfinite(check).all():
+            if not all(np.isfinite(part).all() for part in _allowed_entries(bias, allowed)):
                 raise ValidationError("bias must be finite wherever the mask allows")
         if self.scale is None:
             self.scale = 1.0 / float(np.sqrt(self.q.shape[1]))

@@ -18,12 +18,16 @@ self-only. M4..M6 require T2 inputs.
 Every mask rule and bias relation class sees a token pair only through its
 signature (same_row, same_col, category i, category j); the categories are the
 TokenRoles plus header-row content. The rules are evaluated once, at import,
-at all 2 x 2 x 8 x 8 signatures; build_mask and build_bias_map gather from
-those tables pair by pair and then set the diagonal.
+at all 2 x 2 x 8 x 8 signatures. build_bias_map gathers its L x L map from
+those tables pair by pair and then sets the diagonal.
 
-A mask's runs of identical rows are bucketed once (AttentionMask.plan). The
+A mask is a view of the layout: the scheme plus each token's row, column and
+category (AttentionMask). Its runs of identical rows are planned straight
+from that layout, in O(L + nnz), as shape buckets (AttentionMask.plan); the
 block-sparse kernel runs those buckets, and the rectangle tiling of block
 files (AttentionMask.blocks) is cut from the same lines, as one (n, 4) array.
+The L x L matrix (AttentionMask.dense) is gathered like the relation map,
+and only when a caller reads it.
 """
 
 from __future__ import annotations
@@ -57,11 +61,26 @@ class Tiling(np.ndarray):
 
 @dataclass(frozen=True)
 class AttentionMask:
-    """Boolean allow-matrix; dense[i, j] is True when query i may attend key j."""
+    """A scheme's mask over one table layout: query i may attend key j when
+    the scheme's signature table allows (same row, same column, cat[i],
+    cat[j]), and always when i == j. The plan, the tiling and the L x L
+    matrix are derived from that layout on first use."""
 
-    length: int
     scheme: str
-    dense: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    cat: np.ndarray  # the signature categories (TokenRoles plus _HEADER)
+
+    @property
+    def length(self) -> int:
+        return len(self.cat)
+
+    @functools.cached_property
+    def dense(self) -> np.ndarray:
+        """The boolean allow-matrix; dense[i, j] is True when query i may attend key j."""
+        allowed = _gather_pairs(self.row, self.col, self.cat, _MASK_TABLES[self.scheme])
+        np.fill_diagonal(allowed, True)
+        return allowed
 
     @functools.cached_property
     def blocks(self) -> Tiling:
@@ -70,17 +89,17 @@ class AttentionMask:
         read-only (n, 4) intp Tiling sorted by (q0, k0). Cut on first use from
         the lines of `plan`, since only block files and tiling checks need
         it; the kernel runs the plan itself."""
-        blocks = export_blocks_from_dense(self.dense, self.plan.query).view(Tiling)
+        blocks = export_blocks_from_dense(self.length, self.plan.query).view(Tiling)
         blocks.flags.writeable = False
         return blocks
 
     @functools.cached_property
     def plan(self) -> Plan:
-        """The shape buckets of dense's row runs (see Plan). Built once per
-        mask and shared by the block-sparse forward and backward and by the
-        tiling (`blocks`). dense is symmetric (build_mask makes it so), so the
-        key plan is the query plan."""
-        buckets = _buckets(self.dense)
+        """The shape buckets of the mask's row runs (see Plan), planned from
+        the layout (_layout_buckets). Built once per mask and shared by the
+        block-sparse forward and backward and by the tiling (`blocks`). The
+        signature tables are symmetric, so the key plan is the query plan."""
+        buckets = _layout_buckets(self.row, self.col, self.cat, _MASK_TABLES[self.scheme])
         return Plan(buckets, buckets)
 
 
@@ -93,18 +112,24 @@ def _check_scheme(enc: EncodedInput, scheme: str) -> None:
         )
 
 
+def _layout(enc: EncodedInput) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each token's (row, column, signature category)."""
+    header = (enc.roles == TokenRole.CELL_CONTENT) & (enc.row_idx == HEADER_ROW)
+    return enc.row_idx, enc.col_idx, np.where(header, _HEADER, enc.roles).astype(np.uint8)
+
+
 def build_mask(enc: EncodedInput, scheme: str) -> AttentionMask:
-    """Mask from the scheme's signature table, with the diagonal set."""
+    """The scheme's mask over enc's layout; no L x L matrix is built until
+    AttentionMask.dense is read."""
     _check_scheme(enc, scheme)
-    allowed = _gather_pairs(enc, _MASK_TABLES[scheme])
-    np.fill_diagonal(allowed, True)
-    return AttentionMask(len(enc), scheme, allowed)
+    return AttentionMask(scheme, *_layout(enc))
 
 
 def sparsity(mask: AttentionMask) -> float:
     """Fraction of disallowed pairs over L^2."""
     L = mask.length
-    return float(L * L - int(mask.dense.sum())) / float(L * L)
+    allowed = sum(rows.size * keys.shape[1] for rows, keys in mask.plan.query)
+    return float(L * L - allowed) / float(L * L)
 
 
 def export_blocks(mask: AttentionMask) -> Tiling:
@@ -112,19 +137,20 @@ def export_blocks(mask: AttentionMask) -> Tiling:
     return mask.blocks
 
 
-def export_blocks_from_dense(dense: np.ndarray, buckets: list | None = None) -> np.ndarray:
+def export_blocks_from_dense(dense, buckets: list | None = None) -> np.ndarray:
     """Tile a symmetric allow-matrix with a True diagonal into disjoint
     (q0, q1, k0, k1) rectangles, an (n, 4) intp array sorted by (q0, k0).
 
     `buckets` are the matrix's query buckets (_buckets(dense), built here
     when not given): each line is a run of identical rows with its sorted
-    keys. The question band (the maximal all-True leading row prefix, which
-    by symmetry is also an all-True leading column prefix) is emitted as at
+    keys. With them, `dense` may be just the matrix's length L. The
+    question band (the maximal all-True leading row prefix, which by
+    symmetry is also an all-True leading column prefix) is emitted as at
     most two rectangles; every other line is cut into its runs of
     consecutive keys at or after the band. Residual diagonal entries come
     out as 1x1 rectangles.
     """
-    L = int(dense.shape[0])
+    L = int(dense) if np.ndim(dense) == 0 else int(dense.shape[0])
     if buckets is None:
         buckets = _buckets(dense)
     # the band's rows are one line, starting at row 0, that allows every key
@@ -151,16 +177,41 @@ def export_blocks_from_dense(dense: np.ndarray, buckets: list | None = None) -> 
 
 
 def blocks_cover(blocks, L: int) -> np.ndarray:
-    """Paint rectangles into an L x L allow-matrix; raises ValidationError,
-    naming the first pair in row-major order, if any pair is covered twice."""
-    cover = np.zeros((L, L), dtype=bool)
-    twice = np.zeros((L, L), dtype=bool)  # a flag, not a count, so it cannot wrap
-    for q0, q1, k0, k1 in blocks:
-        twice[q0:q1, k0:k1] |= cover[q0:q1, k0:k1]
-        cover[q0:q1, k0:k1] = True
-    if twice.any():
-        r, k = divmod(int(np.argmax(twice)), L)
-        raise ValidationError(f"blocks cover key {k} twice for query row {r}")
+    """Paint in-range rectangles into an L x L allow-matrix; raises
+    ValidationError, naming the first pair in row-major order, if any pair
+    is covered twice.
+
+    A rectangle is four corner events of a 2-D difference array: +1 at
+    (q0, k0) and (q1, k1), -1 at (q0, k1) and (q1, k0). Row chunks are
+    painted in order: each chunk's differences are summed down its rows,
+    from the sums above it, and then across, which counts each pair's
+    rectangles."""
+    q0, q1, k0, k1 = np.asarray(blocks, dtype=np.intp).reshape(-1, 4).T
+    width = L + 1
+    rows = np.concatenate([q0, q0, q1, q1])
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    cols = np.concatenate([k0, k1, k0, k1])[order]
+    signs = np.repeat([1.0, -1.0, -1.0, 1.0], len(q0))[order]  # exact small integers
+    cover = np.empty((L, L), dtype=bool)
+    above = np.zeros(width)
+    step = max(1, _CHUNK_PAIRS // width)
+    for r0 in range(0, L, step):
+        r1 = min(r0 + step, L)
+        lo, hi = np.searchsorted(rows, (r0, r1))
+        diff = np.bincount((rows[lo:hi] - r0) * width + cols[lo:hi], weights=signs[lo:hi],
+                           minlength=(r1 - r0) * width).reshape(r1 - r0, width)
+        diff = diff.astype(float, copy=False)  # a chunk without events bins to ints
+        diff[0] += above
+        for r in range(1, r1 - r0):  # row by row: np.cumsum down axis 0 is slower
+            diff[r] += diff[r - 1]
+        above = diff[-1].copy()
+        count = np.cumsum(diff, axis=1, out=diff)[:, :L]
+        twice = count > 1
+        if twice.any():
+            r, k = divmod(int(np.argmax(twice)), L)
+            raise ValidationError(f"blocks cover key {k} twice for query row {r0 + r}")
+        cover[r0:r1] = count > 0
     return cover
 
 
@@ -270,7 +321,7 @@ class BiasRelationMap:
 
 
 def build_bias_map(enc: EncodedInput) -> BiasRelationMap:
-    rel = _gather_pairs(enc, _RELATION_TABLE)
+    rel = _gather_pairs(*_layout(enc), _RELATION_TABLE)
     np.fill_diagonal(rel, 0)  # "self"
     return BiasRelationMap(len(enc), rel)
 
@@ -329,16 +380,13 @@ def _signature_tables() -> tuple[dict[str, np.ndarray], np.ndarray]:
 
 
 _MASK_TABLES, _RELATION_TABLE = _signature_tables()
-_CHUNK_PAIRS = 1 << 20  # pairs per row chunk of _gather_pairs
+_CHUNK_PAIRS = 1 << 20  # pairs per row chunk of _gather_pairs and blocks_cover
 
 
-def _gather_pairs(enc: EncodedInput, table: np.ndarray) -> np.ndarray:
-    """L x L array whose [i, j] is table[same_row, same_col, cat(i), cat(j)],
+def _gather_pairs(rows, cols, cat, table: np.ndarray) -> np.ndarray:
+    """L x L array whose [i, j] is table[same_row, same_col, cat[i], cat[j]],
     built in row chunks, so working memory beyond the output is O(chunk * L)."""
-    L, n = len(enc), _HEADER + 1
-    rows, cols = enc.row_idx, enc.col_idx
-    header = (enc.roles == TokenRole.CELL_CONTENT) & (rows == HEADER_ROW)
-    cat = np.where(header, _HEADER, enc.roles).astype(np.uint8)
+    L, n = len(cat), _HEADER + 1
     flat = table.reshape(-1)
     out = np.empty((L, L), dtype=table.dtype)
     step = max(1, _CHUNK_PAIRS // max(L, 1))
@@ -352,6 +400,90 @@ def _gather_pairs(enc: EncodedInput, table: np.ndarray) -> np.ndarray:
         # "clip" clips nothing here and, unlike "raise", writes out unbuffered
         np.take(flat, sig, out=out[r], mode="clip")
     return out
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The concatenated ranges [lo[i], hi[i]), in order."""
+    counts = hi - lo
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts - lo, counts)
+
+
+def _layout_buckets(rows, cols, cat, table: np.ndarray) -> list:
+    """The query buckets of the allow-matrix that a monotone, symmetric
+    signature table gives over a layout, with the diagonal set: exactly
+    _buckets of that matrix, built in O(L + nnz) without it.
+
+    A token's mask row depends on its descriptor: its rule class (categories
+    whose table entries as query are equal share one), its row if the class's
+    rules look at same_row, its column if they look at same_col. Consecutive
+    tokens with one descriptor share a row when their categories allow
+    themselves; a token whose category does not is a line of its own (its row
+    adds its diagonal). As the tables only grow with same_row and same_col, a
+    line's keys are the union of the tokens whose category its class allows
+    anywhere, in its row, in its column and in its cell, plus itself where
+    needed. Adjacent lines with equal keys are then merged into one run.
+    """
+    L = len(cat)
+    # [category i, category j]: j is allowed for i anywhere, or only in i's
+    # row, column or cell
+    anywhere = table[0, 0]
+    in_row, in_col = table[1, 0] & ~anywhere, table[0, 1] & ~anywhere
+    in_cell = table[1, 1] & ~(table[1, 0] | table[0, 1])
+    by_row = (in_row | in_cell).any(axis=1)[cat]
+    by_col = (in_col | in_cell).any(axis=1)[cat]
+    rules = table.transpose(2, 0, 1, 3).reshape(len(anywhere), -1)
+    rule_class = np.array([np.flatnonzero((rules == r).all(axis=1))[0] for r in rules])[cat]
+    self_ok = table[1, 1].diagonal()[cat]
+
+    # lines: runs of one descriptor, cut around every token not allowing itself
+    desc = np.stack([rule_class, np.where(by_row, rows, -1), np.where(by_col, cols, -1)])
+    start = np.ones(L, dtype=bool)
+    start[1:] = (desc[:, 1:] != desc[:, :-1]).any(axis=0) | ~(self_ok[1:] & self_ok[:-1])
+    first = np.flatnonzero(start)
+    line_class = rule_class[first]
+
+    # (line, key) pairs, coded as line * L + key: each line's own diagonal
+    # entry where needed, then each key list of each rule class
+    alone = np.flatnonzero(~self_ok[first])
+    codes = [alone * L + first[alone]]
+    cell = rows.astype(np.intp) * (int(cols.max()) + 1) + cols
+    for allowed, group in ((anywhere, np.zeros(L, dtype=np.intp)), (in_row, rows),
+                           (in_col, cols), (in_cell, cell)):
+        order = np.argsort(group, kind="stable")  # by group, then by index
+        for c in np.unique(line_class):
+            if not allowed[c].any():
+                continue
+            keys = order[allowed[c][cat[order]]]
+            lines = np.flatnonzero(line_class == c)
+            want = group[first[lines]]
+            lo = np.searchsorted(group[keys], want, side="left")
+            hi = np.searchsorted(group[keys], want, side="right")
+            codes.append(np.repeat(lines, hi - lo) * L + keys[_ranges(lo, hi)])
+    code = np.sort(np.concatenate(codes), kind="stable")
+    code = code[np.append(True, code[1:] != code[:-1])]  # a cell's keys are in its row and column
+    off = np.searchsorted(code, np.arange(len(first) + 1) * L)
+    n_keys = np.diff(off)
+    keys = code - np.repeat(np.arange(len(first)) * L, n_keys)
+
+    # merge each line into the one before when their keys are equal
+    sums = np.add.reduceat(keys, off[:-1])  # every line holds at least one key
+    alike = 1 + np.flatnonzero((n_keys[1:] == n_keys[:-1]) & (sums[1:] == sums[:-1]))
+    merged = np.zeros(len(first), dtype=bool)
+    if len(alike):
+        differ = keys[_ranges(off[alike - 1], off[alike])] != keys[_ranges(off[alike], off[alike + 1])]
+        seg = np.cumsum(n_keys[alike]) - n_keys[alike]
+        merged[alike] = ~np.logical_or.reduceat(differ, seg)
+    first, off, n_keys = first[~merged], off[:-1][~merged], n_keys[~merged]
+    n_rows = np.diff(np.append(first, L))
+
+    # one bucket per (R, K) shape in ascending order, its lines in row order
+    order = np.lexsort((n_keys, n_rows))
+    first, off, n_rows, n_keys = first[order], off[order], n_rows[order], n_keys[order]
+    edges = np.flatnonzero(np.diff(n_rows * (L + 1) + n_keys, prepend=-1, append=-1))
+    return [(first[g0:g1, None] + np.arange(n_rows[g0]),
+             keys[off[g0:g1, None] + np.arange(n_keys[g0])])
+            for g0, g1 in zip(edges[:-1].tolist(), edges[1:].tolist())]
 
 
 # ---------------------------------------------------------------------------

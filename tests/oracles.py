@@ -3,7 +3,7 @@
 import numpy as np
 
 from tabenc.linearize import EncodedInput, TokenRole
-from tabenc.mask import _SAME_COL, _SAME_ROW, _STRUCT_RELAY, AttentionMask, _check_scheme
+from tabenc.mask import _SAME_COL, _SAME_ROW, _STRUCT_RELAY, _check_scheme
 
 
 def _allowed_pair(enc: EncodedInput, scheme: str, i: int, j: int) -> bool:
@@ -39,15 +39,15 @@ def _allowed_pair(enc: EncodedInput, scheme: str, i: int, j: int) -> bool:
     return False
 
 
-def build_mask_bruteforce(enc: EncodedInput, scheme: str) -> AttentionMask:
-    """Evaluate the pair predicate over all L^2 pairs; no shortcuts."""
+def build_mask_bruteforce(enc: EncodedInput, scheme: str) -> np.ndarray:
+    """The L x L allow-matrix from the pair predicate over all L^2 pairs; no shortcuts."""
     _check_scheme(enc, scheme)
     L = len(enc)
     dense = np.zeros((L, L), dtype=bool)
     for i in range(L):
         for j in range(L):
             dense[i, j] = _allowed_pair(enc, scheme, i, j)
-    return AttentionMask(L, scheme, dense)
+    return dense
 
 
 def block_area(blocks) -> int:

@@ -262,6 +262,12 @@ def test_asymmetric_blocks_match_dense(rng, monkeypatch):
         grads = block_sparse_backward(q, k, v, blocks, d_out, scales[rel], rel=rel, n_classes=4)
         for a, b in zip((out, *grads), want):
             assert np.allclose(a, b, rtol=0, atol=1e-12)
+        # the same rectangles as the blocks of an input with a plain-array mask
+        inp = AttentionInput(q=q, k=k, v=v, mask=allowed, bias_values=scales[rel])
+        grads = attn_backward(inp, d_out, blocks=blocks, rel_map=rel)
+        got = (attn_block_sparse(inp, blocks).out, grads.dq, grads.dk, grads.dv)
+        for a, b in zip(got, want):
+            assert np.allclose(a, b, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +298,22 @@ def test_attention_input_validation(rng):
     AttentionInput(q=q, k=q, v=q, mask=mask, bias_values=bias)
 
 
+def test_attention_input_checks_a_mask_without_its_matrix(rng):
+    enc, m, q, k, v, _, _, _ = random_case(rng, "M3")
+    dense = build_mask(enc, "M3").dense
+    i, j = np.argwhere(~dense)[0]
+    a, b = np.argwhere(dense & ~np.eye(len(enc), dtype=bool))[-1]
+    bias = np.zeros(dense.shape)
+    bias[i, j] = np.nan  # masked: accepted
+    AttentionInput(q=q, k=k, v=v, mask=m, bias_values=bias)
+    bias[a, b] = np.inf  # allowed: rejected
+    with pytest.raises(ValidationError, match="finite wherever the mask allows"):
+        AttentionInput(q=q, k=k, v=v, mask=m, bias_values=bias)
+    with pytest.raises(ValidationError, match="mask shape"):
+        AttentionInput(q=q[:-1], k=k[:-1], v=v[:-1], mask=m)
+    assert "dense" not in m.__dict__
+
+
 def test_wrapper_round_trip(rng):
     enc, m, q, k, v, bias, scales, rel = random_case(rng, "M4", d=4, with_bias=True)
     inp = AttentionInput(q=q, k=k, v=v, mask=m, bias_values=bias)
@@ -310,22 +332,22 @@ def test_wrapper_round_trip(rng):
 
 def test_mask_plan_built_once_per_mask(rng, monkeypatch):
     _, m, q, k, v, bias, _, rel = random_case(rng, "M5", d=4, with_bias=True)
-    inp = AttentionInput(q=q, k=k, v=v, mask=m, bias_values=bias)
+    calls = []
+    layout_buckets = mask_module._layout_buckets
+
+    def counted(rows, cols, cat, table):
+        calls.append(len(cat))
+        return layout_buckets(rows, cols, cat, table)
+
+    # every plan of a mask is planned from its layout here
+    monkeypatch.setattr(mask_module, "_layout_buckets", counted)
+    inp = AttentionInput(q=q, k=k, v=v, mask=m, bias_values=bias)  # checks bias on the plan
     d_out = rng.standard_normal(q.shape)
-    # the same rectangles, tiled from the bare matrix so that m.plan is not built yet
+    # the same rectangles, tiled from the bare matrix, which is bucketed by its row runs
     rects = mask_module.export_blocks_from_dense(m.dense)
     fresh = (block_sparse_forward(q, k, v, rects, bias),
              block_sparse_backward(q, k, v, rects, d_out, bias, rel=rel.rel,
                                    n_classes=rel.n_classes))
-    calls = []
-    row_runs = mask_module._row_runs
-
-    def counted(matrix):
-        calls.append(matrix.shape[0])
-        return row_runs(matrix)
-
-    # every plan, the mask's own or one of foreign blocks, finds its row runs here
-    monkeypatch.setattr(mask_module, "_row_runs", counted)
     out = attn_block_sparse(inp).out
     grads = attn_backward(inp, d_out, blocks=m.blocks, rel_map=rel)
     assert calls == [q.shape[0]]  # m.blocks, read above, is cut from the same plan
@@ -340,6 +362,22 @@ def test_mask_plan_built_once_per_mask(rng, monkeypatch):
     assert calls == [L]
     for a, b in zip((again.dq, again.dk, again.dv, again.dbias_class), fresh[1]):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("tokens,scheme", [("T0", "M3"), ("T2", "M5"), ("T0", "M1")])
+def test_long_table_pass_builds_no_matrix(tokens, scheme):
+    # the long-table pass: mask, bias map, input checks, forward, backward
+    enc = make_bench_encoding(400, tokens, seed=3)
+    m = build_mask(enc, scheme)
+    rel = build_bias_map(enc)
+    rng = derive_rng(3, "long-pass", len(enc))
+    q, k, v, d_out = (rng.standard_normal((len(enc), 8)).astype(np.float32) for _ in range(4))
+    scalars = rng.standard_normal(rel.n_classes).astype(np.float32)
+    inp = AttentionInput(q, k, v, m, scalars[rel.rel])
+    attn_block_sparse(inp)
+    attn_backward(inp, d_out, blocks=m.blocks, rel_map=rel)
+    assert "plan" in m.__dict__ and "blocks" in m.__dict__
+    assert "dense" not in m.__dict__
 
 
 @pytest.mark.parametrize("scheme", ["M1", "M5"])

@@ -1,8 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+import tabenc.mask as mask_module
 from tabenc.core import Table, TabencError, ValidationError
 from tabenc.linearize import HEADER_ROW, TokenRole, linearize
 from tabenc.mask import (
@@ -17,7 +19,7 @@ from tabenc.mask import (
     sparsity,
     write_blocks_file,
 )
-from tabenc.attention import plan_blocks
+from tabenc.attention import make_bench_encoding, plan_blocks
 from tabenc.cli import main
 
 from conftest import make_table, random_question
@@ -46,7 +48,7 @@ def test_build_matches_bruteforce(rng, tokens, scheme):
         enc = linearize(random_question(rng, t), t, tokens)
         fast = build_mask(enc, scheme)
         slow = build_mask_bruteforce(enc, scheme)
-        assert np.array_equal(fast.dense, slow.dense)
+        assert np.array_equal(fast.dense, slow)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +252,40 @@ def test_plan_is_the_tiling_planned(rng, tokens, scheme):
                 assert all(np.array_equal(a, b) for a, b in zip(got, wanted, strict=True))
 
 
+def assert_same_buckets(got, want):
+    assert len(got) == len(want)
+    for (rows, keys), (want_rows, want_keys) in zip(got, want):
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(keys, want_keys)
+
+
+@pytest.mark.parametrize("tokens,scheme", list(legal_pairs()))
+def test_layout_plan_is_the_plan_of_the_matrix(rng, tokens, scheme):
+    # one-row, one-column and 16-column tables; one-token and many-token cells
+    shapes = ((1, 1), (1, 3), (4, 1), (3, 16), (None, None))
+    for i in range(40):
+        n_rows, n_cols = shapes[i % len(shapes)]
+        t = make_table(rng, n_rows, n_cols, value_max=9 if i % 2 else 99999)
+        m = build_mask(linearize(random_question(rng, t), t, tokens), scheme)
+        assert_same_buckets(m.plan.query, mask_module._buckets(m.dense))
+
+
+@pytest.mark.parametrize("tokens,scheme", [("T0", "M3"), ("T2", "M5"), ("T0", "M1")])
+def test_layout_plan_on_the_long_table_recipe(tokens, scheme):
+    m = build_mask(make_bench_encoding(8192, tokens, seed=1), scheme)
+    assert_same_buckets(m.plan.query, mask_module._buckets(m.dense))
+
+
+def test_mask_tables_are_symmetric_and_monotone():
+    # the layout plan takes a line's keys as a union of lists, which needs
+    # rules that only grow with same_row and same_col, and uses its query
+    # plan as its key plan
+    for table in mask_module._MASK_TABLES.values():
+        assert np.array_equal(table, table.swapaxes(2, 3))
+        assert (table[0, 0] <= table[0, 1]).all() and (table[0, 1] <= table[1, 1]).all()
+        assert (table[0, 0] <= table[1, 0]).all() and (table[1, 0] <= table[1, 1]).all()
+
+
 @pytest.mark.parametrize("tokens,scheme", list(legal_pairs()))
 def test_masks_are_symmetric(rng, tokens, scheme):
     # the block-sparse backward's key-major pass runs a mask's query plan
@@ -266,6 +302,41 @@ def test_blocks_cover_detects_overlap():
     # 256 layers would wrap a uint8 count back to "uncovered"
     with pytest.raises(TabencError, match="key 0 twice for query row 0"):
         blocks_cover([(0, 1, 0, 1)] * 256, 1)
+
+
+def blocks_cover_loop(blocks, L):
+    """Rectangle-by-rectangle painting, the reference for blocks_cover."""
+    cover = np.zeros((L, L), dtype=bool)
+    twice = np.zeros((L, L), dtype=bool)
+    for q0, q1, k0, k1 in blocks:
+        twice[q0:q1, k0:k1] |= cover[q0:q1, k0:k1]
+        cover[q0:q1, k0:k1] = True
+    if twice.any():
+        r, k = divmod(int(np.argmax(twice)), L)
+        raise ValidationError(f"blocks cover key {k} twice for query row {r}")
+    return cover
+
+
+def test_blocks_cover_matches_the_rectangle_loop(rng, monkeypatch):
+    monkeypatch.setattr(mask_module, "_CHUNK_PAIRS", 12)  # paint in many row chunks
+    for i in range(400):
+        L = int(rng.integers(1, 12))
+        if i % 2:  # a tiling, perhaps with one rectangle dropped or repeated
+            upper = np.triu(rng.random((L, L)) < rng.random())
+            blocks = export_blocks_from_dense(upper | upper.T | np.eye(L, dtype=bool))
+            j = int(rng.integers(0, len(blocks)))
+            blocks = [blocks, np.delete(blocks, j, 0), np.insert(blocks, j, blocks[j], 0)][i % 3]
+        else:  # random rectangles, often overlapping
+            q0, k0 = rng.integers(0, L, size=(2, int(rng.integers(0, 6))))
+            q1, k1 = q0 + 1 + rng.integers(0, L - q0), k0 + 1 + rng.integers(0, L - k0)
+            blocks = np.stack([q0, q1, k0, k1], axis=1)
+        try:
+            want = blocks_cover_loop(blocks, L)
+        except ValidationError as err:
+            with pytest.raises(ValidationError, match=re.escape(str(err))):
+                blocks_cover(blocks, L)
+        else:
+            assert np.array_equal(blocks_cover(blocks, L), want)
 
 
 def test_blocks_file_round_trip(tmp_path):
@@ -292,7 +363,7 @@ def test_mask_out_file_is_the_reference_tiling(rng, tmp_path, capsys, tokens, sc
     code = main(["mask", "--question", question, "--table", str(table),
                  "--tokens", tokens, "--mask", scheme, "--out", str(out)])
     assert code == 0
-    dense = build_mask_bruteforce(linearize(question, t, tokens), scheme).dense
+    dense = build_mask_bruteforce(linearize(question, t, tokens), scheme)
     L = len(dense)
     want = tiling_loop(dense)
     lines = [f"L={L} scheme={scheme} sparsity={(L * L - int(dense.sum())) / (L * L):.6f}"]
