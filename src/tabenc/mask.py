@@ -89,7 +89,7 @@ class AttentionMask:
         read-only (n, 4) intp Tiling sorted by (q0, k0). Cut on first use from
         the lines of `plan`, since only block files and tiling checks need
         it; the kernel runs the plan itself."""
-        blocks = export_blocks_from_dense(self.length, self.plan.query).view(Tiling)
+        blocks = export_blocks_from_dense(None, self.plan.query).view(Tiling)
         blocks.flags.writeable = False
         return blocks
 
@@ -137,22 +137,22 @@ def export_blocks(mask: AttentionMask) -> Tiling:
     return mask.blocks
 
 
-def export_blocks_from_dense(dense, buckets: list | None = None) -> np.ndarray:
+def export_blocks_from_dense(dense: np.ndarray | None, buckets: list | None = None) -> np.ndarray:
     """Tile a symmetric allow-matrix with a True diagonal into disjoint
     (q0, q1, k0, k1) rectangles, an (n, 4) intp array sorted by (q0, k0).
 
     `buckets` are the matrix's query buckets (_buckets(dense), built here
     when not given): each line is a run of identical rows with its sorted
-    keys. With them, `dense` may be just the matrix's length L. The
-    question band (the maximal all-True leading row prefix, which by
-    symmetry is also an all-True leading column prefix) is emitted as at
-    most two rectangles; every other line is cut into its runs of
-    consecutive keys at or after the band. Residual diagonal entries come
-    out as 1x1 rectangles.
+    keys. Given them, `dense` is not read and may be None. The question
+    band (the maximal all-True leading row prefix, which by symmetry is
+    also an all-True leading column prefix) is emitted as at most two
+    rectangles; every other line is cut into its runs of consecutive keys
+    at or after the band. Residual diagonal entries come out as 1x1
+    rectangles.
     """
-    L = int(dense) if np.ndim(dense) == 0 else int(dense.shape[0])
     if buckets is None:
         buckets = _buckets(dense)
+    L = sum(rows.size for rows, _ in buckets)  # the True diagonal puts each row on one line
     # the band's rows are one line, starting at row 0, that allows every key
     b = next((rows.shape[1] for rows, keys in buckets
               if keys.shape[1] == L and rows[0, 0] == 0), 0)
@@ -177,41 +177,16 @@ def export_blocks_from_dense(dense, buckets: list | None = None) -> np.ndarray:
 
 
 def blocks_cover(blocks, L: int) -> np.ndarray:
-    """Paint in-range rectangles into an L x L allow-matrix; raises
-    ValidationError, naming the first pair in row-major order, if any pair
-    is covered twice.
-
-    A rectangle is four corner events of a 2-D difference array: +1 at
-    (q0, k0) and (q1, k1), -1 at (q0, k1) and (q1, k0). Row chunks are
-    painted in order: each chunk's differences are summed down its rows,
-    from the sums above it, and then across, which counts each pair's
-    rectangles."""
-    q0, q1, k0, k1 = np.asarray(blocks, dtype=np.intp).reshape(-1, 4).T
-    width = L + 1
-    rows = np.concatenate([q0, q0, q1, q1])
-    order = np.argsort(rows, kind="stable")
-    rows = rows[order]
-    cols = np.concatenate([k0, k1, k0, k1])[order]
-    signs = np.repeat([1.0, -1.0, -1.0, 1.0], len(q0))[order]  # exact small integers
-    cover = np.empty((L, L), dtype=bool)
-    above = np.zeros(width)
-    step = max(1, _CHUNK_PAIRS // width)
-    for r0 in range(0, L, step):
-        r1 = min(r0 + step, L)
-        lo, hi = np.searchsorted(rows, (r0, r1))
-        diff = np.bincount((rows[lo:hi] - r0) * width + cols[lo:hi], weights=signs[lo:hi],
-                           minlength=(r1 - r0) * width).reshape(r1 - r0, width)
-        diff = diff.astype(float, copy=False)  # a chunk without events bins to ints
-        diff[0] += above
-        for r in range(1, r1 - r0):  # row by row: np.cumsum down axis 0 is slower
-            diff[r] += diff[r - 1]
-        above = diff[-1].copy()
-        count = np.cumsum(diff, axis=1, out=diff)[:, :L]
-        twice = count > 1
-        if twice.any():
-            r, k = divmod(int(np.argmax(twice)), L)
-            raise ValidationError(f"blocks cover key {k} twice for query row {r0 + r}")
-        cover[r0:r1] = count > 0
+    """Paint rectangles into an L x L allow-matrix; raises ValidationError,
+    naming the first pair in row-major order, if any pair is covered twice."""
+    cover = np.zeros((L, L), dtype=bool)
+    twice = np.zeros((L, L), dtype=bool)  # a flag, not a count, so it cannot wrap
+    for q0, q1, k0, k1 in blocks:
+        twice[q0:q1, k0:k1] |= cover[q0:q1, k0:k1]
+        cover[q0:q1, k0:k1] = True
+    if twice.any():
+        r, k = divmod(int(np.argmax(twice)), L)
+        raise ValidationError(f"blocks cover key {k} twice for query row {r}")
     return cover
 
 
@@ -380,7 +355,7 @@ def _signature_tables() -> tuple[dict[str, np.ndarray], np.ndarray]:
 
 
 _MASK_TABLES, _RELATION_TABLE = _signature_tables()
-_CHUNK_PAIRS = 1 << 20  # pairs per row chunk of _gather_pairs and blocks_cover
+_CHUNK_PAIRS = 1 << 20  # pairs per row chunk of _gather_pairs
 
 
 def _gather_pairs(rows, cols, cat, table: np.ndarray) -> np.ndarray:

@@ -1,5 +1,4 @@
 import json
-import re
 
 import numpy as np
 import pytest
@@ -302,41 +301,6 @@ def test_blocks_cover_detects_overlap():
     # 256 layers would wrap a uint8 count back to "uncovered"
     with pytest.raises(TabencError, match="key 0 twice for query row 0"):
         blocks_cover([(0, 1, 0, 1)] * 256, 1)
-
-
-def blocks_cover_loop(blocks, L):
-    """Rectangle-by-rectangle painting, the reference for blocks_cover."""
-    cover = np.zeros((L, L), dtype=bool)
-    twice = np.zeros((L, L), dtype=bool)
-    for q0, q1, k0, k1 in blocks:
-        twice[q0:q1, k0:k1] |= cover[q0:q1, k0:k1]
-        cover[q0:q1, k0:k1] = True
-    if twice.any():
-        r, k = divmod(int(np.argmax(twice)), L)
-        raise ValidationError(f"blocks cover key {k} twice for query row {r}")
-    return cover
-
-
-def test_blocks_cover_matches_the_rectangle_loop(rng, monkeypatch):
-    monkeypatch.setattr(mask_module, "_CHUNK_PAIRS", 12)  # paint in many row chunks
-    for i in range(400):
-        L = int(rng.integers(1, 12))
-        if i % 2:  # a tiling, perhaps with one rectangle dropped or repeated
-            upper = np.triu(rng.random((L, L)) < rng.random())
-            blocks = export_blocks_from_dense(upper | upper.T | np.eye(L, dtype=bool))
-            j = int(rng.integers(0, len(blocks)))
-            blocks = [blocks, np.delete(blocks, j, 0), np.insert(blocks, j, blocks[j], 0)][i % 3]
-        else:  # random rectangles, often overlapping
-            q0, k0 = rng.integers(0, L, size=(2, int(rng.integers(0, 6))))
-            q1, k1 = q0 + 1 + rng.integers(0, L - q0), k0 + 1 + rng.integers(0, L - k0)
-            blocks = np.stack([q0, q1, k0, k1], axis=1)
-        try:
-            want = blocks_cover_loop(blocks, L)
-        except ValidationError as err:
-            with pytest.raises(ValidationError, match=re.escape(str(err))):
-                blocks_cover(blocks, L)
-        else:
-            assert np.array_equal(blocks_cover(blocks, L), want)
 
 
 def test_blocks_file_round_trip(tmp_path):
