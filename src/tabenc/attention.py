@@ -2,7 +2,14 @@
 
 The dense core materializes the logits of the rows it is given; masked
 positions are excluded from the reduction (their weight is exactly 0.0, never
-a large negative constant pushed through exp).
+a large negative constant pushed through exp). It computes in place: the
+forward scales, biases, masks and normalizes the logits in the buffer the
+matmul returned, and the backward keeps the logit gradient and dp in two
+buffers. The results are bit for bit those of the out-of-place formulas,
+since every step is the same elementwise operation in the same order and
+goes in place only where its result would have the buffer's shape and dtype
+anyway. It never writes its inputs (q, k, v, bias, allowed, or the saved
+weights).
 
 The block-sparse path runs the dense core on a Plan (mask.Plan) of shape
 buckets. A bucket stacks every run of identical rows that has the same
@@ -148,22 +155,44 @@ class AttentionGrads:
 # dense core (batched, shared with the model; leading dims broadcast)
 # ---------------------------------------------------------------------------
 
+def _into(op, a, b):
+    """op(a, b), written into `a` when the result has a's shape and dtype,
+    which gives the bits a fresh result would; `a` must be a scratch array
+    of the caller's own (never an input)."""
+    if np.result_type(a, b) == a.dtype and np.broadcast_shapes(a.shape, np.shape(b)) == a.shape:
+        return op(a, b, out=a)
+    return op(a, b)
+
+
 def _logits(q, k, allowed, bias, scale):
-    """q k^T * scale + bias, and -inf wherever `allowed` is False."""
-    logits = np.matmul(q, np.swapaxes(k, -1, -2)) * scale
+    """q k^T * scale + bias, and -inf wherever `allowed` is False, in the
+    buffer of the matmul's result where the shapes and dtypes allow."""
+    logits = _into(np.multiply, np.matmul(q, np.swapaxes(k, -1, -2)), scale)
     if bias is not None:
-        logits = logits + bias
+        logits = _into(np.add, logits, bias)
     if allowed is not None:
-        logits = np.where(allowed, logits, -np.inf)
+        if np.broadcast_shapes(logits.shape, np.shape(allowed)) == logits.shape:
+            np.copyto(logits, -np.inf, where=np.logical_not(allowed))
+        else:
+            logits = np.where(allowed, logits, -np.inf)
     return logits
 
 
 def _softmax(logits):
-    """Row softmax of the logits and each row's logsumexp (keepdims)."""
+    """Row softmax of the logits, computed in their buffer, and each row's
+    logsumexp (keepdims)."""
     m = np.max(logits, axis=-1, keepdims=True)
-    w = np.exp(logits - m)
+    w = np.exp(np.subtract(logits, m, out=logits), out=logits)
     s = np.sum(w, axis=-1, keepdims=True)
-    return w / s, m + np.log(s)
+    return np.divide(w, s, out=w), m + np.log(s)
+
+
+def _dscores(p, dp):
+    """The logit gradient p * (dp - rowdot) and rowdot = rowsum(p * dp), in
+    one new buffer; dp, a scratch array of the caller's own, is overwritten."""
+    ds = p * dp
+    rowdot = np.sum(ds, axis=-1, keepdims=True)
+    return np.multiply(p, _into(np.subtract, dp, rowdot), out=ds), rowdot
 
 
 def dense_forward(q, k, v, allowed=None, bias=None, scale=None, return_weights=False):
@@ -192,9 +221,7 @@ def dense_backward(q, k, v, d_out, allowed=None, bias=None, scale=None, weights=
         scale = 1.0 / float(np.sqrt(q.shape[-1]))
     p = weights
     dv = np.matmul(np.swapaxes(p, -1, -2), d_out)
-    dp = np.matmul(d_out, np.swapaxes(v, -1, -2))
-    rowdot = np.sum(p * dp, axis=-1, keepdims=True)
-    ds = p * (dp - rowdot)
+    ds, _ = _dscores(p, np.matmul(d_out, np.swapaxes(v, -1, -2)))
     dq = np.matmul(ds, k) * scale
     dk = np.matmul(np.swapaxes(ds, -1, -2), q) * scale
     return dq, dk, dv, ds
@@ -272,9 +299,7 @@ def _backward(q, k, v, d_out, plan, allowed, bias, scale, rel=None, n_classes=No
         qg, kg, dog = q.take(rows, 0), k.take(keys, 0), d_out.take(rows, 0)
         p, lse[rows] = _softmax(_logits(qg, kg, _pairs(allowed, rows, keys),
                                         _pairs(bias, rows, keys), scale))
-        dp = np.matmul(dog, np.swapaxes(v.take(keys, 0), -1, -2))
-        rowdot[rows] = dot = np.sum(p * dp, axis=-1, keepdims=True)
-        ds = p * (dp - dot)
+        ds, rowdot[rows] = _dscores(p, np.matmul(dog, np.swapaxes(v.take(keys, 0), -1, -2)))
         dq[rows] = np.matmul(ds, kg) * scale
         if plan.key is None:
             dk += np.matmul(np.swapaxes(ds, -1, -2), qg)[0] * scale
@@ -287,8 +312,11 @@ def _backward(q, k, v, d_out, plan, allowed, bias, scale, rel=None, n_classes=No
     for kj, qi in _chunks(plan.key or (), *k.shape):
         qg, dog = q.take(qi, 0), d_out.take(qi, 0)
         logits = _logits(qg, k.take(kj, 0), _pairs(allowed, qi, kj), _pairs(bias, qi, kj), scale)
-        p = np.exp(logits - lse.take(qi, 0))
-        ds = p * (np.matmul(dog, np.swapaxes(v.take(kj, 0), -1, -2)) - rowdot.take(qi, 0))
+        p = _into(np.subtract, logits, lse.take(qi, 0))
+        np.exp(p, out=p)
+        dp = _into(np.subtract, np.matmul(dog, np.swapaxes(v.take(kj, 0), -1, -2)),
+                   rowdot.take(qi, 0))
+        ds = _into(np.multiply, dp, p)
         dk[kj] = np.matmul(np.swapaxes(ds, -1, -2), qg) * scale
         dv[kj] = np.matmul(np.swapaxes(p, -1, -2), dog)
     return dq, dk, dv, dbias_class

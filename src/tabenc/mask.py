@@ -59,12 +59,13 @@ class Tiling(np.ndarray):
         return super().__add__(other)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttentionMask:
     """A scheme's mask over one table layout: query i may attend key j when
     the scheme's signature table allows (same row, same column, cat[i],
     cat[j]), and always when i == j. The plan, the tiling and the L x L
-    matrix are derived from that layout on first use."""
+    matrix are derived from that layout on first use. Masks compare and
+    hash by identity: their fields are arrays, which have no truth value."""
 
     scheme: str
     row: np.ndarray

@@ -378,8 +378,16 @@ def collate(items: list[Prepared], pad_id: int, with_rel: bool) -> Batch:
 # ---------------------------------------------------------------------------
 
 def _gather_bias(scales: np.ndarray, rel: np.ndarray) -> np.ndarray:
-    # scales (H, C), rel (B, L, L) -> (B, H, L, L)
-    return scales[:, rel].transpose(1, 0, 2, 3)
+    """Each head's class scalars at the relation map: scales (H, C) and
+    rel (B, L, L) give one C-contiguous (B, H, L, L) array."""
+    out = np.empty((len(rel), len(scales)) + rel.shape[1:], dtype=scales.dtype)
+    for b, classes in enumerate(rel):
+        classes = classes.astype(np.intp)
+        for h, head in enumerate(scales):
+            # class ids are below C by construction (collate), so "clip" moves
+            # none; it spares take the copy of its "raise" mode
+            np.take(head, classes, out=out[b, h], mode="clip")
+    return out
 
 
 def encoder_forward(params, cfg: ModelConfig, batch: Batch, keep_cache: bool):
@@ -404,6 +412,24 @@ def encoder_forward(params, cfg: ModelConfig, batch: Batch, keep_cache: bool):
     return out, cache
 
 
+def _bias_scale_grad(ds: np.ndarray, allowed: np.ndarray, rel: np.ndarray) -> np.ndarray:
+    """The (H, C) class-scalar gradient from the (B, H, L, L) logit gradient,
+    the (B, 1, L, L) mask and the (B, L, L) relation map: per batch element
+    one float64 bincount over (head, class) bins of its allowed pairs in
+    pair order, added over b in order. A masked pair's ds is p * (...) with
+    p exactly 0, and a bin starts at +0.0, so leaving those pairs out changes
+    no bit of a sum."""
+    H = ds.shape[1]
+    heads = np.arange(H)[:, None] * N_BIAS_CLASSES
+    grad = np.zeros(H * N_BIAS_CLASSES, dtype=np.float64)
+    for ds_b, allowed_b, rel_b in zip(ds, allowed[:, 0], rel):
+        flat = np.flatnonzero(allowed_b)
+        weights = ds_b.reshape(H, -1).take(flat, axis=1).astype(np.float64)
+        grad += np.bincount((heads + rel_b.ravel()[flat]).ravel(), weights=weights.ravel(),
+                            minlength=grad.size)
+    return grad.reshape(H, N_BIAS_CLASSES)
+
+
 def encoder_backward(d_out, cache, params, cfg: ModelConfig, batch: Batch, grads,
                      instrument: list | None = None):
     layers, c_final = cache
@@ -414,15 +440,8 @@ def encoder_backward(d_out, cache, params, cfg: ModelConfig, batch: Batch, grads
         dx = dx + _ln_bwd(dh2, c_ln2, grads, f"enc{i}.ln2.g", f"enc{i}.ln2.b")
         dq_in, dkv_in, ds = _mha_bwd(dx, c_attn, params, f"enc{i}.attn", cfg, grads)
         if cfg.factor.bias == "B1":
-            scale_grad = np.zeros((cfg.n_heads, N_BIAS_CLASSES), dtype=np.float64)
-            for b in range(ds.shape[0]):
-                flat_rel = batch.rel[b].ravel()
-                for h in range(cfg.n_heads):
-                    scale_grad[h] += np.bincount(
-                        flat_rel, weights=ds[b, h].ravel().astype(np.float64),
-                        minlength=N_BIAS_CLASSES,
-                    )
-            grads[f"enc{i}.bias_scales"] += scale_grad.astype(grads[f"enc{i}.bias_scales"].dtype)
+            grads[f"enc{i}.bias_scales"] += _bias_scale_grad(ds, batch.allowed, batch.rel).astype(
+                grads[f"enc{i}.bias_scales"].dtype)
         if instrument is not None:
             instrument.append(ds)
         dx = dx + _ln_bwd(dq_in + dkv_in, c_ln1, grads, f"enc{i}.ln1.g", f"enc{i}.ln1.b")

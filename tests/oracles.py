@@ -1,4 +1,6 @@
-"""Per-pair references for the vectorized mask code, deliberately unvectorized."""
+"""References the tests compare the program against: per-pair mask code,
+deliberately unvectorized, and the dense attention core and the B1 bias
+gather and gradient in their plain out-of-place form."""
 
 import numpy as np
 
@@ -52,3 +54,46 @@ def build_mask_bruteforce(enc: EncodedInput, scheme: str) -> np.ndarray:
 
 def block_area(blocks) -> int:
     return sum((q1 - q0) * (k1 - k0) for q0, q1, k0, k1 in blocks)
+
+
+def logits_ref(q, k, allowed, bias, scale):
+    logits = np.matmul(q, np.swapaxes(k, -1, -2)) * scale
+    if bias is not None:
+        logits = logits + bias
+    if allowed is not None:
+        logits = np.where(allowed, logits, -np.inf)
+    return logits
+
+
+def softmax_ref(logits):
+    m = np.max(logits, axis=-1, keepdims=True)
+    w = np.exp(logits - m)
+    s = np.sum(w, axis=-1, keepdims=True)
+    return w / s, m + np.log(s)
+
+
+def dense_backward_ref(q, k, v, d_out, allowed, bias, scale):
+    p, _ = softmax_ref(logits_ref(q, k, allowed, bias, scale))
+    dv = np.matmul(np.swapaxes(p, -1, -2), d_out)
+    dp = np.matmul(d_out, np.swapaxes(v, -1, -2))
+    rowdot = np.sum(p * dp, axis=-1, keepdims=True)
+    ds = p * (dp - rowdot)
+    dq = np.matmul(ds, k) * scale
+    dk = np.matmul(np.swapaxes(ds, -1, -2), q) * scale
+    return dq, dk, dv, ds
+
+
+def gather_bias_ref(scales, rel):
+    """scales (H, C) at rel (B, L, L), as a (B, H, L, L) view."""
+    return scales[:, rel].transpose(1, 0, 2, 3)
+
+
+def bias_scale_grad_ref(ds, rel, n_classes):
+    """The B1 class-scalar gradient, one float64 bincount per (b, h)."""
+    grad = np.zeros((ds.shape[1], n_classes), dtype=np.float64)
+    for b in range(ds.shape[0]):
+        flat_rel = rel[b].ravel()
+        for h in range(ds.shape[1]):
+            grad[h] += np.bincount(flat_rel, weights=ds[b, h].ravel().astype(np.float64),
+                                   minlength=n_classes)
+    return grad

@@ -21,6 +21,7 @@ from tabenc.linearize import linearize
 from tabenc.mask import blocks_cover, build_bias_map, build_mask
 
 from conftest import make_table, random_question
+from oracles import dense_backward_ref, logits_ref, softmax_ref
 
 ALL_SCHEMES = ("M0", "M1", "M2", "M3", "M4", "M5", "M6")
 
@@ -81,6 +82,83 @@ def test_dense_forward_batched_leading_dims(rng):
         for h in range(3):
             single, _ = dense_forward(q[b, h], k[b, h], v[b, h])
             assert np.allclose(out[b, h], single)
+
+
+# ---------------------------------------------------------------------------
+# the in-place dense core against the out-of-place formulas, bit for bit
+# ---------------------------------------------------------------------------
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # C order, sign of zero included
+
+
+def core_case(rng, dtype, bias_kind, mask_kind, B=2, H=3, d=4):
+    """Batched operands as the model passes them: the encoder's (B, 1, L, L)
+    mask, the decoder's causal mask (whole, or the rows of a cached step)
+    and its (B, 1, 1, L) cross mask."""
+    Lq, Lk = (4, 7) if mask_kind in ("decode", "cross") else (7, 7)
+    q, d_out = (rng.standard_normal((B, H, Lq, d)).astype(dtype) for _ in range(2))
+    k, v = (rng.standard_normal((B, H, Lk, d)).astype(dtype) for _ in range(2))
+    bias = {
+        "none": None,
+        "contiguous": rng.standard_normal((B, H, Lq, Lk)).astype(dtype),
+        "transposed": rng.standard_normal((H, B, Lq, Lk)).astype(dtype).transpose(1, 0, 2, 3),
+    }[bias_kind]
+    causal = np.tril(np.ones((Lk, Lk), dtype=bool))
+    allowed = {
+        "none": None,
+        "square": (rng.random((Lq, Lk)) < 0.5) | np.eye(Lq, Lk, dtype=bool),
+        "encoder": (rng.random((B, 1, Lq, Lk)) < 0.5) | np.eye(Lq, Lk, dtype=bool),
+        "causal": causal[None, None],
+        "decode": causal[Lk - Lq:, :],
+        "cross": np.arange(Lk)[None, None, None, :] < np.array([5, 7])[:, None, None, None],
+    }[mask_kind]
+    return q, k, v, d_out, allowed, bias
+
+
+def assert_core_matches_formulas(q, k, v, d_out, allowed, bias, scale):
+    inputs = [x for x in (q, k, v, d_out, allowed, bias) if x is not None]
+    before = [x.copy() for x in inputs]
+    ref_logits = logits_ref(q, k, allowed, bias, scale)
+    logits = attention._logits(q, k, allowed, bias, scale)
+    assert_same_bits(logits, ref_logits)
+    for got, want in zip(attention._softmax(logits), softmax_ref(ref_logits)):
+        assert_same_bits(got, want)
+    ref = dense_backward_ref(q, k, v, d_out, allowed, bias, scale)
+    out, weights = dense_forward(q, k, v, allowed, bias, scale, return_weights=True)
+    assert_same_bits(out, np.matmul(softmax_ref(ref_logits)[0], v))
+    saved = weights.copy()
+    for weights_arg in (weights, None):
+        for got, want in zip(dense_backward(q, k, v, d_out, allowed, bias, scale, weights_arg),
+                             ref):
+            assert_same_bits(got, want)
+    assert_same_bits(weights, saved)
+    for x, x0 in zip(inputs, before):
+        assert_same_bits(x, x0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bias_kind", ["none", "contiguous", "transposed"])
+@pytest.mark.parametrize("mask_kind", ["none", "square", "encoder", "causal", "decode", "cross"])
+def test_dense_core_is_the_out_of_place_formulas(rng, dtype, bias_kind, mask_kind):
+    q, k, v, d_out, allowed, bias = core_case(rng, dtype, bias_kind, mask_kind)
+    assert_core_matches_formulas(q, k, v, d_out, allowed, bias, 1.0 / float(np.sqrt(4)))
+
+
+def test_dense_core_stays_out_of_place_where_a_result_would_grow(rng):
+    """A float64 bias or scale on float32 inputs promotes the logits, and a
+    mask or bias with a batch axis the inputs lack broadcasts them up: in
+    place, either would change the result."""
+    q, k, v, d_out = (rng.standard_normal((3, 5, 4)).astype(np.float32) for _ in range(4))
+    mask = (rng.random((2, 1, 5, 5)) < 0.5) | np.eye(5, dtype=bool)
+    for allowed, bias, scale in (
+        (None, rng.standard_normal((3, 5, 5)), 0.5),
+        (None, None, np.float64(0.5)),
+        (mask, None, 0.5),
+        (None, rng.standard_normal((2, 3, 5, 5)).astype(np.float32), 0.5),
+    ):
+        assert_core_matches_formulas(q, k, v, d_out, allowed, bias, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,14 @@ def assert_tiling(got, want):
     assert np.array_equal(got, want)
 
 
+def test_masks_compare_and_hash_by_identity(rng):
+    t = make_table(rng)
+    enc = linearize(random_question(rng, t), t, "T0")
+    a, b = build_mask(enc, "M1"), build_mask(enc, "M1")
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
 def test_blocks_tile_exactly(rng):
     for tokens, scheme in legal_pairs():
         t = make_table(rng)

@@ -24,7 +24,10 @@ from tabenc.model import (
     tokens_to_values,
     train,
 )
-from tabenc.model import _ffn_fwd, _ln_fwd
+from tabenc.mask import N_BIAS_CLASSES
+from tabenc.model import _bias_scale_grad, _ffn_fwd, _gather_bias, _ln_fwd
+
+from oracles import bias_scale_grad_ref, gather_bias_ref
 
 TINY = dict(d_model=16, n_heads=2, n_enc_layers=1, n_dec_layers=1, ffn_dim=24,
             context_len=128, max_positions=128, dec_positions=16, max_answer_len=16)
@@ -192,6 +195,47 @@ def test_masked_pairs_get_zero_attention_gradient():
     for ds in captured:
         blocked = ~np.broadcast_to(batch.allowed, ds.shape)
         assert (ds[blocked] == 0.0).all()
+
+
+def b1_batch(n=3):
+    cfg = tiny_cfg(factor=FactorConfig(tokens="T2", mask="M5", bias="B1"), n_heads=4)
+    vocab = default_vocab()
+    items = [prepare_example(ex, cfg, vocab) for ex in small_examples(n, seed=8)]
+    return cfg, collate(items, vocab.pad, with_rel=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gather_bias_is_the_class_gather_made_contiguous(dtype):
+    _, batch = b1_batch()
+    scales = derive_rng(3, "scales", 0).standard_normal((4, N_BIAS_CLASSES)).astype(dtype)
+    scales0, rel0 = scales.copy(), batch.rel.copy()
+    got = _gather_bias(scales, batch.rel)
+    want = gather_bias_ref(scales, batch.rel)
+    assert got.flags.c_contiguous and got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(scales, scales0) and np.array_equal(batch.rel, rel0)
+
+
+def test_bias_scale_grad_is_the_per_head_bincount_loop():
+    """Bit for bit the loop of one bincount per (b, h): the logit gradient of
+    a real backward, and a random one that is -0.0 at some masked pairs and
+    spans enough binades that float64 sums round, so their order shows."""
+    cfg, batch = b1_batch()
+    vocab = default_vocab()
+    params = init_params(cfg, vocab.size, derive_rng(9, "init", 0))
+    params = {k: (derive_rng(4, "b1", 0).standard_normal(v.shape).astype(v.dtype)
+                  if k.endswith("bias_scales") else v) for k, v in params.items()}
+    captured = []
+    loss_and_grads(params, cfg, batch, vocab.pad, instrument=captured)
+    rng = derive_rng(5, "ds", 0)
+    shape = captured[0].shape
+    wide = rng.standard_normal(shape) * np.exp2(rng.integers(-60, 60, shape))
+    captured.append(wide.astype(np.float32) * batch.allowed)
+    assert np.signbit(captured[-1][~np.broadcast_to(batch.allowed, captured[-1].shape)]).any()
+    for ds in captured:
+        got = _bias_scale_grad(ds, batch.allowed, batch.rel)
+        want = bias_scale_grad_ref(ds, batch.rel, N_BIAS_CLASSES)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
