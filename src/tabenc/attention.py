@@ -33,14 +33,14 @@ as in FlashAttention-2). The key-major pass runs the plan's key buckets, the
 buckets of the transposed matrix (a symmetric mask's are its query buckets):
 it rebuilds p for all the queries of its keys and writes those keys' dk and
 dv rows, which no other bucket writes, so nothing is scattered or summed
-twice. Buckets are cut into chunks, so working memory stays
-O(L*d + _DENSE_CHUNK * L).
+twice. Buckets are cut into chunks of at most _BUCKET_CHUNK logits (a row
+with more keys than that runs alone), so working memory stays
+O(L*d + _BUCKET_CHUNK) at any L.
 
 dense_forward and dense_backward are the plain batched core, as the model
-calls it. Only the single-head operations decide how to run a long input:
-attn_dense runs one of more than _CHUNK_THRESHOLD rows as one bucket line of
-every row against every key, cut into row chunks like any bucket, and the
-dense side of attn_backward always runs as that one line.
+calls it. The single-head operations run every call through the chunker:
+attn_dense and the dense side of attn_backward run one bucket line of every
+row against every key, cut into row chunks like any other line.
 
 Both paths compute in the dtype of their inputs (float32 by default;
 float64 is used by the finite-difference tests). Backward passes are
@@ -58,15 +58,12 @@ from .core import STRUCTURAL_MASKS, Table, ValidationError, derive_rng
 from .linearize import EncodedInput, linearize
 from .mask import AttentionMask, Plan, build_mask, plan_blocks
 
-# no dense-core call holds more than _DENSE_CHUNK * L logits, so a line larger
-# than that (such as the one line of attn_dense over more than _CHUNK_THRESHOLD
-# rows) is cut into row pieces; whole lines are batched while their logits
-# and gathered (K, d) keys stay within _BUCKET_CHUNK entries each (2 MB in
-# float32), which keeps a chunk in cache at any L. Lines and rows are
-# independent, so chunks change no result.
-_DENSE_CHUNK = 2048
+# the one work budget of a dense-core call in the single-head operations:
+# whole lines are batched while their logits and gathered (K, d) keys stay
+# within _BUCKET_CHUNK entries each (2 MB in float32), which keeps a chunk in
+# cache at any L, and a line larger than that is cut into row pieces within
+# the same budget. Lines and rows are independent, so chunks change no result.
 _BUCKET_CHUNK = 1 << 19
-_CHUNK_THRESHOLD = 4096
 
 
 def _as_float(x, name: str) -> np.ndarray:
@@ -91,7 +88,7 @@ def _allowed_entries(bias, allowed):
     boolean matrix or None for all) allows, in parts: an AttentionMask's
     come line by line from its plan, so its matrix is never built."""
     if isinstance(allowed, AttentionMask):
-        return (_pairs(bias, rows, keys) for rows, keys in _chunks(allowed.plan.query, len(bias), 1))
+        return (_pairs(bias, rows, keys) for rows, keys in _chunks(allowed.plan.query, 1))
     return (bias if allowed is None else bias[allowed],)
 
 
@@ -112,6 +109,8 @@ class AttentionInput:
         self.v = _as_float(self.v, "v")
         if self.q.ndim != 2 or self.k.shape != self.q.shape or self.v.shape != self.q.shape:
             raise ValidationError("q, k, v must share one (L, d) shape")
+        if self.q.size == 0:
+            raise ValidationError(f"q, k, v need L >= 1 and d >= 1, got shape {self.q.shape}")
         L = self.q.shape[0]
         allowed = self.mask
         if isinstance(allowed, AttentionMask):
@@ -238,18 +237,19 @@ def _whole(n: int) -> Plan:
     return Plan([(line, line)], None)
 
 
-def _chunks(buckets, n_keys: int, dim: int):
+def _chunks(buckets, dim: int):
     """(rows, keys) pieces of every bucket: runs of whole lines within
-    _BUCKET_CHUNK logits and gathered (keys, dim) entries, or parts of one
-    line's rows within _DENSE_CHUNK * n_keys logits."""
+    _BUCKET_CHUNK logits and gathered (keys, dim) entries, or, for a line too
+    big for that, parts of its rows within _BUCKET_CHUNK logits (one row when
+    it alone has more keys)."""
     for rows, keys in buckets:
         (G, R), K = rows.shape, keys.shape[1]
-        if R * K <= _DENSE_CHUNK * n_keys:
-            step = max(1, _BUCKET_CHUNK // (max(R, dim) * K))
+        step = _BUCKET_CHUNK // (max(R, dim) * K)
+        if step:
             for g in range(0, G, step):
                 yield rows[g:g + step], keys[g:g + step]
         else:
-            step = max(1, _DENSE_CHUNK * n_keys // K)
+            step = max(1, _BUCKET_CHUNK // K)
             for g in range(G):
                 for r in range(0, R, step):
                     yield rows[g:g + 1, r:r + step], keys[g:g + 1]
@@ -267,7 +267,7 @@ def _pairs(mat, rows, cols):
 
 def _forward(q, k, v, buckets, allowed, bias, scale):
     out = np.empty((q.shape[0], v.shape[-1]), dtype=q.dtype)
-    for rows, keys in _chunks(buckets, *k.shape):
+    for rows, keys in _chunks(buckets, k.shape[1]):
         out[rows], _ = dense_forward(q.take(rows, 0), k.take(keys, 0), v.take(keys, 0),
                                      _pairs(allowed, rows, keys), _pairs(bias, rows, keys), scale)
     return out
@@ -295,7 +295,7 @@ def _backward(q, k, v, d_out, plan, allowed, bias, scale, rel=None, n_classes=No
     lse = np.empty((q.shape[0], 1), dtype=q.dtype)
     rowdot = np.empty_like(lse)
     dbias_class = None if rel is None else np.zeros(n_classes, dtype=np.float64)
-    for rows, keys in _chunks(plan.query, *k.shape):
+    for rows, keys in _chunks(plan.query, k.shape[1]):
         qg, kg, dog = q.take(rows, 0), k.take(keys, 0), d_out.take(rows, 0)
         p, lse[rows] = _softmax(_logits(qg, kg, _pairs(allowed, rows, keys),
                                         _pairs(bias, rows, keys), scale))
@@ -309,7 +309,7 @@ def _backward(q, k, v, d_out, plan, allowed, bias, scale, rel=None, n_classes=No
                                        minlength=n_classes)
     # a key bucket's rows are keys and its keys are their queries; the logits
     # stay (queries, keys), as above
-    for kj, qi in _chunks(plan.key or (), *k.shape):
+    for kj, qi in _chunks(plan.key or (), k.shape[1]):
         qg, dog = q.take(qi, 0), d_out.take(qi, 0)
         logits = _logits(qg, k.take(kj, 0), _pairs(allowed, qi, kj), _pairs(bias, qi, kj), scale)
         p = _into(np.subtract, logits, lse.take(qi, 0))
@@ -367,15 +367,10 @@ def _sparsity(inp: AttentionInput, blocks):
 
 
 def attn_dense(inp: AttentionInput) -> AttentionOutput:
-    """The dense forward of `inp`; more than _CHUNK_THRESHOLD rows run as one
-    bucket line, cut into row chunks."""
-    L = inp.q.shape[0]
-    if L > _CHUNK_THRESHOLD:
-        out = _forward(inp.q, inp.k, inp.v, _whole(L).query, inp.allowed,
-                       inp.bias_values, inp.scale)
-    else:
-        out, _ = dense_forward(inp.q, inp.k, inp.v, inp.allowed, inp.bias_values, inp.scale)
-    return AttentionOutput(out=out)
+    """The dense forward of `inp`: one bucket line of every row against every
+    key, cut into row chunks."""
+    return AttentionOutput(out=_forward(inp.q, inp.k, inp.v, _whole(inp.q.shape[0]).query,
+                                        inp.allowed, inp.bias_values, inp.scale))
 
 
 def attn_block_sparse(inp: AttentionInput, blocks=None) -> AttentionOutput:

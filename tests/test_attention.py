@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -255,15 +257,14 @@ def test_chunked_dense_paths_match(rng, monkeypatch):
     d_out = rng.standard_normal(q.shape)
     out_plain, _ = dense_forward(q, k, v, m.dense)
     gp = dense_backward(q, k, v, d_out, m.dense)
-    monkeypatch.setattr(attention, "_CHUNK_THRESHOLD", 4)
-    monkeypatch.setattr(attention, "_DENSE_CHUNK", 2)
     L = q.shape[0]
+    monkeypatch.setattr(attention, "_BUCKET_CHUNK", 2 * L)
     # the dense operations run one line cut into row chunks, and at least one
     # block-sparse bucket is chunked too
     assert L > 4
-    assert len(list(attention._chunks(attention._whole(L).query, L, 4))) > 1
+    assert len(list(attention._chunks(attention._whole(L).query, 4))) > 1
     plan = plan_blocks(m.blocks, L)
-    assert len(list(attention._chunks(plan.query, L, 4))) > len(plan.query)
+    assert len(list(attention._chunks(plan.query, 4))) > len(plan.query)
     inp = AttentionInput(q=q, k=k, v=v, mask=m)
     grads = attn_backward(inp, d_out)
     chunked = (
@@ -283,14 +284,31 @@ def test_chunked_dense_bias_class_gradient(rng, monkeypatch):
     d_out = rng.standard_normal(q.shape)
     dq, dk, dv, ds = dense_backward(q, k, v, d_out, m.dense, bias)
     want = np.bincount(rel.rel.ravel(), weights=ds.ravel(), minlength=rel.n_classes)
-    monkeypatch.setattr(attention, "_CHUNK_THRESHOLD", 4)
-    monkeypatch.setattr(attention, "_DENSE_CHUNK", 3)
+    monkeypatch.setattr(attention, "_BUCKET_CHUNK", 3 * q.shape[0])
     assert q.shape[0] > 4
     chunked = attn_backward(inp, d_out, rel_map=rel)
     assert chunked.dbias_class.shape == (rel.n_classes,) == (13,)
     assert np.allclose(chunked.dbias_class, want, rtol=0, atol=1e-12)
     for a, b in ((chunked.dq, dq), (chunked.dk, dk), (chunked.dv, dv)):
         assert np.allclose(a, b, atol=1e-12)
+
+
+def test_chunks_keep_one_budget():
+    # every piece holds at most _BUCKET_CHUNK logits unless it is one row
+    # with more keys than that, and a bucket's pieces cover its rows once:
+    # the dense line of a ~1k-token call and the long-table plans alike
+    budget = attention._BUCKET_CHUNK
+    plans = {"dense": attention._whole(1024)}
+    for scheme, tokens in (("M3", "T0"), ("M5", "T2"), ("M1", "T0")):
+        plans[scheme] = build_mask(make_bench_encoding(8192, tokens), scheme).plan
+    for name, plan in plans.items():
+        for rows, keys in (*plan.query, *(plan.key or ())):
+            parts = list(attention._chunks([(rows, keys)], 16))
+            for part_rows, part_keys in parts:
+                logits = part_rows.size * part_keys.shape[1]
+                assert logits <= budget or part_rows.size == 1, (name, rows.shape, logits)
+            covered = np.concatenate([part_rows.ravel() for part_rows, _ in parts])
+            assert np.array_equal(np.sort(covered), np.sort(rows.ravel())), name
 
 
 def dense_reference(q, k, v, d_out, allowed, scales, rel):
@@ -305,14 +323,13 @@ def test_bucket_chunks_match_dense(rng, monkeypatch):
     d_out = rng.standard_normal(q.shape)
     want = dense_reference(q, k, v, d_out, m.dense, scales, rel.rel)
     L = len(enc)
-    monkeypatch.setattr(attention, "_DENSE_CHUNK", 1)
-    monkeypatch.setattr(attention, "_BUCKET_CHUNK", 1)
+    monkeypatch.setattr(attention, "_BUCKET_CHUNK", L)
     assert len({(rows.shape, keys.shape[1]) for rows, keys in m.plan.query}) > 2
     # one many-line bucket is cut into runs of whole lines, and one one-line
     # bucket into parts of its rows
     cut_lines = cut_rows = False
     for rows, keys in m.plan.query:
-        parts = list(attention._chunks([(rows, keys)], L, 4))
+        parts = list(attention._chunks([(rows, keys)], 4))
         for part_rows, part_keys in parts:
             assert part_rows.size * part_keys.shape[1] <= L
         cut_lines |= len(parts) > 1 and all(r.shape[1] == rows.shape[1] for r, _ in parts)
@@ -334,7 +351,6 @@ def test_asymmetric_blocks_match_dense(rng, monkeypatch):
     q, k, v, d_out = (rng.standard_normal((6, 3)) for _ in range(4))
     want = dense_reference(q, k, v, d_out, allowed, scales, rel)
     for chunk in (2048, 1):  # whole buckets, then pieces of single rows
-        monkeypatch.setattr(attention, "_DENSE_CHUNK", chunk)
         monkeypatch.setattr(attention, "_BUCKET_CHUNK", chunk)
         out = block_sparse_forward(q, k, v, blocks, scales[rel])
         grads = block_sparse_backward(q, k, v, blocks, d_out, scales[rel], rel=rel, n_classes=4)
@@ -356,6 +372,11 @@ def test_attention_input_validation(rng):
     q = rng.standard_normal((4, 2))
     with pytest.raises(ValidationError):
         AttentionInput(q=q, k=q[:3], v=q)
+    # no tokens or a zero head dimension is rejected, naming the shape
+    for shape in ((0, 2), (4, 0), (0, 0)):
+        empty = np.zeros(shape)
+        with pytest.raises(ValidationError, match=re.escape(f"got shape {shape}")):
+            AttentionInput(q=empty, k=empty, v=empty)
     bad = q.copy()
     bad[0, 0] = np.nan
     with pytest.raises(ValidationError):
