@@ -35,7 +35,8 @@ it rebuilds p for all the queries of its keys and writes those keys' dk and
 dv rows, which no other bucket writes, so nothing is scattered or summed
 twice. Buckets are cut into chunks of at most _BUCKET_CHUNK logits (a row
 with more keys than that runs alone), so working memory stays
-O(L*d + _BUCKET_CHUNK) at any L.
+O(L*d + _BUCKET_CHUNK) at any L; the row pieces of one line share one
+gather of its keys and values.
 
 dense_forward and dense_backward are the plain batched core, as the model
 calls it. The single-head operations run every call through the chunker:
@@ -241,7 +242,8 @@ def _chunks(buckets, dim: int):
     """(rows, keys) pieces of every bucket: runs of whole lines within
     _BUCKET_CHUNK logits and gathered (keys, dim) entries, or, for a line too
     big for that, parts of its rows within _BUCKET_CHUNK logits (one row when
-    it alone has more keys)."""
+    it alone has more keys). The parts of one line are consecutive and share
+    one `keys` array, so a caller gathers a line's keys once (_line_keys)."""
     for rows, keys in buckets:
         (G, R), K = rows.shape, keys.shape[1]
         step = _BUCKET_CHUNK // (max(R, dim) * K)
@@ -251,8 +253,21 @@ def _chunks(buckets, dim: int):
         else:
             step = max(1, _BUCKET_CHUNK // K)
             for g in range(G):
+                line = keys[g:g + 1]
                 for r in range(0, R, step):
-                    yield rows[g:g + 1, r:r + step], keys[g:g + 1]
+                    yield rows[g:g + 1, r:r + step], line
+
+
+def _line_keys(pieces, *mats):
+    """(rows, keys, gathered) for each (rows, keys) piece of _chunks, where
+    `gathered` holds each of `mats` taken at keys. A piece that shares its
+    keys with the piece before (a part of the same line) reuses that
+    piece's gathers, so a line cut into row parts is gathered once."""
+    line = gathered = None
+    for rows, keys in pieces:
+        if keys is not line:
+            line, gathered = keys, [m.take(keys, 0) for m in mats]
+        yield rows, keys, gathered
 
 
 def _pairs(mat, rows, cols):
@@ -267,8 +282,8 @@ def _pairs(mat, rows, cols):
 
 def _forward(q, k, v, buckets, allowed, bias, scale):
     out = np.empty((q.shape[0], v.shape[-1]), dtype=q.dtype)
-    for rows, keys in _chunks(buckets, k.shape[1]):
-        out[rows], _ = dense_forward(q.take(rows, 0), k.take(keys, 0), v.take(keys, 0),
+    for rows, keys, (kg, vg) in _line_keys(_chunks(buckets, k.shape[1]), k, v):
+        out[rows], _ = dense_forward(q.take(rows, 0), kg, vg,
                                      _pairs(allowed, rows, keys), _pairs(bias, rows, keys), scale)
     return out
 
@@ -295,11 +310,11 @@ def _backward(q, k, v, d_out, plan, allowed, bias, scale, rel=None, n_classes=No
     lse = np.empty((q.shape[0], 1), dtype=q.dtype)
     rowdot = np.empty_like(lse)
     dbias_class = None if rel is None else np.zeros(n_classes, dtype=np.float64)
-    for rows, keys in _chunks(plan.query, k.shape[1]):
-        qg, kg, dog = q.take(rows, 0), k.take(keys, 0), d_out.take(rows, 0)
+    for rows, keys, (kg, vg) in _line_keys(_chunks(plan.query, k.shape[1]), k, v):
+        qg, dog = q.take(rows, 0), d_out.take(rows, 0)
         p, lse[rows] = _softmax(_logits(qg, kg, _pairs(allowed, rows, keys),
                                         _pairs(bias, rows, keys), scale))
-        ds, rowdot[rows] = _dscores(p, np.matmul(dog, np.swapaxes(v.take(keys, 0), -1, -2)))
+        ds, rowdot[rows] = _dscores(p, np.matmul(dog, np.swapaxes(vg, -1, -2)))
         dq[rows] = np.matmul(ds, kg) * scale
         if plan.key is None:
             dk += np.matmul(np.swapaxes(ds, -1, -2), qg)[0] * scale
@@ -309,13 +324,12 @@ def _backward(q, k, v, d_out, plan, allowed, bias, scale, rel=None, n_classes=No
                                        minlength=n_classes)
     # a key bucket's rows are keys and its keys are their queries; the logits
     # stay (queries, keys), as above
-    for kj, qi in _chunks(plan.key or (), k.shape[1]):
-        qg, dog = q.take(qi, 0), d_out.take(qi, 0)
+    for kj, qi, (qg, dog, lse_g, rowdot_g) in _line_keys(_chunks(plan.key or (), k.shape[1]),
+                                                         q, d_out, lse, rowdot):
         logits = _logits(qg, k.take(kj, 0), _pairs(allowed, qi, kj), _pairs(bias, qi, kj), scale)
-        p = _into(np.subtract, logits, lse.take(qi, 0))
+        p = _into(np.subtract, logits, lse_g)
         np.exp(p, out=p)
-        dp = _into(np.subtract, np.matmul(dog, np.swapaxes(v.take(kj, 0), -1, -2)),
-                   rowdot.take(qi, 0))
+        dp = _into(np.subtract, np.matmul(dog, np.swapaxes(v.take(kj, 0), -1, -2)), rowdot_g)
         ds = _into(np.multiply, dp, p)
         dk[kj] = np.matmul(np.swapaxes(ds, -1, -2), qg) * scale
         dv[kj] = np.matmul(np.swapaxes(p, -1, -2), dog)

@@ -18,16 +18,18 @@ self-only. M4..M6 require T2 inputs.
 Every mask rule and bias relation class sees a token pair only through its
 signature (same_row, same_col, category i, category j); the categories are the
 TokenRoles plus header-row content. The rules are evaluated once, at import,
-at all 2 x 2 x 8 x 8 signatures. build_bias_map gathers its L x L map from
-those tables pair by pair and then sets the diagonal.
+at all 2 x 2 x 8 x 8 signatures. build_bias_map builds its L x L map from
+those tables and the layout (_gather_pairs): each token's row is copied from
+a pattern of its category and column, and only the pairs that share a row
+are then rewritten; it then sets the diagonal.
 
 A mask is a view of the layout: the scheme plus each token's row, column and
 category (AttentionMask). Its runs of identical rows are planned straight
 from that layout, in O(L + nnz), as shape buckets (AttentionMask.plan); the
 block-sparse kernel runs those buckets, and the rectangle tiling of block
 files (AttentionMask.blocks) is cut from the same lines, as one (n, 4) array.
-The L x L matrix (AttentionMask.dense) is gathered like the relation map,
-and only when a caller reads it.
+The L x L matrix (AttentionMask.dense) is built like the relation map, and
+only when a caller reads it.
 """
 
 from __future__ import annotations
@@ -78,8 +80,11 @@ class AttentionMask:
 
     @functools.cached_property
     def dense(self) -> np.ndarray:
-        """The boolean allow-matrix; dense[i, j] is True when query i may attend key j."""
-        allowed = _gather_pairs(self.row, self.col, self.cat, _MASK_TABLES[self.scheme])
+        """The boolean allow-matrix; dense[i, j] is True when query i may attend
+        key j. Built from the layout as the relation map is (_gather_pairs),
+        with the diagonal set."""
+        allowed = _gather_pairs(self.row, self.col, self.cat, _MASK_TABLES[self.scheme],
+                                _MASK_LOCAL[self.scheme])
         np.fill_diagonal(allowed, True)
         return allowed
 
@@ -284,9 +289,10 @@ BIAS_CLASSES = (
 N_BIAS_CLASSES = len(BIAS_CLASSES)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BiasRelationMap:
-    """Per-pair relation class ids (L x L int8), indices into BIAS_CLASSES."""
+    """Per-pair relation class ids (L x L int8), indices into BIAS_CLASSES.
+    Maps compare and hash by identity, as masks do: `rel` is an array."""
 
     length: int
     rel: np.ndarray
@@ -297,7 +303,7 @@ class BiasRelationMap:
 
 
 def build_bias_map(enc: EncodedInput) -> BiasRelationMap:
-    rel = _gather_pairs(*_layout(enc), _RELATION_TABLE)
+    rel = _gather_pairs(*_layout(enc), _RELATION_TABLE, _RELATION_LOCAL)
     np.fill_diagonal(rel, 0)  # "self"
     return BiasRelationMap(len(enc), rel)
 
@@ -355,27 +361,76 @@ def _signature_tables() -> tuple[dict[str, np.ndarray], np.ndarray]:
     return masks, rel.astype(np.int8)
 
 
+def _local_categories(table: np.ndarray) -> np.ndarray:
+    """Per category, whether any of its entries, as query or as key, changes
+    with same_row or same_col: a pair with a category outside this set has
+    the table's [0, 0] entry wherever its tokens sit."""
+    varies = (table != table[0, 0]).any(axis=(0, 1))
+    return varies.any(axis=1) | varies.any(axis=0)
+
+
 _MASK_TABLES, _RELATION_TABLE = _signature_tables()
-_CHUNK_PAIRS = 1 << 20  # pairs per row chunk of _gather_pairs
+_MASK_LOCAL = {scheme: _local_categories(t) for scheme, t in _MASK_TABLES.items()}
+_RELATION_LOCAL = _local_categories(_RELATION_TABLE)
+# pairs per block of _row_blocks; a block holds about 11 bytes per pair (its
+# uint8 signatures, np.take's intp copy of them, and the values)
+_CHUNK_PAIRS = 1 << 18
 
 
-def _gather_pairs(rows, cols, cat, table: np.ndarray) -> np.ndarray:
+def _gather_pairs(rows, cols, cat, table: np.ndarray, local: np.ndarray) -> np.ndarray:
     """L x L array whose [i, j] is table[same_row, same_col, cat[i], cat[j]],
-    built in row chunks, so working memory beyond the output is O(chunk * L)."""
-    L, n = len(cat), _HEADER + 1
-    flat = table.reshape(-1)
-    out = np.empty((L, L), dtype=table.dtype)
-    step = max(1, _CHUNK_PAIRS // max(L, 1))
-    for r0 in range(0, L, step):
-        r = slice(r0, r0 + step)
-        # the signature's flat index into table, as uint8 (table.size == 256)
-        sig = (rows[r, None] == rows) * np.uint8(2 * n * n)
-        sig += (cols[r, None] == cols) * np.uint8(n * n)
-        sig += cat[r, None] * np.uint8(n)
-        sig += cat
-        # "clip" clips nothing here and, unlike "raise", writes out unbuffered
-        np.take(flat, sig, out=out[r], mode="clip")
+    for non-negative rows and columns (an encoding's); `local` is the table's
+    _local_categories.
+
+    Built from the layout, not pair by pair. Against the keys outside its
+    own row, a token's entries depend only on its category and its column:
+    the table's [0, 1] entry at the keys in that column and its [0, 0] entry
+    elsewhere, which differ only between local categories. So every row is
+    first one copy of the pattern of its token's (category, column). Then
+    the pairs of local tokens that share a row, the only others that can
+    differ, are rewritten from table[1], in the blocks of _row_blocks.
+    Working memory beyond the output is the patterns (categories x columns
+    x L bytes; an encoding has at most MAX_COLUMNS columns) and one block.
+    """
+    n, width = _HEADER + 1, int(cols.max(initial=0)) + 1
+    members = np.flatnonzero(local[cat])
+    patterns = np.repeat(np.take(table[0, 0], cat, axis=1)[:, None], width, axis=1)
+    patterns[:, cols[members], members] = np.take(table[0, 1], cat[members], axis=1)
+    out = np.take(patterns.reshape(n * width, -1), cat.astype(np.intp) * width + cols, axis=0)
+    flat = table[1].reshape(-1)
+    for i, j in _row_blocks(rows, members):
+        # the signature's flat index into table[1], as uint8 (table[1].size == 128)
+        sig = (cols[i] == cols[j]) * np.uint8(n * n)
+        sig += cat[i] * np.uint8(n)
+        sig += cat[j]
+        out[i, j] = np.take(flat, sig)
     return out
+
+
+def _row_blocks(rows, members):
+    """Index blocks (i, j) that broadcast to every pair of `members` in one
+    row, each at most _CHUNK_PAIRS pairs: rows whose member counts are
+    within a factor of two are stacked as (G, R, 1) and (G, 1, S) blocks,
+    padded to the longest by repeating a row's last member (so a padded
+    pair repeats one of its row's own), and a row too long for one block is
+    cut into runs of query members."""
+    order = members[np.argsort(rows[members], kind="stable")]
+    count = np.bincount(rows[members])  # members per row
+    first = np.cumsum(count) - count  # each row's first place in order
+    size_class = np.frexp(count)[1]  # counts in [2^(c-1), 2^c) share class c
+    # a set, not np.unique, whose first call in a process maps ~0.9 MiB more
+    for c in sorted(set(size_class[count > 0].tolist())):
+        sel = size_class == c
+        S = int(count[sel].max())
+        lines = order[first[sel, None] + np.minimum(np.arange(S), count[sel, None] - 1)]
+        step = max(1, _CHUNK_PAIRS // S)  # query members per block
+        if step >= S:
+            for g in range(0, len(lines), step // S):
+                yield lines[g:g + step // S, :, None], lines[g:g + step // S, None, :]
+        else:
+            for line in lines:
+                for r in range(0, S, step):
+                    yield line[r:r + step, None], line
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -1,11 +1,12 @@
 """References the tests compare the program against: per-pair mask code,
-deliberately unvectorized, and the dense attention core and the B1 bias
-gather and gradient in their plain out-of-place form."""
+deliberately unvectorized, the signature gather over every pair, and the
+dense attention core and the B1 bias gather and gradient in their plain
+out-of-place form."""
 
 import numpy as np
 
 from tabenc.linearize import EncodedInput, TokenRole
-from tabenc.mask import _SAME_COL, _SAME_ROW, _STRUCT_RELAY, _check_scheme
+from tabenc.mask import _HEADER, _SAME_COL, _SAME_ROW, _STRUCT_RELAY, _check_scheme
 
 
 def _allowed_pair(enc: EncodedInput, scheme: str, i: int, j: int) -> bool:
@@ -50,6 +51,28 @@ def build_mask_bruteforce(enc: EncodedInput, scheme: str) -> np.ndarray:
         for j in range(L):
             dense[i, j] = _allowed_pair(enc, scheme, i, j)
     return dense
+
+
+_CHUNK_PAIRS = 1 << 20  # pairs per row chunk of gather_pairs_ref
+
+
+def gather_pairs_ref(rows, cols, cat, table: np.ndarray) -> np.ndarray:
+    """L x L array whose [i, j] is table[same_row, same_col, cat[i], cat[j]],
+    built in row chunks, so working memory beyond the output is O(chunk * L)."""
+    L, n = len(cat), _HEADER + 1
+    flat = table.reshape(-1)
+    out = np.empty((L, L), dtype=table.dtype)
+    step = max(1, _CHUNK_PAIRS // max(L, 1))
+    for r0 in range(0, L, step):
+        r = slice(r0, r0 + step)
+        # the signature's flat index into table, as uint8 (table.size == 256)
+        sig = (rows[r, None] == rows) * np.uint8(2 * n * n)
+        sig += (cols[r, None] == cols) * np.uint8(n * n)
+        sig += cat[r, None] * np.uint8(n)
+        sig += cat
+        # "clip" clips nothing here and, unlike "raise", writes out unbuffered
+        np.take(flat, sig, out=out[r], mode="clip")
+    return out
 
 
 def block_area(blocks) -> int:

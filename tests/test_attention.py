@@ -311,6 +311,23 @@ def test_chunks_keep_one_budget():
             assert np.array_equal(np.sort(covered), np.sort(rows.ravel())), name
 
 
+def test_cut_line_gathers_its_keys_once(monkeypatch):
+    # the row parts of one line share its keys array, and _line_keys takes
+    # each operand at those keys once for all of them
+    taken = []
+
+    class Counting(np.ndarray):
+        def take(self, indices, axis=None):
+            taken.append(indices.shape)
+            return super().take(indices, axis)
+
+    monkeypatch.setattr(attention, "_BUCKET_CHUNK", 64)
+    k = np.arange(40.0).reshape(20, 2).view(Counting)
+    pieces = list(attention._line_keys(attention._chunks(attention._whole(20).query, 2), k))
+    assert len(pieces) == 7 and taken == [(1, 20)]
+    assert all(gathered[0] is pieces[0][2][0] for _, _, gathered in pieces)
+
+
 def dense_reference(q, k, v, d_out, allowed, scales, rel):
     """Plain dense core on the whole matrix: out, dq, dk, dv and per-class dbias."""
     out, _ = dense_forward(q, k, v, allowed, scales[rel])

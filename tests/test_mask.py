@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from tabenc.attention import make_bench_encoding, plan_blocks
 from tabenc.cli import main
 
 from conftest import make_table, random_question
-from oracles import block_area, build_mask_bruteforce
+from oracles import block_area, build_mask_bruteforce, gather_pairs_ref
 
 ALL_SCHEMES = ("M0", "M1", "M2", "M3", "M4", "M5", "M6")
 STRUCTURAL = ("M4", "M5", "M6")
@@ -48,6 +49,67 @@ def test_build_matches_bruteforce(rng, tokens, scheme):
         fast = build_mask(enc, scheme)
         slow = build_mask_bruteforce(enc, scheme)
         assert np.array_equal(fast.dense, slow)
+
+
+def grid_table(n_rows, n_cols, cell=lambda i, j: str(10 + (7 * i + j) % 90), header=None):
+    header = header or (lambda j: f"c{j + 1}")
+    return Table(tuple(header(j) for j in range(n_cols)),
+                 tuple(tuple(cell(i, j) for j in range(n_cols)) for i in range(n_rows)))
+
+
+# layouts for the layout-built pair maps: the long-table recipe, the E1 limit
+# (64 rows x 16 columns), a single row, a single column and headers of
+# several pieces, each in every token scheme that can encode it
+PAIR_MAP_LAYOUTS = {
+    "long table": lambda tokens: make_bench_encoding(8192, tokens, seed=1),
+    "E1 limit": lambda tokens: linearize("select c1", grid_table(64, 16), tokens),
+    "one row": lambda tokens: linearize("select c2", grid_table(1, 9, lambda i, j: "7" * (j + 1)),
+                                        tokens),
+    "one column": lambda tokens: linearize("select c1 where c1 = 12",
+                                           grid_table(40, 1, lambda i, j: str(i * 37)), tokens),
+    "multi-piece headers": lambda tokens: linearize(
+        "select c1", grid_table(5, 4, header=lambda j: f"c{j + 1} {j * 11} total"), tokens),
+}
+
+
+def pair_map_cases():
+    for name in PAIR_MAP_LAYOUTS:
+        for tokens in ("T0", "T2") if name == "long table" else ("T0", "T1", "T2"):
+            yield name, tokens
+
+
+@pytest.mark.parametrize("layout,tokens", list(pair_map_cases()))
+def test_pair_maps_match_the_pair_gather(layout, tokens):
+    # every legal mask table and the relation table, built from the layout,
+    # byte for byte as gathered pair by pair, with the diagonal set after
+    enc = PAIR_MAP_LAYOUTS[layout](tokens)
+    lay = mask_module._layout(enc)
+    schemes = [m for t, m in legal_pairs() if t == tokens]
+    for scheme in schemes:
+        want = gather_pairs_ref(*lay, mask_module._MASK_TABLES[scheme])
+        np.fill_diagonal(want, True)
+        got = build_mask(enc, scheme).dense
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (layout, scheme)
+    want = gather_pairs_ref(*lay, mask_module._RELATION_TABLE)
+    np.fill_diagonal(want, 0)
+    got = build_bias_map(enc).rel
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), layout
+
+
+@pytest.mark.parametrize("tokens", ["T0", "T1", "T2"])
+def test_pair_maps_match_the_pair_gather_on_random_tables(rng, tokens):
+    tables = {scheme: mask_module._MASK_TABLES[scheme]
+              for t, scheme in legal_pairs() if t == tokens}
+    tables["relation"] = mask_module._RELATION_TABLE
+    for i in range(20):
+        t = make_table(rng, value_max=9 if i % 2 else 99999)
+        if i % 3 == 0:  # multi-piece headers
+            t = Table(tuple(f"{h} {int(rng.integers(0, 999))}" for h in t.headers), t.rows)
+        lay = mask_module._layout(linearize(random_question(rng, t), t, tokens))
+        for name, table in tables.items():
+            local = mask_module._MASK_LOCAL.get(name, mask_module._RELATION_LOCAL)
+            got = mask_module._gather_pairs(*lay, table, local)
+            assert np.array_equal(got, gather_pairs_ref(*lay, table)), name
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +241,14 @@ def test_masks_compare_and_hash_by_identity(rng):
     t = make_table(rng)
     enc = linearize(random_question(rng, t), t, "T0")
     a, b = build_mask(enc, "M1"), build_mask(enc, "M1")
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
+def test_bias_maps_compare_and_hash_by_identity(rng):
+    t = make_table(rng)
+    enc = linearize(random_question(rng, t), t, "T0")
+    a, b = build_bias_map(enc), build_bias_map(enc)
     assert a == a and a != b
     assert hash(a) == hash(a) and len({a, b, a}) == 2
 
@@ -463,6 +533,26 @@ def test_bias_map_matches_pair_rules(rng, tokens):
         slow = [[relation_class(enc, i, j) for j in range(L)] for i in range(L)]
         assert rel.dtype == np.int8
         assert np.array_equal(rel, np.array(slow))
+
+
+@pytest.mark.parametrize("table", [
+    grid_table(800, 1, lambda i, j: str(1000 + i)),  # one column group
+    grid_table(1, 16, lambda i, j: str(j % 9 + 1) * 250),  # one row group
+])
+def test_bias_map_working_memory_is_one_chunk(table):
+    # beyond its L x L output, the build holds a few bytes per pair of one
+    # block of _CHUNK_PAIRS pairs at once, for any layout: no group's block
+    # of pairs grows as L^2
+    enc = linearize("select c1", table, "T0")
+    L = len(enc)
+    assert L > 4000
+    tracemalloc.start()
+    try:
+        build_bias_map(enc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - L * L < 16 * mask_module._CHUNK_PAIRS, peak - L * L
 
 
 def test_bias_map_values_in_range(rng):
