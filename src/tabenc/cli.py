@@ -2,11 +2,12 @@
 
 Exit codes: 0 success, 2 input/validation error, 3 runtime failure.
 --json-errors switches stderr diagnostics to one JSON object per error.
-TABENC_THREADS caps both BLAS thread pools and grid worker processes; a BLAS
-thread variable already set to another count is an input error. The cap
-works only if it is applied before numpy loads, so every sibling module but
-core is imported lazily inside handlers; core loads no numpy at import and is
-imported here at the top.
+TABENC_THREADS sets each process's BLAS threads (a BLAS thread variable set to
+another count is an input error). It must be applied before numpy loads, so
+every sibling module but core (which loads no numpy) is imported lazily inside
+handlers. grid runs each (config, replicate) in one of --workers spawned
+processes, which inherit the variables; spawn re-imports the caller's main
+module, so a script that calls main(["grid", ...]) needs a __main__ guard.
 """
 
 from __future__ import annotations
@@ -48,23 +49,24 @@ _THREAD_ENV_VARS = (
 )
 
 
-def _apply_thread_cap() -> tuple[int | None, str | None]:
+def _apply_thread_cap() -> str | None:
     """Honor TABENC_THREADS before numpy is imported anywhere: set each BLAS
-    thread variable to it, and refuse one already set to another value."""
+    thread variable to it, and refuse one already set to another value.
+    Returns the error message, or None."""
     raw = os.environ.get("TABENC_THREADS")
     if raw is None:
-        return None, None
+        return None
     try:
         n = int(raw)
     except ValueError:
-        return None, f"TABENC_THREADS must be an integer, got {raw!r}"
+        return f"TABENC_THREADS must be an integer, got {raw!r}"
     if n < 1:
-        return None, f"TABENC_THREADS must be >= 1, got {n}"
+        return f"TABENC_THREADS must be >= 1, got {n}"
     for var in _THREAD_ENV_VARS:
         value = os.environ.setdefault(var, str(n))
         if value != str(n):
-            return None, f"TABENC_THREADS={n} conflicts with {var}={value}"
-    return n, None
+            return f"TABENC_THREADS={n} conflicts with {var}={value}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +495,8 @@ def _build_plan(args) -> dict:
     if not suites:
         raise ValidationError("at least one evaluation suite required")
     for flag, n in (("replicates", args.replicates), ("train-n", args.train_n),
-                    ("eval-n", args.eval_n), ("eval-batch", args.eval_batch)):
+                    ("eval-n", args.eval_n), ("eval-batch", args.eval_batch),
+                    ("workers", args.workers)):
         if n < 1:
             raise ValidationError(f"--{flag} must be >= 1, got {n}")
 
@@ -545,9 +548,10 @@ def _ensure_grid_data(outdir: Path, suites, seed: int, train_n: int, eval_n: int
 
 def _check_context(factors, paths: dict, context_len: int) -> None:
     """Linearize every example of the grid's data files once per token
-    scheme of `factors`; the first encoding longer than `context_len` raises
-    ValidationError naming its config (the first one with that scheme, in
-    plan order), path:line, the tokens it needs and the limit."""
+    scheme of `factors`; the first example that cannot be encoded, or whose
+    encoding is longer than `context_len`, raises ValidationError naming its
+    config (the first one with that scheme, in plan order), path:line and the
+    fault."""
     from .linearize import TruncationError, linearize
 
     examples = [(path, line_no, ex) for path in paths.values()
@@ -560,9 +564,10 @@ def _check_context(factors, paths: dict, context_len: int) -> None:
         for path, line_no, ex in examples:
             try:
                 linearize(ex.query, ex.table, factor.tokens, max_len=context_len)
-            except TruncationError as exc:
+            except ValidationError as exc:
+                hint = " (--context-len)" if isinstance(exc, TruncationError) else ""
                 raise ValidationError(
-                    f"config {factor.key}: {path}:{line_no}: {exc} (--context-len)"
+                    f"config {factor.key}: {path}:{line_no}: {exc}{hint}"
                 ) from None
 
 
@@ -613,27 +618,28 @@ def _grid_run_one(payload: dict) -> list[str]:
     return lines
 
 
-def _grid_outcomes(work: list[dict], workers: int):
-    """Run each payload, in a process pool when more than one worker is
-    allowed, and yield its CSV lines, or the exception it raised, as soon as
-    the run finishes."""
-    if workers > 1 and len(work) > 1:
-        import concurrent.futures as cf
-        import multiprocessing as mp
+def _run_grid(work: list[dict], workers: int, results_path: Path) -> Exception | None:
+    """Run each payload in a pool of `workers` spawned processes and append
+    its CSV lines to results_path as soon as the run finishes, so every
+    finished run keeps its rows. Returns the first exception a run raised, or
+    None. Leaving early (a failed append, an interrupt) cancels the runs that
+    have not started."""
+    import concurrent.futures as cf
+    import multiprocessing as mp
 
-        ctx = mp.get_context("spawn")
-        with cf.ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            futures = [pool.submit(_grid_run_one, payload) for payload in work]
-            for fut in cf.as_completed(futures):
-                exc = fut.exception()
-                yield fut.result() if exc is None else exc
-    else:
-        for payload in work:
-            try:
-                outcome = _grid_run_one(payload)
-            except Exception as exc:
-                outcome = exc
-            yield outcome
+    failure = None
+    pool = cf.ProcessPoolExecutor(max_workers=workers, mp_context=mp.get_context("spawn"))
+    try:
+        futures = [pool.submit(_grid_run_one, payload) for payload in work]
+        for fut in cf.as_completed(futures):
+            exc = fut.exception()
+            if exc is None:
+                _append_rows(results_path, fut.result())
+            else:
+                failure = failure or exc
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return failure
 
 
 def _canonicalize_results(results_path: Path) -> int:
@@ -658,11 +664,6 @@ def _cmd_grid(args) -> int:
     if args.plan_only:
         _print_json(plan)
         return 0
-
-    cap, _err = _apply_thread_cap()
-    workers = args.workers
-    if cap is not None:
-        workers = min(workers, cap)
 
     outdir = Path(args.out)
     results_path = outdir / "results.csv"
@@ -697,13 +698,7 @@ def _cmd_grid(args) -> int:
                 "eval_batch": args.eval_batch,
             })
 
-    # every run that finishes keeps its rows; the first failure decides the exit
-    failure = None
-    for outcome in _grid_outcomes(work, workers):
-        if isinstance(outcome, Exception):
-            failure = failure or outcome
-        else:
-            _append_rows(results_path, outcome)
+    failure = _run_grid(work, args.workers, results_path)
     n_rows = _canonicalize_results(results_path) if results_path.exists() else 0
     if failure is not None:
         raise failure
@@ -950,7 +945,7 @@ def _emit_error(exc: BaseException, json_mode: bool) -> None:
 
 
 def main(argv=None) -> int:
-    _cap, env_error = _apply_thread_cap()
+    env_error = _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     json_mode = getattr(args, "json_errors", False)

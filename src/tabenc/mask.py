@@ -40,13 +40,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import MASK_SCHEMES, ValidationError, is_legal_combination
+from .core import MASK_SCHEMES, STRUCTURAL_MASKS, ValidationError, is_legal_combination
 from .linearize import HEADER_ROW, EncodedInput, TokenRole
 
 # which content-pair rules each scheme enables
 _SAME_ROW = frozenset({"M1", "M3", "M5"})
 _SAME_COL = frozenset({"M1", "M2", "M4"})
-_STRUCT_RELAY = frozenset({"M4", "M5", "M6"})
 
 
 class Tiling(np.ndarray):
@@ -340,7 +339,7 @@ def _signature_tables() -> tuple[dict[str, np.ndarray], np.ndarray]:
             allowed |= pair_content & same_row
         if scheme in _SAME_COL:
             allowed |= pair_content & same_col
-        if scheme in _STRUCT_RELAY:
+        if scheme in STRUCTURAL_MASKS:
             allowed |= relay | relay.swapaxes(2, 3)  # and with i and j swapped
         masks[scheme] = allowed
 
@@ -482,7 +481,7 @@ def _layout_buckets(rows, cols, cat, table: np.ndarray) -> list:
     for allowed, group in ((anywhere, np.zeros(L, dtype=np.intp)), (in_row, rows),
                            (in_col, cols), (in_cell, cell)):
         order = np.argsort(group, kind="stable")  # by group, then by index
-        for c in np.unique(line_class):
+        for c in sorted(set(line_class.tolist())):
             if not allowed[c].any():
                 continue
             keys = order[allowed[c][cat[order]]]

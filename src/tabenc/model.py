@@ -534,7 +534,7 @@ def decoder_backward(dlogits, cache, params, cfg: ModelConfig, dec_in, enc_state
         dq_in, dkv_in, _ = _mha_bwd(dy, c_self, params, f"dec{i}.self", cfg, grads)
         dy = dy + _ln_bwd(dq_in + dkv_in, c_ln1, grads, f"dec{i}.ln1.g", f"dec{i}.ln1.b")
     np.add.at(grads["tok_emb"], dec_in, dy)
-    np.add.at(grads["dec_pos_emb"], np.arange(dec_in.shape[1]), dy.sum(axis=0))
+    grads["dec_pos_emb"][:dec_in.shape[1]] += dy.sum(axis=0)
     return d_enc
 
 

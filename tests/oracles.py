@@ -5,8 +5,9 @@ out-of-place form."""
 
 import numpy as np
 
+from tabenc.core import STRUCTURAL_MASKS
 from tabenc.linearize import EncodedInput, TokenRole
-from tabenc.mask import _HEADER, _SAME_COL, _SAME_ROW, _STRUCT_RELAY, _check_scheme
+from tabenc.mask import _HEADER, _SAME_COL, _SAME_ROW, _check_scheme
 
 
 def _allowed_pair(enc: EncodedInput, scheme: str, i: int, j: int) -> bool:
@@ -26,7 +27,7 @@ def _allowed_pair(enc: EncodedInput, scheme: str, i: int, j: int) -> bool:
             return True
         if scheme in _SAME_COL and same_col:
             return True
-    if scheme in _STRUCT_RELAY:
+    if scheme in STRUCTURAL_MASKS:
         for a, b in ((role_i, role_j), (role_j, role_i)):
             pair_same_row = same_row
             pair_same_col = same_col

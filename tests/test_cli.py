@@ -1,3 +1,4 @@
+import concurrent.futures as cf
 import json
 import os
 import re
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import tabenc
+from tabenc import cli
 from tabenc.cli import main
 from tabenc.core import QAExample, Table, write_jsonl
 from tabenc.linearize import linearize
@@ -528,7 +530,7 @@ def test_grid_rejects_unknown_suite(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("flag", ["--train-n", "--eval-n", "--eval-batch"])
+@pytest.mark.parametrize("flag", ["--train-n", "--eval-n", "--eval-batch", "--workers"])
 def test_grid_rejects_empty_datasets_before_writing(tmp_path, capsys, flag):
     out = tmp_path / "g"
     code, _, err = run(capsys, "grid", "--out", str(out), *GRID_ARGS, flag, "0")
@@ -634,6 +636,88 @@ def test_grid_checks_every_encoding_before_any_run(tmp_path, capsys):
     ex = QAExample.from_json(json.loads(train.read_text().splitlines()[line_no - 1]))
     assert len(linearize(ex.query, ex.table, "T2")) == needed > 270
     assert not (out / "results.csv").exists()
+
+
+def test_grid_names_config_and_line_of_any_encoding_fault(tmp_path, capsys):
+    # T1 has row tokens for 64 data rows; a 65-row table fits the context
+    out = tmp_path / "g"
+    train = out / "data" / "train.jsonl"
+    train.parent.mkdir(parents=True)
+    tall = Table(("c1",), tuple((str(i),) for i in range(65)))
+    write_jsonl([QAExample(tall, "select c1 where c1 = 5", ("5",))], train)
+    code, _, err = run(
+        capsys, "grid", "--out", str(out), "--configs", "T1/M1/TPE/B0/E0",
+        "--replicates", "1", "--suites", "train", "--train-n", "10", "--eval-n", "4",
+        "--steps", "2", "--eval-every", "1", "--batch-size", "4",
+    )
+    assert code == 2
+    assert (f"config T1/M1/TPE/B0/E0: {train}:1: T1 indexes rows with dedicated "
+            "tokens and supports at most 64 data rows, got 65") in err
+    assert not (out / "results.csv").exists()
+
+
+class RecordingPool(cf.ProcessPoolExecutor):
+    """A ProcessPoolExecutor that keeps every instance and submitted future."""
+
+    made = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.futures = []
+        RecordingPool.made.append(self)
+
+    def submit(self, *args, **kwargs):
+        self.futures.append(super().submit(*args, **kwargs))
+        return self.futures[-1]
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    RecordingPool.made = []
+    monkeypatch.setattr(cf, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool.made
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_runs_in_a_pool_of_workers_whatever_the_thread_cap(
+        tmp_path, capsys, monkeypatch, recording_pool, workers):
+    for var in THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("TABENC_THREADS", "1")  # BLAS threads per process, not workers
+    out = tmp_path / "g"
+    code, _, err = run(
+        capsys, "grid", "--out", str(out), "--workers", str(workers),
+        "--configs", "T0/M0/TPE/B0/E0", "--replicates", "2", "--suites", "train",
+        "--train-n", "8", "--eval-n", "4", "--steps", "2", "--eval-every", "1",
+        "--batch-size", "4",
+    )
+    assert code == 0, err
+    assert [pool._max_workers for pool in recording_pool] == [workers]
+    assert recording_pool[0]._mp_context.get_start_method() == "spawn"
+    assert len(recording_pool[0].futures) == 2
+    assert len((out / "results.csv").read_text().splitlines()) == 3
+
+
+def test_grid_stopped_early_cancels_its_queued_runs(
+        tmp_path, capsys, monkeypatch, recording_pool):
+    def full_disk(results_path, lines):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli, "_append_rows", full_disk)
+    monkeypatch.delenv("TABENC_DEBUG", raising=False)
+    # the pool hands at most three runs to its one worker (one running, two
+    # queued), so when the first of six finishes, two or more have not started
+    code, _, err = run(
+        capsys, "grid", "--out", str(tmp_path / "g"), "--workers", "1",
+        "--configs", "T0/M0/TPE/B0/E0", "--replicates", "6", "--suites", "train",
+        "--train-n", "8", "--eval-n", "4", "--steps", "1", "--eval-every", "1",
+        "--batch-size", "4",
+    )
+    assert code == 3
+    assert "no space left on device" in err
+    (pool,) = recording_pool
+    assert len(pool.futures) == 6
+    assert any(fut.cancelled() for fut in pool.futures)
 
 
 # ---------------------------------------------------------------------------
