@@ -17,26 +17,32 @@ buckets. A bucket stacks every run of identical rows that has the same
 gathers a chunk's (G, R, d) queries, (G, K, d) keys and values and (G, R, K)
 bias and calls the dense core once on them (BigBird-style blockification).
 Its sparsity comes in one argument, `blocks`: an AttentionMask runs the plan
-of its own rows (AttentionMask.plan), built once from the table layout. The
-kernel never tiles it; the mask's rectangle tiling (AttentionMask.blocks) is
-cut from that same plan only when a block file or a check asks for it. An
-(n, 4) array of (q0, q1, k0, k1) rectangles, such as a block file's, is
-painted into a matrix and bucketed by its row runs (mask.plan_blocks). An
-AttentionInput whose mask is an AttentionMask always runs that mask, and
-checks it without its L x L matrix: its bias is checked along the plan's
-lines, so a block-sparse pass never builds the matrix.
+of its own parts (AttentionMask.parts), built once from the table layout.
+The kernel never tiles it; the mask's rectangle tiling (AttentionMask.blocks)
+is cut from the complete lines (AttentionMask.plan) only when a block file
+or a check asks for it. An (n, 4) array of (q0, q1, k0, k1) rectangles, such
+as a block file's, is painted into a matrix and bucketed by its row runs
+(mask.plan_blocks). An AttentionInput whose mask is an AttentionMask always
+runs that mask, and checks it without its L x L matrix: its bias is checked
+along the same parts, so a block-sparse pass never builds the matrix.
 
-Every softmax row is complete within its bucket line, so the forward is one
-pass. The backward is two. The query-major pass gives dq and the per-class
-bias gradient, and keeps each row's logsumexp and <p, dp> (= rowsum(dO * O),
-as in FlashAttention-2). The key-major pass runs the plan's key buckets, the
-buckets of the transposed matrix (a symmetric mask's are its query buckets):
-it rebuilds p for all the queries of its keys and writes those keys' dk and
-dv rows, which no other bucket writes, so nothing is scattered or summed
-twice. Buckets are cut into chunks of at most _BUCKET_CHUNK logits (a row
-with more keys than that runs alone), so working memory stays
-O(L*d + _BUCKET_CHUNK) at any L; the row pieces of one line share one
-gather of its keys and values.
+A line may come in two parts. A mask's same-column part is shared by every
+line of its column, so the plan holds it once, as a square line: every row
+of the column against the column's keys, which are those rows. Such a row
+also sits in a query line that holds the rest of its keys. The forward
+keeps each part's softmax output and logsumexp and merges the parts by
+their logsumexp (online softmax, arXiv 1805.02867; FlashAttention-2, arXiv
+2307.08691); a row in one line is one pass, as before. The backward gets
+each row's merged logsumexp and <p, dp> (= rowsum(dO * O), as in
+FlashAttention-2) in a query-major pass. A square line's rows are its keys,
+so that pass writes its dk and dv as well; the key-major pass runs the key
+buckets of the rest, the buckets of its transposed matrix (a symmetric
+mask's are its query buckets): it rebuilds p for all the queries of its
+keys and adds those keys' dk and dv, which no other key bucket writes, so
+nothing is scattered. Buckets, square ones too, are cut into chunks of at
+most _BUCKET_CHUNK logits (a row with more keys than that runs alone), so
+working memory stays O(L*d + _BUCKET_CHUNK) at any L; the row pieces of one
+line share one gather of its keys and values.
 
 dense_forward and dense_backward are the plain batched core, as the model
 calls it. The single-head operations run every call through the chunker:
@@ -89,7 +95,8 @@ def _allowed_entries(bias, allowed):
     boolean matrix or None for all) allows, in parts: an AttentionMask's
     come line by line from its plan, so its matrix is never built."""
     if isinstance(allowed, AttentionMask):
-        return (_pairs(bias, rows, keys) for rows, keys in _chunks(allowed.plan.query, 1))
+        plan = allowed.parts
+        return (_pairs(bias, rows, keys) for rows, keys in _chunks([*plan.query, *plan.square], 1))
     return (bias if allowed is None else bias[allowed],)
 
 
@@ -280,22 +287,66 @@ def _pairs(mat, rows, cols):
     return mat[rows[:, :, None], cols[:, None, :]]
 
 
-def _forward(q, k, v, buckets, allowed, bias, scale):
-    out = np.empty((q.shape[0], v.shape[-1]), dtype=q.dtype)
+def _line_parts(q, k, v, buckets, allowed, bias, scale):
+    """Each row's softmax output and logsumexp over its line in `buckets`
+    (0 and -inf for a row in none of them)."""
+    out = np.zeros((q.shape[0], v.shape[-1]), dtype=q.dtype)
+    lse = np.full((q.shape[0], 1), -np.inf, dtype=q.dtype)
     for rows, keys, (kg, vg) in _line_keys(_chunks(buckets, k.shape[1]), k, v):
-        out[rows], _ = dense_forward(q.take(rows, 0), kg, vg,
-                                     _pairs(allowed, rows, keys), _pairs(bias, rows, keys), scale)
+        p, lse[rows] = _softmax(_logits(q.take(rows, 0), kg, _pairs(allowed, rows, keys),
+                                        _pairs(bias, rows, keys), scale))
+        out[rows] = np.matmul(p, vg)
+    return out, lse
+
+
+def _merge(out, lse, rows, out_b, lse_b):
+    """Fold a second part of `rows`, its softmax output out_b and logsumexp
+    lse_b, into out and lse by their logsumexp (online softmax); returns
+    exp(lse_b - merged lse), the share of the part in each row."""
+    lse_a = lse[rows]  # a view when rows is a slice: lse is written last
+    merged = np.logaddexp(lse_a, lse_b)
+    share = np.exp(lse_b - merged)
+    out[rows] = out[rows] * np.exp(lse_a - merged) + out_b * share
+    lse[rows] = merged
+    return share
+
+
+def _forward(q, k, v, plan, allowed, bias, scale):
+    if scale is None:
+        scale = 1.0 / float(np.sqrt(q.shape[-1]))
+    out, lse = _line_parts(q, k, v, plan.query, allowed, bias, scale)
+    if plan.square:  # the rows' other parts
+        _merge(out, lse, slice(None), *_line_parts(q, k, v, plan.square, allowed, bias, scale))
     return out
 
 
-def _backward(q, k, v, d_out, plan, allowed, bias, scale, rel=None, n_classes=None):
-    """Two batched passes over the plan, with no scatter-add.
+def _probs(qg, kg, vg, dog, lse_g, rowdot_g, allowed_g, bias_g, scale):
+    """p = exp(logit - lse) and ds = p * (dp - rowdot) of queries against
+    keys, from the queries' final logsumexp and rowdot."""
+    p = _into(np.subtract, _logits(qg, kg, allowed_g, bias_g, scale), lse_g)
+    np.exp(p, out=p)
+    dp = _into(np.subtract, np.matmul(dog, np.swapaxes(vg, -1, -2)), rowdot_g)
+    return p, _into(np.multiply, dp, p)
 
-    The query-major pass holds complete softmax rows: it gives dq and the
-    per-class bias gradient, and keeps each row's logsumexp and <p, dp>
-    (= rowsum(dO * O), as in FlashAttention-2). The key-major pass rebuilds
+
+def _class_grad(rel, rows, keys, ds, n_classes):
+    """The per-class sums of ds over (rows, keys), in float64."""
+    return np.bincount(_pairs(rel, rows, keys).ravel(), weights=ds.ravel(), minlength=n_classes)
+
+
+def _backward(q, k, v, d_out, plan, allowed, bias, scale, rel=None, n_classes=None):
+    """Batched passes over the plan, with no scatter-add.
+
+    The query-major pass gives dq and the per-class bias gradient. Where
+    its lines are complete softmax rows it keeps each row's logsumexp and
+    <p, dp> (= rowsum(dO * O), as in FlashAttention-2). A plan with square
+    lines first takes every row's output and logsumexp over its query
+    line, then runs the square lines: each merges its part into its rows'
+    logsumexp and output, takes their rowdot, and, as its rows are its
+    keys, writes its whole share of dq, dk and dv. The query lines then
+    run with the merged logsumexp and rowdot. The key-major pass rebuilds
     p = exp(logit - logsumexp) for all the queries of each key bucket and
-    writes those keys' dk and dv rows, which no other bucket writes. A plan
+    adds those keys' dk and dv, which no other key bucket writes. A plan
     without key buckets (a dense call, whose one line holds every key) adds
     its dk and dv up in the query-major pass instead. With `rel`, a per-pair
     relation-class map, the bias gradient is reduced to one scalar per class
@@ -305,34 +356,51 @@ def _backward(q, k, v, d_out, plan, allowed, bias, scale, rel=None, n_classes=No
         n_classes = int(rel.max()) + 1
     if scale is None:
         scale = 1.0 / float(np.sqrt(q.shape[-1]))
-    dq = np.empty_like(q)
-    dk, dv = np.zeros_like(k), np.zeros_like(v)  # a key no query attends keeps 0
-    lse = np.empty((q.shape[0], 1), dtype=q.dtype)
-    rowdot = np.empty_like(lse)
+    d = k.shape[1]
+    dq, dk, dv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)  # a key no query attends keeps 0
     dbias_class = None if rel is None else np.zeros(n_classes, dtype=np.float64)
-    for rows, keys, (kg, vg) in _line_keys(_chunks(plan.query, k.shape[1]), k, v):
-        qg, dog = q.take(rows, 0), d_out.take(rows, 0)
-        p, lse[rows] = _softmax(_logits(qg, kg, _pairs(allowed, rows, keys),
+
+    if plan.square:
+        out, lse = _line_parts(q, k, v, plan.query, allowed, bias, scale)
+        for rows, keys, (kg, vg) in _line_keys(_chunks(plan.square, d), k, v):
+            qg, dog = q.take(rows, 0), d_out.take(rows, 0)
+            p, lse_b = _softmax(_logits(qg, kg, _pairs(allowed, rows, keys),
                                         _pairs(bias, rows, keys), scale))
-        ds, rowdot[rows] = _dscores(p, np.matmul(dog, np.swapaxes(vg, -1, -2)))
-        dq[rows] = np.matmul(ds, kg) * scale
+            p *= _merge(out, lse, rows, np.matmul(p, vg), lse_b)  # p of the whole row
+            dp = np.matmul(dog, np.swapaxes(vg, -1, -2))
+            dp -= np.sum(dog * out[rows], axis=-1, keepdims=True)  # rowdot of the whole row
+            ds = _into(np.multiply, dp, p)
+            dq[rows] += np.matmul(ds, kg) * scale
+            dk[keys] += np.matmul(np.swapaxes(ds, -1, -2), qg) * scale
+            dv[keys] += np.matmul(np.swapaxes(p, -1, -2), dog)
+            if dbias_class is not None:
+                dbias_class += _class_grad(rel, rows, keys, ds, n_classes)
+        rowdot = np.sum(d_out * out, axis=-1, keepdims=True)
+    else:
+        lse = np.empty((q.shape[0], 1), dtype=q.dtype)
+        rowdot = np.empty_like(lse)
+    for rows, keys, (kg, vg) in _line_keys(_chunks(plan.query, d), k, v):
+        qg, dog = q.take(rows, 0), d_out.take(rows, 0)
+        allowed_g, bias_g = _pairs(allowed, rows, keys), _pairs(bias, rows, keys)
+        if plan.square:
+            p, ds = _probs(qg, kg, vg, dog, lse[rows], rowdot[rows], allowed_g, bias_g, scale)
+        else:
+            p, lse[rows] = _softmax(_logits(qg, kg, allowed_g, bias_g, scale))
+            ds, rowdot[rows] = _dscores(p, np.matmul(dog, np.swapaxes(vg, -1, -2)))
+        dq[rows] += np.matmul(ds, kg) * scale
         if plan.key is None:
             dk += np.matmul(np.swapaxes(ds, -1, -2), qg)[0] * scale
             dv += np.matmul(np.swapaxes(p, -1, -2), dog)[0]
         if dbias_class is not None:
-            dbias_class += np.bincount(_pairs(rel, rows, keys).ravel(), weights=ds.ravel(),
-                                       minlength=n_classes)
+            dbias_class += _class_grad(rel, rows, keys, ds, n_classes)
     # a key bucket's rows are keys and its keys are their queries; the logits
     # stay (queries, keys), as above
-    for kj, qi, (qg, dog, lse_g, rowdot_g) in _line_keys(_chunks(plan.key or (), k.shape[1]),
+    for kj, qi, (qg, dog, lse_g, rowdot_g) in _line_keys(_chunks(plan.key or (), d),
                                                          q, d_out, lse, rowdot):
-        logits = _logits(qg, k.take(kj, 0), _pairs(allowed, qi, kj), _pairs(bias, qi, kj), scale)
-        p = _into(np.subtract, logits, lse_g)
-        np.exp(p, out=p)
-        dp = _into(np.subtract, np.matmul(dog, np.swapaxes(v.take(kj, 0), -1, -2)), rowdot_g)
-        ds = _into(np.multiply, dp, p)
-        dk[kj] = np.matmul(np.swapaxes(ds, -1, -2), qg) * scale
-        dv[kj] = np.matmul(np.swapaxes(p, -1, -2), dog)
+        p, ds = _probs(qg, k.take(kj, 0), v.take(kj, 0), dog, lse_g, rowdot_g,
+                       _pairs(allowed, qi, kj), _pairs(bias, qi, kj), scale)
+        dk[kj] += np.matmul(np.swapaxes(ds, -1, -2), qg) * scale
+        dv[kj] += np.matmul(np.swapaxes(p, -1, -2), dog)
     return dq, dk, dv, dbias_class
 
 
@@ -346,7 +414,7 @@ def _plan_of(blocks, length: int) -> Plan:
     if isinstance(blocks, AttentionMask):
         if blocks.length != length:
             raise ValidationError(f"mask length {blocks.length} does not match L={length}")
-        return blocks.plan
+        return blocks.parts
     return plan_blocks(blocks, length)
 
 
@@ -354,7 +422,7 @@ def block_sparse_forward(q, k, v, blocks, bias=None, scale=None):
     """Attention restricted to `blocks`, an AttentionMask or an (n, 4) array of
     (q0, q1, k0, k1) rectangles: the dense core once per chunk of each query
     bucket."""
-    return _forward(q, k, v, _plan_of(blocks, q.shape[0]).query, None, bias, scale)
+    return _forward(q, k, v, _plan_of(blocks, q.shape[0]), None, bias, scale)
 
 
 def block_sparse_backward(q, k, v, blocks, d_out, bias=None, scale=None,
@@ -383,7 +451,7 @@ def _sparsity(inp: AttentionInput, blocks):
 def attn_dense(inp: AttentionInput) -> AttentionOutput:
     """The dense forward of `inp`: one bucket line of every row against every
     key, cut into row chunks."""
-    return AttentionOutput(out=_forward(inp.q, inp.k, inp.v, _whole(inp.q.shape[0]).query,
+    return AttentionOutput(out=_forward(inp.q, inp.k, inp.v, _whole(inp.q.shape[0]),
                                         inp.allowed, inp.bias_values, inp.scale))
 
 

@@ -3,9 +3,10 @@
 Exit codes: 0 success, 2 input/validation error, 3 runtime failure.
 --json-errors switches stderr diagnostics to one JSON object per error.
 TABENC_THREADS sets each process's BLAS threads (a BLAS thread variable set to
-another count is an input error). It must be applied before numpy loads, so
+another count is an input error). Its variables act when numpy loads, so
 every sibling module but core (which loads no numpy) is imported lazily inside
-handlers. grid runs each (config, replicate) in one of --workers spawned
+handlers; a caller that loaded numpy first gets it through OpenBLAS's run-time
+setter. grid runs each (config, replicate) in one of --workers spawned
 processes, which inherit the variables; spawn re-imports the caller's main
 module, so a script that calls main(["grid", ...]) needs a __main__ guard.
 """
@@ -50,9 +51,10 @@ _THREAD_ENV_VARS = (
 
 
 def _apply_thread_cap() -> str | None:
-    """Honor TABENC_THREADS before numpy is imported anywhere: set each BLAS
-    thread variable to it, and refuse one already set to another value.
-    Returns the error message, or None."""
+    """Honor TABENC_THREADS: set each BLAS thread variable to it, and refuse
+    one already set to another value. The variables act when numpy loads;
+    if a caller loaded it first, OpenBLAS is also told at run time
+    (_set_blas_threads). Returns the error message, or None."""
     raw = os.environ.get("TABENC_THREADS")
     if raw is None:
         return None
@@ -66,7 +68,25 @@ def _apply_thread_cap() -> str | None:
         value = os.environ.setdefault(var, str(n))
         if value != str(n):
             return f"TABENC_THREADS={n} conflicts with {var}={value}"
+    if "numpy" in sys.modules:
+        _set_blas_threads(n)
     return None
+
+
+def _set_blas_threads(n: int) -> None:
+    """Set the thread count of the OpenBLAS that numpy bundles (numpy.libs),
+    through its exported scipy_openblas_set_num_threads64_; nothing happens
+    when no such library or symbol is there."""
+    import ctypes
+
+    libs = Path(sys.modules["numpy"].__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            setter = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(n)
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,16 @@ are then rewritten; it then sets the diagonal.
 A mask is a view of the layout: the scheme plus each token's row, column and
 category (AttentionMask). Its runs of identical rows are planned straight
 from that layout, in O(L + nnz), as shape buckets (AttentionMask.plan); the
-block-sparse kernel runs those buckets, and the rectangle tiling of block
-files (AttentionMask.blocks) is cut from the same lines, as one (n, 4) array.
-The L x L matrix (AttentionMask.dense) is built like the relation map, and
-only when a caller reads it.
+rectangle tiling of block files (AttentionMask.blocks) and sparsity() are
+cut from those complete lines. The block-sparse kernel runs the mask's
+parts (AttentionMask.parts): where every line of a column takes the
+column's tokens through same-column rules and those tokens are the lines'
+own rows (M1 and M2 content), the column part is planned once, as one
+square line of the column's rows against themselves, and each line keeps
+only the rest of its keys; the kernel merges the two parts of a row by
+their logsumexp. A row may thus sit in two lines. The L x L matrix
+(AttentionMask.dense) is built like the relation map, and only when a
+caller reads it.
 """
 
 from __future__ import annotations
@@ -100,12 +106,26 @@ class AttentionMask:
 
     @functools.cached_property
     def plan(self) -> Plan:
-        """The shape buckets of the mask's row runs (see Plan), planned from
-        the layout (_layout_buckets). Built once per mask and shared by the
-        block-sparse forward and backward and by the tiling (`blocks`). The
-        signature tables are symmetric, so the key plan is the query plan."""
-        buckets = _layout_buckets(self.row, self.col, self.cat, _MASK_TABLES[self.scheme])
+        """The shape buckets of the mask's complete row runs (see Plan),
+        planned from the layout (_layout_buckets): the lines the tiling
+        (`blocks`) and sparsity() are cut from. The signature tables are
+        symmetric, so the key plan is the query plan."""
+        buckets, _ = _layout_buckets(self.row, self.col, self.cat, _MASK_TABLES[self.scheme])
         return Plan(buckets, buckets)
+
+    @functools.cached_property
+    def parts(self) -> Plan:
+        """The plan the block-sparse kernel runs: each column part that
+        pays as one square line, and the rest of the lines as buckets
+        (_layout_buckets with split). The rest of a symmetric mask minus
+        its square blocks is symmetric, so its key plan is its query plan.
+        A scheme without same-column content rules has no column part to
+        split, and runs `plan`."""
+        if self.scheme not in _SAME_COL:
+            return self.plan
+        buckets, square = _layout_buckets(self.row, self.col, self.cat,
+                                          _MASK_TABLES[self.scheme], split=True)
+        return Plan(buckets, buckets, square)
 
 
 def _check_scheme(enc: EncodedInput, scheme: str) -> None:
@@ -144,7 +164,8 @@ def export_blocks(mask: AttentionMask) -> Tiling:
 
 def export_blocks_from_dense(dense: np.ndarray | None, buckets: list | None = None) -> np.ndarray:
     """Tile a symmetric allow-matrix with a True diagonal into disjoint
-    (q0, q1, k0, k1) rectangles, an (n, 4) intp array sorted by (q0, k0).
+    (q0, q1, k0, k1) rectangles, an (n, 4) intp array sorted by (q0, k0)
+    (column-major: the transpose of the (4, n) array it is built in).
 
     `buckets` are the matrix's query buckets (_buckets(dense), built here
     when not given): each line is a run of identical rows with its sorted
@@ -163,22 +184,34 @@ def export_blocks_from_dense(dense: np.ndarray | None, buckets: list | None = No
               if keys.shape[1] == L and rows[0, 0] == 0), 0)
     if b == L:
         return np.array([[0, L, 0, L]], dtype=np.intp)
-    band = np.array([[0, b, 0, L], [b, L, 0, b]], dtype=np.intp)
-    tiles = [band if b else band[:0]]
+    band = np.array([[0, b, 0, L], [b, L, 0, b]], dtype=np.intp)[:2 if b else 0]
+    runs = []  # per bucket: its rows, the runs of each line, each run's first and last key
     for rows, keys in buckets:
         live = (keys >= b) & (rows[:, :1] >= b)  # keys right of the band, off its line
         step = np.diff(keys, axis=1) != 1
         first, last = live.copy(), live.copy()
         first[:, 1:] &= step | ~live[:, :-1]
         last[:, :-1] &= step
-        # flat positions of each run's first and last key, line by line
-        j0, j1 = np.flatnonzero(first), np.flatnonzero(last)
-        q0 = rows[:, 0][j0 // keys.shape[1]]
         flat = keys.ravel()
-        tiles.append(np.stack([q0, q0 + rows.shape[1], flat[j0], flat[j1] + 1], axis=1))
-    tiles = np.concatenate(tiles)
-    # lines are disjoint row ranges and each line's runs are in key order
-    return tiles[np.argsort(tiles[:, 0], kind="stable")]
+        runs.append((rows, np.count_nonzero(first, axis=1),
+                     flat.take(np.flatnonzero(first)), flat.take(np.flatnonzero(last))))
+    # lines are disjoint row ranges after the band's, and each line's runs
+    # are in key order: lay the lines out by first row, each bucket's runs
+    # written in place into the (4, n) transpose of the result
+    counts = np.concatenate([n for _, n, _, _ in runs])
+    order = np.argsort(np.concatenate([rows[:, 0] for rows, _, _, _ in runs]))
+    at_line = np.empty_like(counts)
+    at_line[order] = len(band) + np.cumsum(counts[order]) - counts[order]
+    out = np.empty((4, len(band) + int(counts.sum())), dtype=np.intp)
+    out[:, :len(band)] = band.T
+    g = 0
+    for rows, n, k0, k1 in runs:
+        at = np.repeat(at_line[g:g + len(n)] - np.cumsum(n) + n, n) + np.arange(len(k0))
+        g += len(n)
+        q0 = np.repeat(rows[:, 0], n)
+        for column, values in zip(out, (q0, q0 + rows.shape[1], k0, k1 + 1)):
+            column[at] = values
+    return out.T
 
 
 def blocks_cover(blocks, L: int) -> np.ndarray:
@@ -213,10 +246,16 @@ class Plan(NamedTuple):
     the rows of its transpose, so its rows are keys and its keys the queries
     that attend them. A dense call's plan has no key buckets (None): its one
     line holds every key.
+
+    `square` buckets square lines, whose rows are their keys (one array) and
+    which allow every pair among them: a mask's column parts (see
+    AttentionMask.parts). Their pairs are in no other bucket, so a row may
+    sit in a square line and in a query line, each holding part of its keys.
     """
 
     query: list
     key: list | None
+    square: list | tuple = ()
 
 
 def _buckets(allowed: np.ndarray) -> list:
@@ -439,10 +478,12 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts - lo, counts)
 
 
-def _layout_buckets(rows, cols, cat, table: np.ndarray) -> list:
+def _layout_buckets(rows, cols, cat, table: np.ndarray, split: bool = False):
     """The query buckets of the allow-matrix that a monotone, symmetric
     signature table gives over a layout, with the diagonal set: exactly
-    _buckets of that matrix, built in O(L + nnz) without it.
+    _buckets of that matrix, built in O(L + nnz) without it; and, with
+    `split`, the square buckets of its column parts. Returns (buckets,
+    square buckets).
 
     A token's mask row depends on its descriptor: its rule class (categories
     whose table entries as query are equal share one), its row if the class's
@@ -453,6 +494,15 @@ def _layout_buckets(rows, cols, cat, table: np.ndarray) -> list:
     line's keys are the union of the tokens whose category its class allows
     anywhere, in its row, in its column and in its cell, plus itself where
     needed. Adjacent lines with equal keys are then merged into one run.
+
+    With `split`, a line's column part is the keys its class takes through
+    its column, its own cell among them; every line of one (class, column)
+    shares it. Where that part is exactly the rows of those lines (so every
+    pair among them is allowed), is shared by two lines or more and is at
+    least as large as the rest of each line, it becomes one square line
+    (rows = keys) of the square buckets, and those lines keep only their
+    other keys. Lines left with no key are dropped. Otherwise the buckets
+    are the complete lines and there are no square buckets.
     """
     L = len(cat)
     # [category i, category j]: j is allowed for i anywhere, or only in i's
@@ -471,49 +521,108 @@ def _layout_buckets(rows, cols, cat, table: np.ndarray) -> list:
     start = np.ones(L, dtype=bool)
     start[1:] = (desc[:, 1:] != desc[:, :-1]).any(axis=0) | ~(self_ok[1:] & self_ok[:-1])
     first = np.flatnonzero(start)
+    end = np.append(first[1:], L)
     line_class = rule_class[first]
+    classes = sorted(set(line_class.tolist()))
+
+    # each (kind, class) key list: the keys of the class's lines in one kind
+    # of group, sorted by group, and each line's [lo, hi) range of them
+    width = int(cols.max()) + 1
+    lists = []
+    for kind, (allowed, group) in enumerate(((anywhere, np.zeros(L, dtype=np.intp)), (in_row, rows),
+                                             (in_col, cols), (in_cell, rows.astype(np.intp) * width + cols))):
+        order = np.argsort(group, kind="stable")  # by group, then by index
+        for c in classes:
+            if allowed[c].any():
+                keys = order[allowed[c][cat[order]]]
+                lines = np.flatnonzero(line_class == c)
+                want = group[first[lines]]
+                lo = np.searchsorted(group[keys], want, side="left")
+                hi = np.searchsorted(group[keys], want, side="right")
+                lists.append((kind, c, lines, keys, lo, hi))
+    square = _square_lines(first, end, cols[first], rule_class, cat, in_col, self_ok, lists) if split \
+        else np.zeros(len(first), dtype=bool)
 
     # (line, key) pairs, coded as line * L + key: each line's own diagonal
-    # entry where needed, then each key list of each rule class
+    # entry where needed, then its keys from each list but its column part
     alone = np.flatnonzero(~self_ok[first])
     codes = [alone * L + first[alone]]
-    cell = rows.astype(np.intp) * (int(cols.max()) + 1) + cols
-    for allowed, group in ((anywhere, np.zeros(L, dtype=np.intp)), (in_row, rows),
-                           (in_col, cols), (in_cell, cell)):
-        order = np.argsort(group, kind="stable")  # by group, then by index
-        for c in sorted(set(line_class.tolist())):
-            if not allowed[c].any():
-                continue
-            keys = order[allowed[c][cat[order]]]
-            lines = np.flatnonzero(line_class == c)
-            want = group[first[lines]]
-            lo = np.searchsorted(group[keys], want, side="left")
-            hi = np.searchsorted(group[keys], want, side="right")
-            codes.append(np.repeat(lines, hi - lo) * L + keys[_ranges(lo, hi)])
+    blocks = []
+    for kind, c, lines, keys, lo, hi in lists:
+        cut = square[lines]
+        if kind == 2 and cut.any():
+            # one square line per column: the lines of a column share [lo, hi)
+            hi_at = np.zeros(len(keys) + 1, dtype=np.intp)
+            hi_at[lo[cut]] = hi[cut]
+            at = np.flatnonzero(hi_at)
+            blocks += [keys[a:b] for a, b in zip(at.tolist(), hi_at[at].tolist())]
+            lines, lo, hi = lines[~cut], lo[~cut], hi[~cut]
+        code = np.repeat(lines, hi - lo) * L + keys[_ranges(lo, hi)]
+        if kind == 1 and cut.any():  # its row's keys in its column are in its square line
+            line, key = np.divmod(code, L)
+            code = code[~(square[line] & (cols[key] == cols[first[line]]) & in_col[c][cat[key]])]
+        codes.append(code)
     code = np.sort(np.concatenate(codes), kind="stable")
     code = code[np.append(True, code[1:] != code[:-1])]  # a cell's keys are in its row and column
     off = np.searchsorted(code, np.arange(len(first) + 1) * L)
     n_keys = np.diff(off)
     keys = code - np.repeat(np.arange(len(first)) * L, n_keys)
+    live = n_keys > 0
+    first, end, off, n_keys = first[live], end[live], off[:-1][live], n_keys[live]
 
-    # merge each line into the one before when their keys are equal
-    sums = np.add.reduceat(keys, off[:-1])  # every line holds at least one key
-    alike = 1 + np.flatnonzero((n_keys[1:] == n_keys[:-1]) & (sums[1:] == sums[:-1]))
+    # merge each line into the one before when they touch and their keys are equal
+    sums = np.add.reduceat(keys, off) if len(off) else off
+    alike = 1 + np.flatnonzero((n_keys[1:] == n_keys[:-1]) & (sums[1:] == sums[:-1])
+                               & (first[1:] == end[:-1]))
     merged = np.zeros(len(first), dtype=bool)
     if len(alike):
-        differ = keys[_ranges(off[alike - 1], off[alike])] != keys[_ranges(off[alike], off[alike + 1])]
+        differ = keys[_ranges(off[alike - 1], off[alike - 1] + n_keys[alike])] \
+            != keys[_ranges(off[alike], off[alike] + n_keys[alike])]
         seg = np.cumsum(n_keys[alike]) - n_keys[alike]
         merged[alike] = ~np.logical_or.reduceat(differ, seg)
-    first, off, n_keys = first[~merged], off[:-1][~merged], n_keys[~merged]
-    n_rows = np.diff(np.append(first, L))
+    kept = np.flatnonzero(~merged)
+    end = end[np.append(kept[1:], len(first)) - 1]  # a run ends where its last merged line does
+    first, off, n_keys = first[kept], off[kept], n_keys[kept]
+    n_rows = end - first
 
     # one bucket per (R, K) shape in ascending order, its lines in row order
     order = np.lexsort((n_keys, n_rows))
     first, off, n_rows, n_keys = first[order], off[order], n_rows[order], n_keys[order]
     edges = np.flatnonzero(np.diff(n_rows * (L + 1) + n_keys, prepend=-1, append=-1))
-    return [(first[g0:g1, None] + np.arange(n_rows[g0]),
-             keys[off[g0:g1, None] + np.arange(n_keys[g0])])
-            for g0, g1 in zip(edges[:-1].tolist(), edges[1:].tolist())]
+    buckets = [(first[g0:g1, None] + np.arange(n_rows[g0]),
+                keys[off[g0:g1, None] + np.arange(n_keys[g0])])
+               for g0, g1 in zip(edges[:-1].tolist(), edges[1:].tolist())]
+    # square lines, one bucket per size in ascending order, in row order; rows are keys
+    by_size: dict[int, list] = {}
+    for line in sorted(blocks, key=lambda b: (len(b), b[0])):
+        by_size.setdefault(len(line), []).append(line)
+    return buckets, [(b, b) for b in map(np.stack, by_size.values())]
+
+
+def _square_lines(first, end, line_col, rule_class, cat, in_col, self_ok, lists) -> np.ndarray:
+    """Which lines of _layout_buckets give their column part to a square
+    line: those of each (class, column) whose column keys are exactly the
+    rows of its lines, when it has two lines or more and that part is at
+    least as large as the rest of each line (bounded above by its other
+    key lists and its diagonal)."""
+    n_col = np.zeros(len(first), dtype=np.intp)
+    n_rest = (~self_ok[first]).astype(np.intp)
+    for kind, _c, lines, _keys, lo, hi in lists:
+        (n_col if kind == 2 else n_rest)[lines] += hi - lo
+    # rows of each line that its class takes through the column (all of them, for a square)
+    own = np.add.reduceat(in_col[rule_class, cat].astype(np.intp), first)
+    cand = np.flatnonzero(n_col)
+    group = rule_class[first[cand]] * (int(line_col.max()) + 1) + line_col[cand]
+    n = int(group.max(initial=0)) + 1
+    size = np.zeros(n, dtype=np.intp)
+    size[group] = n_col[cand]  # one size per group
+    pays = ((np.bincount(group, minlength=n) >= 2)
+            & (np.bincount(group, (end - first)[cand], minlength=n) == size)
+            & (np.bincount(group, own[cand], minlength=n) == size)
+            & (np.bincount(group, n_col[cand] < n_rest[cand], minlength=n) == 0))
+    square = np.zeros(len(first), dtype=bool)
+    square[cand] = pays[group]
+    return square
 
 
 # ---------------------------------------------------------------------------

@@ -382,6 +382,143 @@ def test_asymmetric_blocks_match_dense(rng, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# two-part lines: square column blocks and the rest, merged by logsumexp
+# ---------------------------------------------------------------------------
+
+def tall_case(rng, scheme, n_rows, n_cols, d, dtype):
+    """A random table tall enough that its columns outweigh its rows, so
+    M1 and M2 give square column parts."""
+    tokens = "T2" if scheme == "M4" else ("T0", "T1", "T2")[int(rng.integers(0, 3))]
+    t = make_table(rng, n_rows=n_rows, n_cols=n_cols, value_max=9)
+    enc = linearize(random_question(rng, t), t, tokens)
+    m = build_mask(enc, scheme)
+    rel = build_bias_map(enc)
+    q, k, v, d_out = (rng.standard_normal((len(enc), d)).astype(dtype) for _ in range(4))
+    scales = (rng.standard_normal(rel.n_classes) * 0.3).astype(dtype)
+    return m, rel, q, k, v, d_out, scales
+
+
+def check_fd_gradients(rng, m, rel, q, k, v, d_out, scales):
+    """float64 finite differences of sum(out * d_out) through the mask's
+    own plan: every entry of dq, dk, dv (assert_close), and criterion 3's
+    relative error at sampled entries and at every class scalar."""
+
+    def loss():
+        return float((block_sparse_forward(q, k, v, m, scales[rel.rel]) * d_out).sum())
+
+    grads = block_sparse_backward(q, k, v, m, d_out, scales[rel.rel], rel=rel.rel,
+                                  n_classes=rel.n_classes)
+    for x, g in zip((q, k, v), grads[:3]):
+        assert_close(fd_grad(loss, x), g)
+    eps = 1e-4
+    targets = [(x, g, tuple(int(rng.integers(0, s)) for s in x.shape))
+               for x, g in zip((q, k, v), grads[:3]) for _ in range(4)]
+    targets += [(scales, grads[3], (c,)) for c in range(rel.n_classes)]
+    for x, g, idx in targets:
+        orig = x[idx]
+        x[idx] = orig + eps
+        hi = loss()
+        x[idx] = orig - eps
+        lo = loss()
+        x[idx] = orig
+        fd = (hi - lo) / (2 * eps)
+        assert abs(fd - g[idx]) / max(abs(fd), abs(g[idx]), 1e-6) < 1e-4
+
+
+@pytest.mark.parametrize("scheme", ["M1", "M2", "M4"])
+def test_mask_parts_forward_matches_dense(rng, scheme):
+    split = 0
+    for i in range(20):
+        m, rel, q, k, v, _, scales = tall_case(rng, scheme, 6 + i, 1 + i % 4, 16, np.float32)
+        split += bool(m.parts.square)
+        for bias in (None, scales[rel.rel]):
+            ref, _ = dense_forward(q, k, v, m.dense, bias)
+            got = attn_block_sparse(AttentionInput(q, k, v, m, bias)).out
+            assert np.max(np.abs(ref - got)) < 1e-5
+    # M4's column keys hold its [COL] token, a row of another line, so it never splits
+    assert split > 10 if scheme != "M4" else split == 0
+
+
+@pytest.mark.parametrize("scheme", ["M1", "M2", "M4"])
+def test_mask_parts_backward_finite_differences(rng, scheme):
+    for n_rows, n_cols in ((8, 2), (12, 1)):
+        m, rel, q, k, v, d_out, scales = tall_case(rng, scheme, n_rows, n_cols, 4, np.float64)
+        assert bool(m.parts.square) == (scheme != "M4")
+        check_fd_gradients(rng, m, rel, q, k, v, d_out, scales)
+
+
+@pytest.mark.parametrize("scheme", ["M1", "M2"])
+def test_mask_parts_cut_square_lines_into_row_pieces(rng, monkeypatch, scheme):
+    m, rel, q, k, v, d_out, scales = tall_case(rng, scheme, 14, 2, 4, np.float64)
+    n = max(rows.shape[1] for rows, _ in m.parts.square)
+    monkeypatch.setattr(attention, "_BUCKET_CHUNK", 3 * n)
+    square = list(attention._chunks(m.parts.square, 4))
+    assert len(square) > sum(len(rows) for rows, _ in m.parts.square)
+    assert all(len(rows) == 1 and rows.shape[1] <= 3 for rows, _ in square)
+    want = dense_reference(q, k, v, d_out, m.dense, scales, rel.rel)
+    inp = AttentionInput(q, k, v, m, scales[rel.rel])
+    grads = attn_backward(inp, d_out, blocks=m.blocks, rel_map=rel)
+    got = (attn_block_sparse(inp).out, grads.dq, grads.dk, grads.dv, grads.dbias_class)
+    for a, b in zip(got, want):
+        assert np.allclose(a, b, rtol=0, atol=1e-12)
+    check_fd_gradients(rng, m, rel, q, k, v, d_out, scales)
+
+
+def float64_reference(q, k, v, d_out, m, rel, scales):
+    """dense_reference in float64 on float32 operands, and sum |ds|."""
+    q, k, v, d_out, scales = (x.astype(np.float64) for x in (q, k, v, d_out, scales))
+    _, _, _, ds = dense_backward(q, k, v, d_out, m.dense, scales[rel.rel])
+    return dense_reference(q, k, v, d_out, m.dense, scales, rel.rel), float(np.abs(ds).sum())
+
+
+def assert_within_criterion_3(got, want, ds_l1):
+    # out 1e-5 and gradients 1e-4 of max(1, max |reference|); class
+    # gradients, which largely cancel, 1e-7 of sum |ds|
+    for a, b, tol in zip(got[:4], want[:4], (1e-5, 1e-4, 1e-4, 1e-4)):
+        assert np.max(np.abs(a - b)) <= tol * max(1.0, float(np.abs(b).max()))
+    assert np.max(np.abs(got[4] - want[4])) <= 1e-7 * ds_l1
+
+
+@pytest.mark.parametrize("encoding", ["tall column", "bench M1 L~2k"])
+def test_mask_parts_float32_against_float64(encoding):
+    # a one-column table whose column block is taller than the chunk budget,
+    # so it runs as row pieces at the default budget; then the M1 pass of
+    # a bench encoding
+    rng = derive_rng(7, "two-part", 0)
+    if encoding == "tall column":
+        t = make_table(rng, n_rows=400, n_cols=1, value_max=99)
+        enc = linearize("select c1", t, "T0")
+    else:
+        enc = make_bench_encoding(2048, "T0", seed=1)
+    m, rel = build_mask(enc, "M1"), build_bias_map(enc)
+    n = max(rows.shape[1] for rows, _ in m.parts.square)
+    assert (n * n > attention._BUCKET_CHUNK) == (encoding == "tall column")
+    q, k, v, d_out = (rng.standard_normal((len(enc), 16)).astype(np.float32) for _ in range(4))
+    scales = (rng.standard_normal(rel.n_classes) * 0.5).astype(np.float32)
+    inp = AttentionInput(q, k, v, m, scales[rel.rel])
+    grads = attn_backward(inp, d_out, blocks=m.blocks, rel_map=rel)
+    got = (attn_block_sparse(inp).out, grads.dq, grads.dk, grads.dv, grads.dbias_class)
+    assert_within_criterion_3(got, *float64_reference(q, k, v, d_out, m, rel, scales))
+
+
+@pytest.mark.parametrize("scheme", ["M3", "M5"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_unsplit_masks_run_their_rectangles_bit_for_bit(rng, scheme, dtype):
+    # no column part: the mask's plan is its complete lines, as the
+    # rectangles' plan is, and every output bit is theirs
+    for _ in range(5):
+        _, m, q, k, v, bias, _, rel = random_case(rng, scheme, d=8, dtype=dtype, with_bias=True)
+        assert m.parts is m.plan and not m.parts.square
+        d_out = rng.standard_normal(q.shape).astype(dtype)
+        assert block_sparse_forward(q, k, v, m, bias).tobytes() == \
+            block_sparse_forward(q, k, v, m.blocks, bias).tobytes()
+        got, want = (block_sparse_backward(q, k, v, blocks, d_out, bias, rel=rel.rel)
+                     for blocks in (m, m.blocks))
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # wrappers and plan
 # ---------------------------------------------------------------------------
 

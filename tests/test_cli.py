@@ -1,4 +1,5 @@
 import concurrent.futures as cf
+import ctypes
 import json
 import os
 import re
@@ -789,6 +790,37 @@ def test_invalid_thread_cap_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TABENC_THREADS", "0")
     code, _, _ = run(capsys, "exec", "--table", str(table), "--query", "select c1")
     assert code == 2
+
+
+def test_thread_cap_reaches_blas_loaded_before_main(tmp_path):
+    # numpy is loaded before main() runs, so the variables come too late;
+    # main() then sets the thread count of numpy's OpenBLAS at run time
+    libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs")
+                  .glob("libscipy_openblas*.so*"))
+    if not libs or not hasattr(ctypes.CDLL(str(libs[0])), "scipy_openblas_get_num_threads64_"):
+        pytest.skip("numpy does not bundle scipy-openblas")
+    src = str(Path(tabenc.__file__).resolve().parent.parent)
+    table = write_table(tmp_path)
+    code = (
+        "import ctypes, os, sys; import numpy; from tabenc import cli; "
+        f"get = ctypes.CDLL({str(libs[0])!r}).scipy_openblas_get_num_threads64_; "
+        "get.argtypes, get.restype = [], ctypes.c_int; before = get(); "
+        "os.environ['TABENC_THREADS'] = sys.argv[1]; "
+        f"code = cli.main(['exec', '--table', {str(table)!r}, '--query', 'select c1']); "
+        "print(before, get(), code)"
+    )
+    base = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    for n in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", code, n], capture_output=True, text=True,
+                              env=dict(base, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-2:] == [n, "0"]  # threads after main(), exit code
+    # a conflicting variable still exits 2, naming both, and sets nothing
+    proc = subprocess.run([sys.executable, "-c", code, "1"], capture_output=True, text=True,
+                          env=dict(base, PYTHONPATH=src, OMP_NUM_THREADS="8"))
+    before, after, exit_code = proc.stdout.split()[-3:]
+    assert after == before and exit_code == "2"
+    assert "TABENC_THREADS=1 conflicts with OMP_NUM_THREADS=8" in proc.stderr
 
 
 def test_cli_and_core_imports_leave_numpy_unloaded():

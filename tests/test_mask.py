@@ -353,6 +353,60 @@ def test_layout_plan_on_the_long_table_recipe(tokens, scheme):
     assert_same_buckets(m.plan.query, mask_module._buckets(m.dense))
 
 
+def parts_cover(parts, L):
+    """How many lines of the parts hold each (row, key) pair, and how many
+    query lines and square lines hold each row; and each row's key count
+    in its query line and in its square line."""
+    cover = np.zeros((L, L), dtype=np.int8)
+    seen = np.zeros((2, L), dtype=np.int8)
+    n_keys = np.zeros((2, L), dtype=np.intp)
+    for which, buckets in enumerate((parts.query, parts.square)):
+        for rows, keys in buckets:
+            cover[rows[:, :, None], keys[:, None, :]] += 1
+            np.add.at(seen[which], rows.ravel(), 1)
+            n_keys[which, rows.ravel()] = keys.shape[1]
+    return cover, seen, n_keys
+
+
+def assert_parts_split_the_lines(m):
+    # each row's keys are its query line's and its square line's, disjoint;
+    # a square line's rows are its keys; a column part is at least as large
+    # as the rest of each of its rows
+    cover, seen, n_keys = parts_cover(m.parts, m.length)
+    assert np.array_equal(cover, m.dense)
+    assert seen.max() <= 1
+    assert (n_keys[0] <= n_keys[1])[seen[1] == 1].all()
+    assert all(rows is keys for rows, keys in m.parts.square)
+    assert m.parts.key is m.parts.query
+    if m.scheme not in ("M1", "M2", "M4"):  # no same-column content rule: the complete lines
+        assert m.parts is m.plan and not m.parts.square
+
+
+@pytest.mark.parametrize("tokens,scheme", list(legal_pairs()))
+def test_parts_split_each_line_in_two(rng, tokens, scheme):
+    # tall tables give column parts that pay; short ones mostly do not
+    shapes = ((1, 1), (4, 1), (3, 16), (12, 2), (20, 3), (None, None))
+    split = 0
+    for i in range(30):
+        n_rows, n_cols = shapes[i % len(shapes)]
+        t = make_table(rng, n_rows, n_cols, value_max=9 if i % 2 else 99999)
+        m = build_mask(linearize(random_question(rng, t), t, tokens), scheme)
+        assert_parts_split_the_lines(m)
+        split += bool(m.parts.square)
+    assert (split > 0) == (scheme in ("M1", "M2"))
+
+
+@pytest.mark.parametrize("length", [300, 2048])
+@pytest.mark.parametrize("tokens,scheme", [(t, s) for t, s in legal_pairs() if t != "T1"])
+def test_parts_and_tiling_of_bench_encodings(length, tokens, scheme):
+    # the tiling and sparsity still come from the complete lines
+    m = build_mask(make_bench_encoding(length, tokens, seed=1), scheme)
+    assert_parts_split_the_lines(m)
+    assert bool(m.parts.square) == (scheme in ("M1", "M2"))
+    assert_tiling(m.blocks, tiling_loop(m.dense))
+    assert sparsity(m) == 1.0 - int(m.dense.sum()) / float(m.length ** 2)
+
+
 def test_mask_tables_are_symmetric_and_monotone():
     # the layout plan takes a line's keys as a union of lists, which needs
     # rules that only grow with same_row and same_col, and uses its query
