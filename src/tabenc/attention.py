@@ -56,12 +56,13 @@ analytic; gradients at masked pairs are exactly zero by construction.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import STRUCTURAL_MASKS, Table, ValidationError, derive_rng
+from .core import STRUCTURAL_MASKS, Table, ValidationError, derive_rng, set_blas_threads
 from .linearize import EncodedInput, linearize
 from .mask import AttentionMask, Plan, build_mask, plan_blocks
 
@@ -572,27 +573,36 @@ def bench_attention(
     seed: int = 0,
     include_backward: bool = False,
 ) -> list[BenchRow]:
-    """Wall-time dense vs block-sparse at each target length (medians over trials)."""
-    rows: list[BenchRow] = []
-    tokens_scheme = "T2" if scheme in STRUCTURAL_MASKS else "T0"
-    for target in lengths:
-        enc = make_bench_encoding(int(target), tokens_scheme, seed=seed)
-        m = build_mask(enc, scheme)
-        L = len(enc)
-        rng = derive_rng(seed, "bench-qkv", L)
-        q, k, v = (rng.standard_normal((L, head_dim)).astype(np.float32) for _ in range(3))
-        scale = 1.0 / float(np.sqrt(head_dim))
-        inp = AttentionInput(q, k, v, m, scale=scale)
+    """Wall-time dense vs block-sparse at each target length (medians over
+    trials). Both sides run on one known OpenBLAS thread count, as a grid
+    worker does: TABENC_THREADS, or 1 when it is unset. The caller's count
+    is restored afterwards."""
+    before = set_blas_threads(int(os.environ.get("TABENC_THREADS", "1")))
+    try:
+        rows: list[BenchRow] = []
+        tokens_scheme = "T2" if scheme in STRUCTURAL_MASKS else "T0"
+        for target in lengths:
+            enc = make_bench_encoding(int(target), tokens_scheme, seed=seed)
+            m = build_mask(enc, scheme)
+            L = len(enc)
+            rng = derive_rng(seed, "bench-qkv", L)
+            q, k, v = (rng.standard_normal((L, head_dim)).astype(np.float32) for _ in range(3))
+            scale = 1.0 / float(np.sqrt(head_dim))
+            inp = AttentionInput(q, k, v, m, scale=scale)
 
-        dense_fwd = _time_median(lambda: attn_dense(inp), trials)
-        sparse_fwd = _time_median(lambda: block_sparse_forward(q, k, v, m, None, scale), trials)
-        rows.append(BenchRow(L, scheme, "forward", dense_fwd * 1e3, sparse_fwd * 1e3))
+            dense_fwd = _time_median(lambda: attn_dense(inp), trials)
+            sparse_fwd = _time_median(
+                lambda: block_sparse_forward(q, k, v, m, None, scale), trials)
+            rows.append(BenchRow(L, scheme, "forward", dense_fwd * 1e3, sparse_fwd * 1e3))
 
-        if include_backward:
-            d_out = rng.standard_normal((L, head_dim)).astype(np.float32)
-            dense_bwd = _time_median(lambda: attn_backward(inp, d_out), trials)
-            sparse_bwd = _time_median(
-                lambda: block_sparse_backward(q, k, v, m, d_out, None, scale), trials
-            )
-            rows.append(BenchRow(L, scheme, "backward", dense_bwd * 1e3, sparse_bwd * 1e3))
-    return rows
+            if include_backward:
+                d_out = rng.standard_normal((L, head_dim)).astype(np.float32)
+                dense_bwd = _time_median(lambda: attn_backward(inp, d_out), trials)
+                sparse_bwd = _time_median(
+                    lambda: block_sparse_backward(q, k, v, m, d_out, None, scale), trials
+                )
+                rows.append(BenchRow(L, scheme, "backward", dense_bwd * 1e3, sparse_bwd * 1e3))
+        return rows
+    finally:
+        if before is not None:
+            set_blas_threads(before)

@@ -34,6 +34,7 @@ from .core import (
     is_legal_combination,
     iter_jsonl,
     read_jsonl,
+    set_blas_threads,
     write_jsonl,
 )
 
@@ -54,7 +55,7 @@ def _apply_thread_cap() -> str | None:
     """Honor TABENC_THREADS: set each BLAS thread variable to it, and refuse
     one already set to another value. The variables act when numpy loads;
     if a caller loaded it first, OpenBLAS is also told at run time
-    (_set_blas_threads). Returns the error message, or None."""
+    (core.set_blas_threads). Returns the error message, or None."""
     raw = os.environ.get("TABENC_THREADS")
     if raw is None:
         return None
@@ -68,25 +69,8 @@ def _apply_thread_cap() -> str | None:
         value = os.environ.setdefault(var, str(n))
         if value != str(n):
             return f"TABENC_THREADS={n} conflicts with {var}={value}"
-    if "numpy" in sys.modules:
-        _set_blas_threads(n)
+    set_blas_threads(n)
     return None
-
-
-def _set_blas_threads(n: int) -> None:
-    """Set the thread count of the OpenBLAS that numpy bundles (numpy.libs),
-    through its exported scipy_openblas_set_num_threads64_; nothing happens
-    when no such library or symbol is there."""
-    import ctypes
-
-    libs = Path(sys.modules["numpy"].__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas*.so*")):
-        try:
-            setter = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        setter(n)
 
 
 # ---------------------------------------------------------------------------

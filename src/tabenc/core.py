@@ -1,4 +1,5 @@
-"""Shared domain types, the factor grid, seeded RNG streams, and JSONL io.
+"""Shared domain types, the factor grid, seeded RNG streams, JSONL io, and
+the run-time BLAS thread setter.
 
 This module loads no numpy at import: the command line imports it before it
 applies TABENC_THREADS, which only takes effect if numpy is not loaded yet.
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -220,6 +222,32 @@ def derive_seed(master: int, tag: str) -> int:
     data files and runs are seeded this way, so it must never change."""
     material = int(master).to_bytes(8, "little", signed=False) + tag.encode("utf-8")
     return int.from_bytes(hashlib.blake2b(material, digest_size=8).digest(), "little")
+
+
+def set_blas_threads(n: int) -> int | None:
+    """Set the thread count of the OpenBLAS that a loaded numpy bundles
+    (numpy.libs) through its exported scipy_openblas_set_num_threads64_, and
+    return the count it had before (scipy_openblas_get_num_threads64_).
+    Nothing happens, and None is returned, without numpy loaded or without
+    such a library or symbols."""
+    import ctypes
+
+    if "numpy" not in sys.modules:
+        return None
+    libs = Path(sys.modules["numpy"].__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            getter = lib.scipy_openblas_get_num_threads64_
+            setter = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        before = getter()
+        setter(n)
+        return before
+    return None
 
 
 def example_to_line(example: QAExample) -> str:

@@ -161,7 +161,16 @@ def init_params(cfg: ModelConfig, vocab_size: int, rng: np.random.Generator) -> 
 # ---------------------------------------------------------------------------
 
 def _linear_fwd(x, w, b):
-    return x @ w + b
+    """x @ w + b over a (B, n, d) stack: one 2-D product over all B * n rows,
+    which rounds as numpy's product per matrix does, with the bias added in
+    its buffer. A stack of single rows (n == 1, a decode step) keeps numpy's
+    vector-matrix product per row, which rounds otherwise."""
+    if x.shape[-2] == 1:
+        y = x @ w
+    else:
+        y = (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[1:])
+    y += b
+    return y
 
 
 def _linear_bwd(x, w, dy, grads, wname, bname):
@@ -169,26 +178,66 @@ def _linear_bwd(x, w, dy, grads, wname, bname):
     dy2 = dy.reshape(-1, dy.shape[-1])
     grads[wname] += x2.T @ dy2
     grads[bname] += dy2.sum(axis=0)
+    # stays a product per matrix: for short ones (the decoder's few answer
+    # positions) OpenBLAS takes another kernel than for the 2-D dy2 @ w.T,
+    # and it rounds otherwise
     return dy @ w.T
 
 
 def _ln_fwd(x, g, b, eps=1e-5):
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    sq = xc * xc
+    var = sq.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    return xhat * g + b, (xhat, inv, g)
+    xc *= inv  # xhat
+    np.multiply(xc, g, out=sq)
+    sq += b
+    return sq, (xc, inv, g)
 
 
 def _ln_bwd(dy, cache, grads, gname, bname):
     xhat, inv, g = cache
-    grads[gname] += (dy * xhat).reshape(-1, dy.shape[-1]).sum(axis=0)
+    t = dy * xhat  # scratch: dy * xhat, then dxhat * xhat, then xhat * mean2
+    grads[gname] += t.reshape(-1, dy.shape[-1]).sum(axis=0)
     grads[bname] += dy.reshape(-1, dy.shape[-1]).sum(axis=0)
     dxhat = dy * g
     mean1 = dxhat.mean(axis=-1, keepdims=True)
-    mean2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    return inv * (dxhat - mean1 - xhat * mean2)
+    mean2 = np.multiply(dxhat, xhat, out=t).mean(axis=-1, keepdims=True)
+    dxhat -= mean1
+    dxhat -= np.multiply(xhat, mean2, out=t)
+    dxhat *= inv
+    return dxhat
+
+
+def _scatter_add(table, idx, rows):
+    """np.add.at(table, idx, rows) bit for bit, for non-negative idx: each
+    target row adds its rows in index order to its current value. That sum
+    is one segment (the current value, then the rows); segments whose row
+    counts are within a factor of two are stacked as (S, G, d), padded with
+    -0.0 (x + -0.0 is x for every x, +0.0 included), and reduced over the
+    segment axis, which numpy adds in order for each of the G * d entries;
+    the reduction starts at -0.0, since its default start, +0.0, would turn
+    an all -0.0 segment positive. A single entry would be summed pairwise,
+    so 1-wide tables keep add.at."""
+    idx = idx.ravel()
+    rows = rows.reshape(len(idx), table.shape[1])
+    if table.shape[1] == 1:
+        np.add.at(table, idx, rows)
+        return
+    order = np.argsort(idx, kind="stable")
+    count = np.bincount(idx)
+    first = np.cumsum(count) - count  # each target's first place in order
+    size_class = np.frexp(count)[1]  # counts in [2^(c-1), 2^c) share class c
+    for c in sorted(set(size_class[count > 0].tolist())):
+        targets = np.flatnonzero(size_class == c)
+        n = count[targets]
+        seg = np.full((int(n.max()) + 1, len(targets), table.shape[1]), -0.0, dtype=table.dtype)
+        seg[0] = table[targets]
+        g = np.repeat(np.arange(len(targets)), n)
+        j = np.arange(len(g)) - np.repeat(np.cumsum(n) - n, n)  # place in the segment
+        seg[j + 1, g] = rows[order[first[targets][g] + j]]
+        table[targets] = np.add.reduce(seg, axis=0, initial=-0.0)
 
 
 def _split_heads(x, n_heads):
@@ -412,46 +461,63 @@ def encoder_forward(params, cfg: ModelConfig, batch: Batch, keep_cache: bool):
     return out, cache
 
 
-def _bias_scale_grad(ds: np.ndarray, allowed: np.ndarray, rel: np.ndarray) -> np.ndarray:
-    """The (H, C) class-scalar gradient from the (B, H, L, L) logit gradient,
-    the (B, 1, L, L) mask and the (B, L, L) relation map: per batch element
-    one float64 bincount over (head, class) bins of its allowed pairs in
-    pair order, added over b in order. A masked pair's ds is p * (...) with
-    p exactly 0, and a bin starts at +0.0, so leaving those pairs out changes
-    no bit of a sum."""
-    H = ds.shape[1]
-    heads = np.arange(H)[:, None] * N_BIAS_CLASSES
-    grad = np.zeros(H * N_BIAS_CLASSES, dtype=np.float64)
-    for ds_b, allowed_b, rel_b in zip(ds, allowed[:, 0], rel):
+def _bias_pairs(allowed: np.ndarray, rel: np.ndarray, n_heads: int) -> list:
+    """Per batch element, the flat places of its allowed pairs in the (L, L)
+    plane and their (head, class) bins, head-major: what _bias_scale_grad
+    reads in every layer, so a batch computes them once."""
+    heads = np.arange(n_heads)[:, None] * N_BIAS_CLASSES
+    pairs = []
+    for allowed_b, rel_b in zip(allowed[:, 0], rel):
         flat = np.flatnonzero(allowed_b)
+        pairs.append((flat, (heads + rel_b.ravel()[flat]).ravel()))
+    return pairs
+
+
+def _bias_scale_grad(ds: np.ndarray, allowed: np.ndarray, rel: np.ndarray,
+                     pairs: list | None = None) -> np.ndarray:
+    """The (H, C) class-scalar gradient from the (B, H, L, L) logit gradient,
+    the (B, 1, L, L) mask and the (B, L, L) relation map (or their
+    _bias_pairs): per batch element one float64 bincount over (head, class)
+    bins of its allowed pairs in pair order, added over b in order. A masked
+    pair's ds is p * (...) with p exactly 0, and a bin starts at +0.0, so
+    leaving those pairs out changes no bit of a sum."""
+    H = ds.shape[1]
+    if pairs is None:
+        pairs = _bias_pairs(allowed, rel, H)
+    grad = np.zeros(H * N_BIAS_CLASSES, dtype=np.float64)
+    for ds_b, (flat, bins) in zip(ds, pairs):
         weights = ds_b.reshape(H, -1).take(flat, axis=1).astype(np.float64)
-        grad += np.bincount((heads + rel_b.ravel()[flat]).ravel(), weights=weights.ravel(),
-                            minlength=grad.size)
+        grad += np.bincount(bins, weights=weights.ravel(), minlength=grad.size)
     return grad.reshape(H, N_BIAS_CLASSES)
 
 
 def encoder_backward(d_out, cache, params, cfg: ModelConfig, batch: Batch, grads,
                      instrument: list | None = None):
     layers, c_final = cache
+    pairs = None
+    if cfg.factor.bias == "B1":
+        pairs = _bias_pairs(batch.allowed, batch.rel, cfg.n_heads)
     dx = _ln_bwd(d_out, c_final, grads, "enc_ln.g", "enc_ln.b")
     for i in reversed(range(cfg.n_enc_layers)):
         c_ln1, c_attn, c_ln2, c_ffn = layers[i]
         dh2 = _ffn_bwd(dx, c_ffn, params, f"enc{i}.ffn", grads)
         dx = dx + _ln_bwd(dh2, c_ln2, grads, f"enc{i}.ln2.g", f"enc{i}.ln2.b")
         dq_in, dkv_in, ds = _mha_bwd(dx, c_attn, params, f"enc{i}.attn", cfg, grads)
-        if cfg.factor.bias == "B1":
-            grads[f"enc{i}.bias_scales"] += _bias_scale_grad(ds, batch.allowed, batch.rel).astype(
-                grads[f"enc{i}.bias_scales"].dtype)
+        if pairs is not None:
+            scales_grad = grads[f"enc{i}.bias_scales"]
+            scales_grad += _bias_scale_grad(ds, batch.allowed, batch.rel, pairs).astype(
+                scales_grad.dtype)
         if instrument is not None:
             instrument.append(ds)
+        del ds  # the (B, H, L, L) logit gradient, not kept through the next layer's backward
         dx = dx + _ln_bwd(dq_in + dkv_in, c_ln1, grads, f"enc{i}.ln1.g", f"enc{i}.ln1.b")
 
-    np.add.at(grads["tok_emb"], batch.ids, dx)
-    np.add.at(grads["pos_emb"], batch.pos, dx)
-    np.add.at(grads["seg_emb"], batch.seg, dx)
+    _scatter_add(grads["tok_emb"], batch.ids, dx)
+    _scatter_add(grads["pos_emb"], batch.pos, dx)
+    _scatter_add(grads["seg_emb"], batch.seg, dx)
     if cfg.factor.emb == "E1":
-        np.add.at(grads["row_emb"], batch.row, dx)
-        np.add.at(grads["col_emb"], batch.col, dx)
+        _scatter_add(grads["row_emb"], batch.row, dx)
+        _scatter_add(grads["col_emb"], batch.col, dx)
 
 
 class DecodeCache:
@@ -533,7 +599,7 @@ def decoder_backward(dlogits, cache, params, cfg: ModelConfig, dec_in, enc_state
         dy = dy + _ln_bwd(dq_in, c_ln2, grads, f"dec{i}.ln2.g", f"dec{i}.ln2.b")
         dq_in, dkv_in, _ = _mha_bwd(dy, c_self, params, f"dec{i}.self", cfg, grads)
         dy = dy + _ln_bwd(dq_in + dkv_in, c_ln1, grads, f"dec{i}.ln1.g", f"dec{i}.ln1.b")
-    np.add.at(grads["tok_emb"], dec_in, dy)
+    _scatter_add(grads["tok_emb"], dec_in, dy)
     grads["dec_pos_emb"][:dec_in.shape[1]] += dy.sum(axis=0)
     return d_enc
 
@@ -597,11 +663,20 @@ class Adam:
         for k, g in grads.items():
             m = self.m[k]
             v = self.v[k]
+            # lr * (m / b1t) / (sqrt(v / b2t) + eps) in two scratch arrays
+            step = (1 - _ADAM_B1) * g
             m *= _ADAM_B1
-            m += (1 - _ADAM_B1) * g
+            m += step
+            denom = g * g
+            denom *= 1 - _ADAM_B2
             v *= _ADAM_B2
-            v += (1 - _ADAM_B2) * (g * g)
-            params[k] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + _ADAM_EPS)
+            v += denom
+            np.sqrt(np.divide(v, b2t, out=denom), out=denom)
+            denom += _ADAM_EPS
+            np.divide(m, b1t, out=step)
+            step *= self.lr
+            step /= denom
+            params[k] -= step
 
 
 @dataclass

@@ -1,13 +1,15 @@
 """References the tests compare the program against: per-pair mask code,
-deliberately unvectorized, the signature gather over every pair, and the
-dense attention core and the B1 bias gather and gradient in their plain
-out-of-place form."""
+deliberately unvectorized, the signature gather over every pair, the dense
+attention core and the B1 bias gather and gradient in their plain
+out-of-place form, and the model's train-step primitives (embedding
+scatter-add, linear layers, LayerNorm, Adam) as plain formulas and loops."""
 
 import numpy as np
 
 from tabenc.core import STRUCTURAL_MASKS
 from tabenc.linearize import EncodedInput, TokenRole
 from tabenc.mask import _HEADER, _SAME_COL, _SAME_ROW, _check_scheme
+from tabenc.model import _ADAM_B1, _ADAM_B2, _ADAM_EPS
 
 
 def _allowed_pair(enc: EncodedInput, scheme: str, i: int, j: int) -> bool:
@@ -121,3 +123,55 @@ def bias_scale_grad_ref(ds, rel, n_classes):
             grad[h] += np.bincount(flat_rel, weights=ds[b, h].ravel().astype(np.float64),
                                    minlength=n_classes)
     return grad
+
+
+def scatter_add_ref(table, idx, rows):
+    """np.add.at(table, idx, rows) as a plain loop: row by row, in index order."""
+    for i, row in zip(idx.ravel(), rows.reshape((idx.size,) + table.shape[1:])):
+        table[i] += row
+
+
+def linear_fwd_ref(x, w, b):
+    return x @ w + b
+
+
+def linear_bwd_ref(x, w, dy, grads, wname, bname):
+    x2 = x.reshape(-1, x.shape[-1])
+    dy2 = dy.reshape(-1, dy.shape[-1])
+    grads[wname] += x2.T @ dy2
+    grads[bname] += dy2.sum(axis=0)
+    return dy @ w.T
+
+
+def ln_fwd_ref(x, g, b, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    return xhat * g + b, (xhat, inv, g)
+
+
+def ln_bwd_ref(dy, cache, grads, gname, bname):
+    xhat, inv, g = cache
+    grads[gname] += (dy * xhat).reshape(-1, dy.shape[-1]).sum(axis=0)
+    grads[bname] += dy.reshape(-1, dy.shape[-1]).sum(axis=0)
+    dxhat = dy * g
+    mean1 = dxhat.mean(axis=-1, keepdims=True)
+    mean2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return inv * (dxhat - mean1 - xhat * mean2)
+
+
+def adam_step_ref(opt, params, grads):
+    """model.Adam.step out of place (bound as a method when patched in)."""
+    opt.t += 1
+    b1t = 1.0 - _ADAM_B1 ** opt.t
+    b2t = 1.0 - _ADAM_B2 ** opt.t
+    for k, g in grads.items():
+        m = opt.m[k]
+        v = opt.v[k]
+        m *= _ADAM_B1
+        m += (1 - _ADAM_B1) * g
+        v *= _ADAM_B2
+        v += (1 - _ADAM_B2) * (g * g)
+        params[k] -= opt.lr * (m / b1t) / (np.sqrt(v / b2t) + _ADAM_EPS)

@@ -1,4 +1,6 @@
+import ctypes
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from tabenc.attention import (
     make_bench_encoding,
     plan_blocks,
 )
-from tabenc.core import ValidationError, derive_rng
+from tabenc.core import ValidationError, derive_rng, set_blas_threads
 from tabenc.linearize import linearize
 from tabenc.mask import blocks_cover, build_bias_map, build_mask
 
@@ -635,7 +637,14 @@ def test_long_table_pass_builds_no_matrix(tokens, scheme):
 
 @pytest.mark.parametrize("scheme", ["M1", "M5"])
 def test_mask_as_blocks_matches_its_rectangles(rng, scheme):
+    """Through its AttentionMask, a mask that plans no square line runs its
+    own rectangles bit for bit. random_case's 1-4-row tables never give a
+    square line (Plan.square), which is asserted first so that a case that
+    splits fails here instead of passing untested; split M1/M2 masks merge
+    their parts by logsumexp and are covered at tolerance by the
+    test_mask_parts_* tests."""
     _, m, q, k, v, bias, _, rel = random_case(rng, scheme, d=4, with_bias=True)
+    assert not m.parts.square, "the case plans a square line; this test covers unsplit masks"
     d_out = rng.standard_normal(q.shape)
     assert np.array_equal(block_sparse_forward(q, k, v, m, bias),
                           block_sparse_forward(q, k, v, m.blocks, bias))
@@ -755,6 +764,34 @@ def test_bench_rows_shape():
         assert r.direction == "forward"
         assert r.dense_ms > 0 and r.sparse_ms > 0
         assert r.speedup == pytest.approx(r.dense_ms / r.sparse_ms)
+
+
+def test_bench_runs_on_a_known_blas_thread_count(monkeypatch):
+    """Both sides are timed on TABENC_THREADS OpenBLAS threads, or on 1 when
+    it is unset, and the caller's count comes back afterwards."""
+    libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs")
+                  .glob("libscipy_openblas*.so*"))
+    if not libs or not hasattr(ctypes.CDLL(str(libs[0])), "scipy_openblas_get_num_threads64_"):
+        pytest.skip("numpy does not bundle scipy-openblas")
+    get = ctypes.CDLL(str(libs[0])).scipy_openblas_get_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    seen = []
+    dense = attention.attn_dense
+    monkeypatch.setattr(attention, "attn_dense", lambda inp: (seen.append(get()), dense(inp))[1])
+    caller = set_blas_threads(2)
+    try:
+        for env, inside, outside in ((None, 1, 2), ("2", 2, 1)):
+            if env is None:
+                monkeypatch.delenv("TABENC_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("TABENC_THREADS", env)
+            set_blas_threads(outside)
+            seen.clear()
+            bench_attention([64], scheme="M3", trials=1)
+            assert seen and set(seen) == {inside}
+            assert get() == outside
+    finally:
+        set_blas_threads(caller)
 
 
 def test_bench_includes_backward():

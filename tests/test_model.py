@@ -25,9 +25,29 @@ from tabenc.model import (
     train,
 )
 from tabenc.mask import N_BIAS_CLASSES
-from tabenc.model import _bias_scale_grad, _ffn_fwd, _gather_bias, _ln_fwd
+from tabenc import model
+from tabenc.model import (
+    Adam,
+    _bias_scale_grad,
+    _ffn_fwd,
+    _gather_bias,
+    _linear_bwd,
+    _linear_fwd,
+    _ln_bwd,
+    _ln_fwd,
+    _scatter_add,
+)
 
-from oracles import bias_scale_grad_ref, gather_bias_ref
+from oracles import (
+    adam_step_ref,
+    bias_scale_grad_ref,
+    gather_bias_ref,
+    linear_bwd_ref,
+    linear_fwd_ref,
+    ln_bwd_ref,
+    ln_fwd_ref,
+    scatter_add_ref,
+)
 
 TINY = dict(d_model=16, n_heads=2, n_enc_layers=1, n_dec_layers=1, ffn_dim=24,
             context_len=128, max_positions=128, dec_positions=16, max_answer_len=16)
@@ -236,6 +256,134 @@ def test_bias_scale_grad_is_the_per_head_bincount_loop():
         got = _bias_scale_grad(ds, batch.allowed, batch.rel)
         want = bias_scale_grad_ref(ds, batch.rel, N_BIAS_CLASSES)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# train-step primitives against their references, byte for byte
+# ---------------------------------------------------------------------------
+
+def wide(rng, shape, dtype):
+    """Normal values spread over enough binades that sums round, so any
+    change in the order of additions shows in the bits."""
+    return (rng.standard_normal(shape) * np.exp2(rng.integers(-30, 30, shape))).astype(dtype)
+
+
+def scatter_cases(dtype):
+    rng = derive_rng(21, "scatter", 0)
+    table = wide(rng, (10, 16), dtype)
+    yield "repeated indices", table, rng.integers(0, 10, (8, 40)), wide(rng, (8, 40, 16), dtype)
+    # seg_emb at the grid shape: two rows, one of them with over 1,024 contributions
+    idx = (rng.random((8, 294)) < 0.1).astype(np.int32)
+    yield "long segment", wide(rng, (2, 128), dtype), idx, wide(rng, (8, 294, 128), dtype)
+    signed = np.array([0.0, -0.0], dtype=dtype)
+    table = rng.choice(signed, (4, 8))
+    table[3] = wide(rng, 8, dtype)
+    rows = rng.choice(signed, (30, 8))
+    rows[::7] = wide(rng, (5, 8), dtype)
+    yield "signed zeros", table, rng.integers(0, 4, 30), rows
+    yield "all -0.0 rows", rng.choice(signed, (3, 4)), np.array([0, 0, 2, 2, 2]), \
+        np.full((5, 4), -0.0, dtype=dtype)
+    yield "empty index", wide(rng, (5, 8), dtype), np.zeros(0, dtype=np.int32), \
+        np.zeros((0, 8), dtype=dtype)
+    yield "1-wide table", wide(rng, (3, 1), dtype), rng.integers(0, 3, 50), wide(rng, (50, 1), dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scatter_add_is_the_index_order_loop(dtype):
+    """_scatter_add rests on numpy adding a reduction over a non-last axis in
+    order; this pins it, and the loop itself, to np.add.at."""
+    for case, table, idx, rows in scatter_cases(dtype):
+        got, want, at = table.copy(), table.copy(), table.copy()
+        _scatter_add(got, idx, rows)
+        scatter_add_ref(want, idx, rows)
+        np.add.at(at, idx, rows)
+        assert got.tobytes() == want.tobytes() == at.tobytes(), case
+
+
+def grid_shapes():
+    """Leading shapes of the linear layers and LayerNorms in a grid-shape
+    step (B 8, L 294, decoder D 12 or a short answer's 5) and in one greedy
+    decode step (B, 1)."""
+    return [(8, 294), (8, 12), (8, 5), (8, 1)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_layers_are_the_3d_products(dtype):
+    rng = derive_rng(22, "linear", 0)
+    vocab = default_vocab().size
+    for lead in grid_shapes():
+        for d_in, d_out in ((128, 128), (128, 256), (256, 128), (128, vocab)):
+            x = wide(rng, lead + (d_in,), dtype) * dtype(1e-6)
+            w, b = rng.standard_normal((d_in, d_out)).astype(dtype), wide(rng, d_out, dtype)
+            got, want = _linear_fwd(x, w, b), linear_fwd_ref(x, w, b)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            dy = wide(rng, lead + (d_out,), dtype)
+            g_got, g_want = ({"w": wide(derive_rng(1, "g", 0), w.shape, dtype),
+                              "b": np.zeros(d_out, dtype)} for _ in range(2))
+            got = _linear_bwd(x, w, dy, g_got, "w", "b")
+            want = linear_bwd_ref(x, w, dy, g_want, "w", "b")
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert all(g_got[k].tobytes() == g_want[k].tobytes() for k in g_want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_is_the_out_of_place_formula(dtype):
+    rng = derive_rng(23, "ln", 0)
+    for lead in grid_shapes():
+        x = wide(rng, lead + (128,), dtype)
+        g, b = (rng.standard_normal(128).astype(dtype) for _ in range(2))
+        (got, c_got), (want, c_want) = _ln_fwd(x, g, b), ln_fwd_ref(x, g, b)
+        assert got.tobytes() == want.tobytes()
+        assert all(p.tobytes() == q.tobytes() for p, q in zip(c_got, c_want))
+        dy = wide(rng, x.shape, dtype)
+        dy[0, 0, :5] = -0.0
+        g_got, g_want = ({"g": np.zeros(128, dtype), "b": np.zeros(128, dtype)} for _ in range(2))
+        got = _ln_bwd(dy, c_got, g_got, "g", "b")
+        want = ln_bwd_ref(dy, c_want, g_want, "g", "b")
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert all(g_got[k].tobytes() == g_want[k].tobytes() for k in g_want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_step_is_the_out_of_place_formula(dtype):
+    cfg = ModelConfig(d_model=128, n_heads=4, context_len=1024, max_positions=1024,
+                      factor=FactorConfig(tokens="T2", mask="M5", pe="CPE", bias="B1", emb="E1"))
+    params = {k: v.astype(dtype) for k, v in
+              init_params(cfg, default_vocab().size, derive_rng(24, "init", 0)).items()}
+    got, want = params, {k: v.copy() for k, v in params.items()}
+    opt_got, opt_want = Adam(got, 3e-4), Adam(want, 3e-4)
+    rng = derive_rng(24, "adam", 0)
+    for _ in range(3):
+        grads = {k: wide(rng, v.shape, dtype) for k, v in params.items()}
+        grads["seg_emb"][0, :4] = [0.0, -0.0, 0.0, -0.0]
+        opt_got.step(got, grads)
+        adam_step_ref(opt_want, want, grads)
+    for k in want:
+        assert got[k].tobytes() == want[k].tobytes(), k
+        assert opt_got.m[k].tobytes() == opt_want.m[k].tobytes(), k
+        assert opt_got.v[k].tobytes() == opt_want.v[k].tobytes(), k
+
+
+@pytest.mark.parametrize("factor", [FactorConfig("T2", "M5", "CPE", "B1", "E1"),
+                                    FactorConfig("T0", "M1", "TPE", "B0", "E0")],
+                         ids=["struct", "flat"])
+def test_train_is_bitwise_the_reference_primitives(monkeypatch, factor):
+    """A few steps of train, as written and with every rewritten primitive
+    swapped for its reference: the same parameters and losses, to the bit."""
+    examples = small_examples(10, seed=31)
+    cfg = tiny_cfg(factor=factor, d_model=32, n_heads=4, ffn_dim=48, steps=6, eval_every=2,
+                   batch_size=4, eval_fraction=0.0)
+    got = train(examples, cfg, seed=3)
+    for name, ref in (("_scatter_add", scatter_add_ref), ("_linear_fwd", linear_fwd_ref),
+                      ("_linear_bwd", linear_bwd_ref), ("_ln_fwd", ln_fwd_ref),
+                      ("_ln_bwd", ln_bwd_ref)):
+        monkeypatch.setattr(model, name, ref)
+    monkeypatch.setattr(model.Adam, "step", adam_step_ref)
+    want = train(examples, cfg, seed=3)
+    assert [row["loss"] for row in got.trace] == [row["loss"] for row in want.trace]
+    assert got.trace == want.trace and got.best_step == want.best_step
+    for k in want.params:
+        assert got.params[k].tobytes() == want.params[k].tobytes(), k
 
 
 # ---------------------------------------------------------------------------
