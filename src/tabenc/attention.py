@@ -56,13 +56,12 @@ analytic; gradients at masked pairs are exactly zero by construction.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import STRUCTURAL_MASKS, Table, ValidationError, derive_rng, set_blas_threads
+from .core import STRUCTURAL_MASKS, Table, ValidationError, derive_rng, env_threads, set_blas_threads
 from .linearize import EncodedInput, linearize
 from .mask import AttentionMask, Plan, build_mask, plan_blocks
 
@@ -81,14 +80,6 @@ def _as_float(x, name: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite values")
     return arr
-
-
-def _dense_of(mask) -> np.ndarray | None:
-    if mask is None:
-        return None
-    if isinstance(mask, AttentionMask):
-        return mask.dense
-    return np.asarray(mask, dtype=bool)
 
 
 def _allowed_entries(bias, allowed):
@@ -143,7 +134,9 @@ class AttentionInput:
 
     @property
     def allowed(self) -> np.ndarray | None:
-        return _dense_of(self.mask)
+        if isinstance(self.mask, AttentionMask):
+            return self.mask.dense
+        return None if self.mask is None else np.asarray(self.mask, dtype=bool)
 
 
 @dataclass
@@ -203,8 +196,9 @@ def _dscores(p, dp):
     return np.multiply(p, _into(np.subtract, dp, rowdot), out=ds), rowdot
 
 
-def dense_forward(q, k, v, allowed=None, bias=None, scale=None, return_weights=False):
-    """Masked softmax(q k^T * scale + bias) v with arbitrary leading batch dims.
+def dense_forward(q, k, v, allowed=None, bias=None, scale=None):
+    """Masked softmax(q k^T * scale + bias) v with arbitrary leading batch
+    dims; returns (out, weights), the softmax weights dense_backward reads.
 
     allowed and bias broadcast against the (..., Lq, Lk) logit shape. Rows of
     `allowed` must each keep at least one key.
@@ -212,24 +206,20 @@ def dense_forward(q, k, v, allowed=None, bias=None, scale=None, return_weights=F
     if scale is None:
         scale = 1.0 / float(np.sqrt(q.shape[-1]))
     p, _ = _softmax(_logits(q, k, allowed, bias, scale))
-    out = np.matmul(p, v)
-    return (out, p) if return_weights else (out, None)
+    return np.matmul(p, v), p
 
 
-def dense_backward(q, k, v, d_out, allowed=None, bias=None, scale=None, weights=None):
-    """Analytic backward of dense_forward; returns (dq, dk, dv, dbias).
+def dense_backward(q, k, v, d_out, weights, scale=None):
+    """Analytic backward of dense_forward from its saved `weights`; returns
+    (dq, dk, dv, dbias).
 
     dbias has the logit shape and is exactly zero at masked pairs (the
-    softmax weight there is exactly zero). Pass `weights` to reuse a saved
-    forward; otherwise the forward is recomputed.
+    softmax weight there is exactly zero).
     """
-    if weights is None:
-        _, weights = dense_forward(q, k, v, allowed, bias, scale, return_weights=True)
     if scale is None:
         scale = 1.0 / float(np.sqrt(q.shape[-1]))
-    p = weights
-    dv = np.matmul(np.swapaxes(p, -1, -2), d_out)
-    ds, _ = _dscores(p, np.matmul(d_out, np.swapaxes(v, -1, -2)))
+    dv = np.matmul(np.swapaxes(weights, -1, -2), d_out)
+    ds, _ = _dscores(weights, np.matmul(d_out, np.swapaxes(v, -1, -2)))
     dq = np.matmul(ds, k) * scale
     dk = np.matmul(np.swapaxes(ds, -1, -2), q) * scale
     return dq, dk, dv, ds
@@ -576,8 +566,9 @@ def bench_attention(
     """Wall-time dense vs block-sparse at each target length (medians over
     trials). Both sides run on one known OpenBLAS thread count, as a grid
     worker does: TABENC_THREADS, or 1 when it is unset. The caller's count
-    is restored afterwards."""
-    before = set_blas_threads(int(os.environ.get("TABENC_THREADS", "1")))
+    is restored afterwards. A TABENC_THREADS that is not an integer >= 1
+    raises ValidationError (core.env_threads)."""
+    before = set_blas_threads(env_threads() or 1)
     try:
         rows: list[BenchRow] = []
         tokens_scheme = "T2" if scheme in STRUCTURAL_MASKS else "T0"

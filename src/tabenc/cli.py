@@ -31,6 +31,7 @@ from .core import (
     Table,
     ValidationError,
     derive_seed,
+    env_threads,
     is_legal_combination,
     iter_jsonl,
     read_jsonl,
@@ -56,15 +57,12 @@ def _apply_thread_cap() -> str | None:
     one already set to another value. The variables act when numpy loads;
     if a caller loaded it first, OpenBLAS is also told at run time
     (core.set_blas_threads). Returns the error message, or None."""
-    raw = os.environ.get("TABENC_THREADS")
-    if raw is None:
-        return None
     try:
-        n = int(raw)
-    except ValueError:
-        return f"TABENC_THREADS must be an integer, got {raw!r}"
-    if n < 1:
-        return f"TABENC_THREADS must be >= 1, got {n}"
+        n = env_threads()
+    except ValidationError as exc:
+        return str(exc)
+    if n is None:
+        return None
     for var in _THREAD_ENV_VARS:
         value = os.environ.setdefault(var, str(n))
         if value != str(n):

@@ -1,5 +1,5 @@
 """Shared domain types, the factor grid, seeded RNG streams, JSONL io, and
-the run-time BLAS thread setter.
+the TABENC_THREADS parser and run-time BLAS thread setter.
 
 This module loads no numpy at import: the command line imports it before it
 applies TABENC_THREADS, which only takes effect if numpy is not loaded yet.
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -222,6 +223,21 @@ def derive_seed(master: int, tag: str) -> int:
     data files and runs are seeded this way, so it must never change."""
     material = int(master).to_bytes(8, "little", signed=False) + tag.encode("utf-8")
     return int.from_bytes(hashlib.blake2b(material, digest_size=8).digest(), "little")
+
+
+def env_threads() -> int | None:
+    """The BLAS thread count TABENC_THREADS asks for, or None when it is
+    unset; a value that is not an integer >= 1 raises ValidationError."""
+    raw = os.environ.get("TABENC_THREADS")
+    if raw is None:
+        return None
+    try:
+        n = int(raw)
+    except ValueError:
+        raise ValidationError(f"TABENC_THREADS must be an integer, got {raw!r}") from None
+    if n < 1:
+        raise ValidationError(f"TABENC_THREADS must be >= 1, got {n}")
+    return n
 
 
 def set_blas_threads(n: int) -> int | None:

@@ -445,6 +445,19 @@ def _gather_pairs(rows, cols, cat, table: np.ndarray, local: np.ndarray) -> np.n
     return out
 
 
+def count_classes(keys: np.ndarray):
+    """(order, count, first, groups) of non-negative int `keys`: their stable
+    argsort, each key's count and first place in that order, and the keys
+    that occur, one array per count class c (counts in [2^(c-1), 2^c))."""
+    order = np.argsort(keys, kind="stable")
+    count = np.bincount(keys)
+    first = np.cumsum(count) - count
+    size_class = np.frexp(count)[1]
+    # a set, not np.unique, whose first call in a process maps ~0.9 MiB more
+    classes = sorted(set(size_class[count > 0].tolist()))
+    return order, count, first, [np.flatnonzero(size_class == c) for c in classes]
+
+
 def _row_blocks(rows, members):
     """Index blocks (i, j) that broadcast to every pair of `members` in one
     row, each at most _CHUNK_PAIRS pairs: rows whose member counts are
@@ -452,13 +465,9 @@ def _row_blocks(rows, members):
     padded to the longest by repeating a row's last member (so a padded
     pair repeats one of its row's own), and a row too long for one block is
     cut into runs of query members."""
-    order = members[np.argsort(rows[members], kind="stable")]
-    count = np.bincount(rows[members])  # members per row
-    first = np.cumsum(count) - count  # each row's first place in order
-    size_class = np.frexp(count)[1]  # counts in [2^(c-1), 2^c) share class c
-    # a set, not np.unique, whose first call in a process maps ~0.9 MiB more
-    for c in sorted(set(size_class[count > 0].tolist())):
-        sel = size_class == c
+    order, count, first, groups = count_classes(rows[members])
+    order = members[order]
+    for sel in groups:
         S = int(count[sel].max())
         lines = order[first[sel, None] + np.minimum(np.arange(S), count[sel, None] - 1)]
         step = max(1, _CHUNK_PAIRS // S)  # query members per block
@@ -636,15 +645,23 @@ def write_blocks_file(path, mask: AttentionMask) -> None:
 
 
 def read_blocks_file(path) -> tuple[dict, np.ndarray]:
-    """The header fields and the rectangles, an (n, 4) intp array."""
+    """The header fields and the rectangles, an (n, 4) intp array; a header
+    or rectangle that no mask of the header's L and scheme has is rejected."""
     with open(path, "r", encoding="utf-8") as fh:
         header_line = fh.readline().strip()
         meta = {}
         for part in header_line.split():
             key, _, value = part.partition("=")
             meta[key] = value
-        if "L" not in meta or "scheme" not in meta:
-            raise ValidationError(f"{path}: malformed blocks header: {header_line!r}")
+        try:
+            meta["L"] = int(meta["L"])
+            if "sparsity" in meta:
+                meta["sparsity"] = float(meta["sparsity"])
+        except (KeyError, ValueError):
+            raise ValidationError(f"{path}: malformed blocks header: {header_line!r}") from None
+        L = meta["L"]
+        if L < 1 or meta.get("scheme") not in MASK_SCHEMES:
+            raise ValidationError(f"{path}: blocks header needs L >= 1 and a mask scheme: {header_line!r}")
         blocks = []
         for lineno, line in enumerate(fh, 2):
             fields = line.split()
@@ -656,11 +673,8 @@ def read_blocks_file(path) -> tuple[dict, np.ndarray]:
                 raise ValidationError(
                     f"{path}:{lineno}: a block line is four integers, got {line.strip()!r}"
                 ) from None
+            if not (0 <= q0 < q1 <= L and 0 <= k0 < k1 <= L):
+                raise ValidationError(f"{path}:{lineno}: rectangle {line.strip()!r} is not within "
+                                      f"0 <= q0 < q1 <= {L}, 0 <= k0 < k1 <= {L}")
             blocks.append((q0, q1, k0, k1))
-    try:
-        meta["L"] = int(meta["L"])
-        if "sparsity" in meta:
-            meta["sparsity"] = float(meta["sparsity"])
-    except ValueError:
-        raise ValidationError(f"{path}: malformed blocks header: {header_line!r}") from None
     return meta, np.array(blocks, dtype=np.intp).reshape(-1, 4)

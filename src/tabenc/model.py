@@ -25,7 +25,7 @@ import numpy as np
 from .attention import dense_backward, dense_forward
 from .core import FactorConfig, QAExample, TabencError, ValidationError, derive_rng
 from .linearize import EncodedInput, Vocabulary, default_vocab, encode_input
-from .mask import N_BIAS_CLASSES, build_bias_map, build_mask
+from .mask import N_BIAS_CLASSES, build_bias_map, build_mask, count_classes
 from .sqlexec import denotation_accuracy
 
 _ADAM_B1 = 0.9
@@ -225,12 +225,8 @@ def _scatter_add(table, idx, rows):
     if table.shape[1] == 1:
         np.add.at(table, idx, rows)
         return
-    order = np.argsort(idx, kind="stable")
-    count = np.bincount(idx)
-    first = np.cumsum(count) - count  # each target's first place in order
-    size_class = np.frexp(count)[1]  # counts in [2^(c-1), 2^c) share class c
-    for c in sorted(set(size_class[count > 0].tolist())):
-        targets = np.flatnonzero(size_class == c)
+    order, count, first, groups = count_classes(idx)
+    for targets in groups:
         n = count[targets]
         seg = np.full((int(n.max()) + 1, len(targets), table.shape[1]), -0.0, dtype=table.dtype)
         seg[0] = table[targets]
@@ -261,22 +257,18 @@ def _mha_fwd(params, prefix, cfg, x_q, x_kv, allowed, bias, kv=None):
     already projected (and split into heads) instead of x_kv."""
     q = _split_heads(_linear_fwd(x_q, params[f"{prefix}.wq"], params[f"{prefix}.wq_b"]), cfg.n_heads)
     k, v = _kv_fwd(params, prefix, cfg, x_kv) if kv is None else kv
-    scale = 1.0 / float(np.sqrt(cfg.head_dim))
-    out_h, weights = dense_forward(q, k, v, allowed=allowed, bias=bias, scale=scale,
-                                   return_weights=True)
+    out_h, weights = dense_forward(q, k, v, allowed=allowed, bias=bias)  # scale 1/sqrt(head_dim)
     merged = _merge_heads(out_h)
     y = _linear_fwd(merged, params[f"{prefix}.wo"], params[f"{prefix}.wo_b"])
-    cache = (x_q, x_kv, q, k, v, weights, merged, allowed, bias, scale)
-    return y, cache
+    return y, (x_q, x_kv, q, k, v, weights, merged)
 
 
 def _mha_bwd(dy, cache, params, prefix, cfg, grads):
-    x_q, x_kv, q, k, v, weights, merged, allowed, bias, scale = cache
+    x_q, x_kv, q, k, v, weights, merged = cache
     dmerged = _linear_bwd(merged, params[f"{prefix}.wo"], dy, grads,
                           f"{prefix}.wo", f"{prefix}.wo_b")
     d_out_h = _split_heads(dmerged, cfg.n_heads)
-    dq, dk, dv, ds = dense_backward(q, k, v, d_out_h, allowed=allowed, bias=bias,
-                                    scale=scale, weights=weights)
+    dq, dk, dv, ds = dense_backward(q, k, v, d_out_h, weights)
     dx_q = _linear_bwd(x_q, params[f"{prefix}.wq"], _merge_heads(dq), grads,
                        f"{prefix}.wq", f"{prefix}.wq_b")
     dx_kv = _linear_bwd(x_kv, params[f"{prefix}.wk"], _merge_heads(dk), grads,
@@ -456,6 +448,7 @@ def encoder_forward(params, cfg: ModelConfig, batch: Batch, keep_cache: bool):
         x = x + f
         if keep_cache:
             layers.append((c_ln1, c_attn, c_ln2, c_ffn))
+        del c_attn  # uncached, its (B, H, L, L) weights would live through the next layer
     out, c_final = _ln_fwd(x, params["enc_ln.g"], params["enc_ln.b"])
     cache = (layers, c_final) if keep_cache else None
     return out, cache
@@ -473,17 +466,13 @@ def _bias_pairs(allowed: np.ndarray, rel: np.ndarray, n_heads: int) -> list:
     return pairs
 
 
-def _bias_scale_grad(ds: np.ndarray, allowed: np.ndarray, rel: np.ndarray,
-                     pairs: list | None = None) -> np.ndarray:
-    """The (H, C) class-scalar gradient from the (B, H, L, L) logit gradient,
-    the (B, 1, L, L) mask and the (B, L, L) relation map (or their
-    _bias_pairs): per batch element one float64 bincount over (head, class)
-    bins of its allowed pairs in pair order, added over b in order. A masked
-    pair's ds is p * (...) with p exactly 0, and a bin starts at +0.0, so
-    leaving those pairs out changes no bit of a sum."""
+def _bias_scale_grad(ds: np.ndarray, pairs: list) -> np.ndarray:
+    """The (H, C) class-scalar gradient from the (B, H, L, L) logit gradient
+    and the batch's _bias_pairs: per batch element one float64 bincount over
+    (head, class) bins of its allowed pairs in pair order, added over b in
+    order. A masked pair's ds is p * (...) with p exactly 0, and a bin starts
+    at +0.0, so leaving those pairs out changes no bit of a sum."""
     H = ds.shape[1]
-    if pairs is None:
-        pairs = _bias_pairs(allowed, rel, H)
     grad = np.zeros(H * N_BIAS_CLASSES, dtype=np.float64)
     for ds_b, (flat, bins) in zip(ds, pairs):
         weights = ds_b.reshape(H, -1).take(flat, axis=1).astype(np.float64)
@@ -491,24 +480,23 @@ def _bias_scale_grad(ds: np.ndarray, allowed: np.ndarray, rel: np.ndarray,
     return grad.reshape(H, N_BIAS_CLASSES)
 
 
-def encoder_backward(d_out, cache, params, cfg: ModelConfig, batch: Batch, grads,
-                     instrument: list | None = None):
+def encoder_backward(d_out, cache, params, cfg: ModelConfig, batch: Batch, grads):
+    """Add the encoder's gradients into `grads`, popping each layer off the
+    cache's layer list as its backward starts: a layer's attention weights
+    are freed before the layer below runs, and the list ends empty."""
     layers, c_final = cache
     pairs = None
     if cfg.factor.bias == "B1":
         pairs = _bias_pairs(batch.allowed, batch.rel, cfg.n_heads)
     dx = _ln_bwd(d_out, c_final, grads, "enc_ln.g", "enc_ln.b")
     for i in reversed(range(cfg.n_enc_layers)):
-        c_ln1, c_attn, c_ln2, c_ffn = layers[i]
+        c_ln1, c_attn, c_ln2, c_ffn = layers.pop()
         dh2 = _ffn_bwd(dx, c_ffn, params, f"enc{i}.ffn", grads)
         dx = dx + _ln_bwd(dh2, c_ln2, grads, f"enc{i}.ln2.g", f"enc{i}.ln2.b")
         dq_in, dkv_in, ds = _mha_bwd(dx, c_attn, params, f"enc{i}.attn", cfg, grads)
         if pairs is not None:
             scales_grad = grads[f"enc{i}.bias_scales"]
-            scales_grad += _bias_scale_grad(ds, batch.allowed, batch.rel, pairs).astype(
-                scales_grad.dtype)
-        if instrument is not None:
-            instrument.append(ds)
+            scales_grad += _bias_scale_grad(ds, pairs).astype(scales_grad.dtype)
         del ds  # the (B, H, L, L) logit gradient, not kept through the next layer's backward
         dx = dx + _ln_bwd(dq_in + dkv_in, c_ln1, grads, f"enc{i}.ln1.g", f"enc{i}.ln1.b")
 
@@ -586,12 +574,14 @@ def decoder_forward(params, cfg: ModelConfig, dec_in, enc_states, cross_allowed,
 
 
 def decoder_backward(dlogits, cache, params, cfg: ModelConfig, dec_in, enc_states, grads):
+    """Add the decoder's gradients into `grads` and return the encoder
+    states' gradient; it consumes its cache's layers as encoder_backward does."""
     layers, c_final, ln_out = cache
     dy = _linear_bwd(ln_out, params["out_w"], dlogits, grads, "out_w", "out_b")
     dy = _ln_bwd(dy, c_final, grads, "dec_ln.g", "dec_ln.b")
     d_enc = np.zeros_like(enc_states)
     for i in reversed(range(cfg.n_dec_layers)):
-        c_ln1, c_self, c_ln2, c_cross, c_ln3, c_ffn = layers[i]
+        c_ln1, c_self, c_ln2, c_cross, c_ln3, c_ffn = layers.pop()
         dh3 = _ffn_bwd(dy, c_ffn, params, f"dec{i}.ffn", grads)
         dy = dy + _ln_bwd(dh3, c_ln3, grads, f"dec{i}.ln3.g", f"dec{i}.ln3.b")
         dq_in, dkv, _ = _mha_bwd(dy, c_cross, params, f"dec{i}.cross", cfg, grads)
@@ -622,8 +612,7 @@ def _softmax_ce(logits, target, pad_id):
     return float(loss), dlogits
 
 
-def loss_and_grads(params, cfg: ModelConfig, batch: Batch, pad_id: int,
-                   instrument: list | None = None):
+def loss_and_grads(params, cfg: ModelConfig, batch: Batch, pad_id: int):
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     enc_states, enc_cache = encoder_forward(params, cfg, batch, keep_cache=True)
     cross_allowed = batch.enc_real[:, None, None, :]
@@ -632,7 +621,7 @@ def loss_and_grads(params, cfg: ModelConfig, batch: Batch, pad_id: int,
     loss, dlogits = _softmax_ce(logits, batch.target, pad_id)
     d_enc = decoder_backward(dlogits, dec_cache, params, cfg, batch.dec_in,
                              enc_states, grads)
-    encoder_backward(d_enc, enc_cache, params, cfg, batch, grads, instrument)
+    encoder_backward(d_enc, enc_cache, params, cfg, batch, grads)
     return loss, grads
 
 

@@ -20,7 +20,7 @@ from tabenc.attention import (
     make_bench_encoding,
     plan_blocks,
 )
-from tabenc.core import ValidationError, derive_rng, set_blas_threads
+from tabenc.core import ValidationError, derive_rng, env_threads, set_blas_threads
 from tabenc.linearize import linearize
 from tabenc.mask import blocks_cover, build_bias_map, build_mask
 
@@ -73,7 +73,7 @@ def test_block_sparse_matches_dense_with_bias(rng, scheme):
 
 def test_softmax_rows_sum_to_one(rng):
     _, m, q, k, v, _, _, _ = random_case(rng, "M3")
-    _, p = dense_forward(q, k, v, m.dense, return_weights=True)
+    _, p = dense_forward(q, k, v, m.dense)
     assert np.allclose(p.sum(axis=-1), 1.0)
     # masked pairs carry exactly zero weight, not a small epsilon
     assert (p[~m.dense] == 0.0).all()
@@ -130,13 +130,11 @@ def assert_core_matches_formulas(q, k, v, d_out, allowed, bias, scale):
     for got, want in zip(attention._softmax(logits), softmax_ref(ref_logits)):
         assert_same_bits(got, want)
     ref = dense_backward_ref(q, k, v, d_out, allowed, bias, scale)
-    out, weights = dense_forward(q, k, v, allowed, bias, scale, return_weights=True)
+    out, weights = dense_forward(q, k, v, allowed, bias, scale)
     assert_same_bits(out, np.matmul(softmax_ref(ref_logits)[0], v))
     saved = weights.copy()
-    for weights_arg in (weights, None):
-        for got, want in zip(dense_backward(q, k, v, d_out, allowed, bias, scale, weights_arg),
-                             ref):
-            assert_same_bits(got, want)
+    for got, want in zip(dense_backward(q, k, v, d_out, weights, scale), ref):
+        assert_same_bits(got, want)
     assert_same_bits(weights, saved)
     for x, x0 in zip(inputs, before):
         assert_same_bits(x, x0)
@@ -200,7 +198,8 @@ def test_dense_backward_finite_differences(rng, scheme):
         out, _ = dense_forward(q, k, v, m.dense, scales[rel.rel])
         return float((out * d_out).sum())
 
-    dq, dk, dv, ds = dense_backward(q, k, v, d_out, m.dense, scales[rel.rel])
+    weights = dense_forward(q, k, v, m.dense, scales[rel.rel])[1]
+    dq, dk, dv, ds = dense_backward(q, k, v, d_out, weights)
     assert_close(fd_grad(loss, q), dq)
     assert_close(fd_grad(loss, k), dk)
     assert_close(fd_grad(loss, v), dv)
@@ -232,7 +231,8 @@ def test_block_sparse_backward_finite_differences(rng, scheme):
 def test_backward_paths_agree(rng):
     _, m, q, k, v, bias, scales, rel = random_case(rng, "M5", d=8, with_bias=True)
     d_out = rng.standard_normal(q.shape)
-    dq_d, dk_d, dv_d, ds = dense_backward(q, k, v, d_out, m.dense, bias)
+    dq_d, dk_d, dv_d, ds = dense_backward(q, k, v, d_out,
+                                          dense_forward(q, k, v, m.dense, bias)[1])
     dq_s, dk_s, dv_s, dclass_s = block_sparse_backward(
         q, k, v, m.blocks, d_out, bias, rel=rel.rel, n_classes=rel.n_classes
     )
@@ -246,7 +246,7 @@ def test_backward_paths_agree(rng):
 def test_masked_pairs_have_zero_bias_gradient(rng):
     _, m, q, k, v, _, _, _ = random_case(rng, "M3")
     d_out = rng.standard_normal(q.shape)
-    _, _, _, ds = dense_backward(q, k, v, d_out, m.dense)
+    _, _, _, ds = dense_backward(q, k, v, d_out, dense_forward(q, k, v, m.dense)[1])
     assert (ds[~m.dense] == 0.0).all()
 
 
@@ -257,8 +257,8 @@ def test_masked_pairs_have_zero_bias_gradient(rng):
 def test_chunked_dense_paths_match(rng, monkeypatch):
     _, m, q, k, v, _, _, _ = random_case(rng, "M1", d=4)
     d_out = rng.standard_normal(q.shape)
-    out_plain, _ = dense_forward(q, k, v, m.dense)
-    gp = dense_backward(q, k, v, d_out, m.dense)
+    out_plain, weights = dense_forward(q, k, v, m.dense)
+    gp = dense_backward(q, k, v, d_out, weights)
     L = q.shape[0]
     monkeypatch.setattr(attention, "_BUCKET_CHUNK", 2 * L)
     # the dense operations run one line cut into row chunks, and at least one
@@ -284,7 +284,7 @@ def test_chunked_dense_bias_class_gradient(rng, monkeypatch):
     _, m, q, k, v, bias, _, rel = random_case(rng, "M4", d=4, with_bias=True)
     inp = AttentionInput(q=q, k=k, v=v, mask=m, bias_values=bias)
     d_out = rng.standard_normal(q.shape)
-    dq, dk, dv, ds = dense_backward(q, k, v, d_out, m.dense, bias)
+    dq, dk, dv, ds = dense_backward(q, k, v, d_out, dense_forward(q, k, v, m.dense, bias)[1])
     want = np.bincount(rel.rel.ravel(), weights=ds.ravel(), minlength=rel.n_classes)
     monkeypatch.setattr(attention, "_BUCKET_CHUNK", 3 * q.shape[0])
     assert q.shape[0] > 4
@@ -332,8 +332,8 @@ def test_cut_line_gathers_its_keys_once(monkeypatch):
 
 def dense_reference(q, k, v, d_out, allowed, scales, rel):
     """Plain dense core on the whole matrix: out, dq, dk, dv and per-class dbias."""
-    out, _ = dense_forward(q, k, v, allowed, scales[rel])
-    dq, dk, dv, ds = dense_backward(q, k, v, d_out, allowed, scales[rel])
+    out, weights = dense_forward(q, k, v, allowed, scales[rel])
+    dq, dk, dv, ds = dense_backward(q, k, v, d_out, weights)
     return out, dq, dk, dv, np.bincount(rel.ravel(), weights=ds.ravel(), minlength=len(scales))
 
 
@@ -469,7 +469,8 @@ def test_mask_parts_cut_square_lines_into_row_pieces(rng, monkeypatch, scheme):
 def float64_reference(q, k, v, d_out, m, rel, scales):
     """dense_reference in float64 on float32 operands, and sum |ds|."""
     q, k, v, d_out, scales = (x.astype(np.float64) for x in (q, k, v, d_out, scales))
-    _, _, _, ds = dense_backward(q, k, v, d_out, m.dense, scales[rel.rel])
+    weights = dense_forward(q, k, v, m.dense, scales[rel.rel])[1]
+    _, _, _, ds = dense_backward(q, k, v, d_out, weights)
     return dense_reference(q, k, v, d_out, m.dense, scales, rel.rel), float(np.abs(ds).sum())
 
 
@@ -701,9 +702,9 @@ def test_plan_blocks_splits_overlapping_query_ranges(rng):
     rel = rng.integers(0, 3, size=(6, 6))
     scales = rng.standard_normal(3)
     q, k, v, d_out = (rng.standard_normal((6, 3)) for _ in range(4))
-    ref, _ = dense_forward(q, k, v, allowed, scales[rel])
+    ref, weights = dense_forward(q, k, v, allowed, scales[rel])
     assert np.allclose(block_sparse_forward(q, k, v, blocks, scales[rel]), ref, atol=1e-12)
-    dq, dk, dv, ds = dense_backward(q, k, v, d_out, allowed, scales[rel])
+    dq, dk, dv, ds = dense_backward(q, k, v, d_out, weights)
     dclass = np.bincount(rel.ravel(), weights=ds.ravel(), minlength=3)
     got = block_sparse_backward(q, k, v, blocks, d_out, scales[rel], rel=rel, n_classes=3)
     for a, b in zip(got, (dq, dk, dv, dclass)):
@@ -792,6 +793,18 @@ def test_bench_runs_on_a_known_blas_thread_count(monkeypatch):
             assert get() == outside
     finally:
         set_blas_threads(caller)
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_bench_rejects_the_thread_counts_the_command_line_rejects(monkeypatch, raw):
+    """TABENC_THREADS has one parser (core.env_threads): a value that is not
+    an integer >= 1 is a ValidationError before any thread count is set."""
+    monkeypatch.setenv("TABENC_THREADS", raw)
+    monkeypatch.setattr(attention, "set_blas_threads",
+                        lambda n: pytest.fail(f"set {n} BLAS threads"))
+    for call in (env_threads, lambda: bench_attention([64], trials=1)):
+        with pytest.raises(ValidationError, match=f"TABENC_THREADS must be .*{raw}"):
+            call()
 
 
 def test_bench_includes_backward():

@@ -484,6 +484,18 @@ def test_blocks_file_rejects_garbage(tmp_path):
         with pytest.raises(ValidationError, match="malformed blocks header") as err:
             read_blocks_file(path)
         assert str(path) in str(err.value)
+    # a header that no mask has names the file
+    for header in ("L=-2 scheme=M0", "L=0 scheme=M0", "L=4 scheme=M9"):
+        path.write_text(header + "\n")
+        with pytest.raises(ValidationError, match="blocks header") as err:
+            read_blocks_file(path)
+        assert str(path) in str(err.value)
+    # a rectangle outside 0 <= q0 < q1 <= L, 0 <= k0 < k1 <= L names its line
+    for rect in ("0 9 3 1", "-1 2 0 4", "0 5 0 4", "2 2 0 4", "0 4 3 3", "0 4 -1 1"):
+        path.write_text(f"L=4 scheme=M0\n0 4 0 4\n{rect}\n")
+        with pytest.raises(ValidationError, match="not within") as err:
+            read_blocks_file(path)
+        assert f"{path}:3:" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

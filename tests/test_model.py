@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from tabenc.model import (
     collate,
     decoder_forward,
     encode,
+    encoder_backward,
     encoder_forward,
     evaluate_da,
     init_params,
@@ -28,6 +31,7 @@ from tabenc.mask import N_BIAS_CLASSES
 from tabenc import model
 from tabenc.model import (
     Adam,
+    _bias_pairs,
     _bias_scale_grad,
     _ffn_fwd,
     _gather_bias,
@@ -202,15 +206,31 @@ def test_gradients_match_finite_differences(factor):
             )
 
 
-def test_masked_pairs_get_zero_attention_gradient():
+def encoder_logit_grads(monkeypatch, params, cfg, batch, pad_id):
+    """The (B, H, L, L) logit gradients of one loss_and_grads' encoder
+    layers, last layer first, from the model's dense_backward calls: the
+    encoder's backward runs after the decoder's, so its calls are the last
+    n_enc_layers."""
+    real, calls = model.dense_backward, []
+
+    def capture(*args):
+        grads = real(*args)
+        calls.append(grads[3])
+        return grads
+
+    monkeypatch.setattr(model, "dense_backward", capture)
+    loss_and_grads(params, cfg, batch, pad_id)
+    return calls[len(calls) - cfg.n_enc_layers:]
+
+
+def test_masked_pairs_get_zero_attention_gradient(monkeypatch):
     factor = FactorConfig(tokens="T2", mask="M6", bias="B1", emb="E1")
     cfg = tiny_cfg(factor=factor)
     vocab = default_vocab()
     items = [prepare_example(ex, cfg, vocab) for ex in small_examples(2, seed=8)]
     batch = collate(items, vocab.pad, with_rel=True)
     params = init_params(cfg, vocab.size, derive_rng(9, "init", 0))
-    captured = []
-    loss_and_grads(params, cfg, batch, vocab.pad, instrument=captured)
+    captured = encoder_logit_grads(monkeypatch, params, cfg, batch, vocab.pad)
     assert len(captured) == cfg.n_enc_layers
     for ds in captured:
         blocked = ~np.broadcast_to(batch.allowed, ds.shape)
@@ -222,6 +242,51 @@ def b1_batch(n=3):
     vocab = default_vocab()
     items = [prepare_example(ex, cfg, vocab) for ex in small_examples(n, seed=8)]
     return cfg, collate(items, vocab.pad, with_rel=True)
+
+
+def test_attention_state_is_freed_once_its_reader_has_run(monkeypatch):
+    """No gathered B1 bias outlives encoder_forward, an uncached forward
+    frees each layer's attention weights before the next layer runs, and
+    encoder_backward frees them before the layer below runs."""
+    cfg = tiny_cfg(factor=FactorConfig(tokens="T2", mask="M5", bias="B1"), n_enc_layers=3)
+    vocab = default_vocab()
+    batch = collate([prepare_example(ex, cfg, vocab) for ex in small_examples(3, seed=8)],
+                    vocab.pad, with_rel=True)
+    params = init_params(cfg, vocab.size, derive_rng(9, "init", 0))
+    gather, forward, backward = model._gather_bias, model.dense_forward, model._mha_bwd
+    biases, weights, alive, dead_above = [], [], [], []
+
+    def gather_bias(*args):
+        bias = gather(*args)
+        biases.append(weakref.ref(bias))
+        return bias
+
+    def dense_forward(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in weights))
+        out, w = forward(*args, **kwargs)
+        weights.append(weakref.ref(w))
+        return out, w
+
+    def mha_bwd(*args):
+        # layers run last first; every layer above this one is done
+        layer = cfg.n_enc_layers - 1 - len(dead_above)
+        dead_above.append([ref() is None for ref in weights[layer + 1:]])
+        return backward(*args)
+
+    monkeypatch.setattr(model, "_gather_bias", gather_bias)
+    monkeypatch.setattr(model, "dense_forward", dense_forward)
+    monkeypatch.setattr(model, "_mha_bwd", mha_bwd)
+    encoder_forward(params, cfg, batch, keep_cache=False)
+    assert alive == [0] * cfg.n_enc_layers
+    biases.clear()
+    weights.clear()
+    enc_states, cache = encoder_forward(params, cfg, batch, keep_cache=True)
+    assert len(biases) == len(weights) == cfg.n_enc_layers
+    assert [ref() is None for ref in biases] == [True] * cfg.n_enc_layers
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    encoder_backward(np.ones_like(enc_states), cache, params, cfg, batch, grads)
+    assert dead_above == [[True] * n for n in range(cfg.n_enc_layers)]
+    assert cache[0] == []
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -236,7 +301,7 @@ def test_gather_bias_is_the_class_gather_made_contiguous(dtype):
     assert np.array_equal(scales, scales0) and np.array_equal(batch.rel, rel0)
 
 
-def test_bias_scale_grad_is_the_per_head_bincount_loop():
+def test_bias_scale_grad_is_the_per_head_bincount_loop(monkeypatch):
     """Bit for bit the loop of one bincount per (b, h): the logit gradient of
     a real backward, and a random one that is -0.0 at some masked pairs and
     spans enough binades that float64 sums round, so their order shows."""
@@ -245,15 +310,15 @@ def test_bias_scale_grad_is_the_per_head_bincount_loop():
     params = init_params(cfg, vocab.size, derive_rng(9, "init", 0))
     params = {k: (derive_rng(4, "b1", 0).standard_normal(v.shape).astype(v.dtype)
                   if k.endswith("bias_scales") else v) for k, v in params.items()}
-    captured = []
-    loss_and_grads(params, cfg, batch, vocab.pad, instrument=captured)
+    captured = encoder_logit_grads(monkeypatch, params, cfg, batch, vocab.pad)
     rng = derive_rng(5, "ds", 0)
     shape = captured[0].shape
     wide = rng.standard_normal(shape) * np.exp2(rng.integers(-60, 60, shape))
     captured.append(wide.astype(np.float32) * batch.allowed)
     assert np.signbit(captured[-1][~np.broadcast_to(batch.allowed, captured[-1].shape)]).any()
+    pairs = _bias_pairs(batch.allowed, batch.rel, cfg.n_heads)
     for ds in captured:
-        got = _bias_scale_grad(ds, batch.allowed, batch.rel)
+        got = _bias_scale_grad(ds, pairs)
         want = bias_scale_grad_ref(ds, batch.rel, N_BIAS_CLASSES)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -515,12 +580,11 @@ def test_decoder_without_cache_is_the_layer_stack():
         k = heads(x_kv @ params[f"{prefix}.wk"] + params[f"{prefix}.wk_b"])
         v = heads(x_kv @ params[f"{prefix}.wv"] + params[f"{prefix}.wv_b"])
         scale = 1.0 / float(np.sqrt(cfg.head_dim))
-        o, w = dense_forward(q, k, v, allowed=allowed, bias=None, scale=scale,
-                             return_weights=True)
+        o, w = dense_forward(q, k, v, allowed=allowed, bias=None, scale=scale)
         b, h, l, dh = o.shape
         merged = o.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
         y = merged @ params[f"{prefix}.wo"] + params[f"{prefix}.wo_b"]
-        return y, (x_q, x_kv, q, k, v, w, merged, allowed, None, scale)
+        return y, (x_q, x_kv, q, k, v, w, merged)
 
     D = batch.dec_in.shape[1]
     y = params["tok_emb"][batch.dec_in] + params["dec_pos_emb"][np.arange(D)]
