@@ -19,12 +19,15 @@ bias and calls the dense core once on them (BigBird-style blockification).
 Its sparsity comes in one argument, `blocks`: an AttentionMask runs the plan
 of its own parts (AttentionMask.parts), built once from the table layout.
 The kernel never tiles it; the mask's rectangle tiling (AttentionMask.blocks)
-is cut from the complete lines (AttentionMask.plan) only when a block file
-or a check asks for it. An (n, 4) array of (q0, q1, k0, k1) rectangles, such
-as a block file's, is painted into a matrix and bucketed by its row runs
-(mask.plan_blocks). An AttentionInput whose mask is an AttentionMask always
-runs that mask, and checks it without its L x L matrix: its bias is checked
-along the same parts, so a block-sparse pass never builds the matrix.
+is joined from those parts only when a block file or a check asks for it.
+An (n, 4) array of (q0, q1, k0, k1) rectangles, such as a block file's, is
+painted into a matrix and bucketed by its row runs (mask.plan_blocks). An
+AttentionInput whose mask is an AttentionMask always runs that mask, and
+checks it without its L x L matrix: its bias is checked along the same
+parts, so a block-sparse pass never builds the matrix. The bias of the
+square lines is gathered once, by that check, and kept with the input
+(AttentionInput.square_bias); its forward and backward read those pieces.
+A C-contiguous bias or class map is gathered by flat index (_pairs).
 
 A line may come in two parts. A mask's same-column part is shared by every
 line of its column, so the plan holds it once, as a square line: every row
@@ -56,8 +59,9 @@ analytic; gradients at masked pairs are exactly zero by construction.
 
 from __future__ import annotations
 
+import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,19 +86,17 @@ def _as_float(x, name: str) -> np.ndarray:
     return arr
 
 
-def _allowed_entries(bias, allowed):
-    """The entries of `bias` at the pairs `allowed` (an AttentionMask, a
-    boolean matrix or None for all) allows, in parts: an AttentionMask's
-    come line by line from its plan, so its matrix is never built."""
-    if isinstance(allowed, AttentionMask):
-        plan = allowed.parts
-        return (_pairs(bias, rows, keys) for rows, keys in _chunks([*plan.query, *plan.square], 1))
-    return (bias if allowed is None else bias[allowed],)
-
-
-@dataclass
+@dataclass(frozen=True)
 class AttentionInput:
-    """Single-head attention operands; multi-head is composition by the caller."""
+    """Single-head attention operands; multi-head is composition by the caller.
+
+    The operands are fixed once built (the dataclass is frozen), and the
+    bias is read once, at construction: it is checked to be finite wherever
+    the mask allows, and when the mask is an AttentionMask, its entries
+    along the mask's square lines are gathered then and kept in
+    `square_bias`, which the block-sparse kernel reads in their place. So
+    the bias array must not be written afterwards: the kernel would mix
+    the square lines' old entries with the other lines' new ones."""
 
     q: np.ndarray
     k: np.ndarray
@@ -102,11 +104,15 @@ class AttentionInput:
     mask: AttentionMask | np.ndarray | None = None
     bias_values: np.ndarray | None = None
     scale: float | None = None
+    # (rows, keys, bias) of each chunk of the mask's square lines (_square_pieces)
+    square_bias: list | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.q = _as_float(self.q, "q")
-        self.k = _as_float(self.k, "k")
-        self.v = _as_float(self.v, "v")
+        def set_(name, value):
+            object.__setattr__(self, name, value)
+
+        for name in ("q", "k", "v"):
+            set_(name, _as_float(getattr(self, name), name))
         if self.q.ndim != 2 or self.k.shape != self.q.shape or self.v.shape != self.q.shape:
             raise ValidationError("q, k, v must share one (L, d) shape")
         if self.q.size == 0:
@@ -127,10 +133,19 @@ class AttentionInput:
             bias = np.asarray(self.bias_values)
             if bias.shape != (L, L):
                 raise ValidationError("bias shape must be (L, L)")
-            if not all(np.isfinite(part).all() for part in _allowed_entries(bias, allowed)):
+            set_("bias_values", bias)
+            if isinstance(allowed, AttentionMask):
+                # checked line by line along the parts, so the matrix is never built
+                parts = allowed.parts
+                set_("square_bias", list(_biased(_chunks(parts.square, self.q.shape[1]), bias)))
+                pieces = itertools.chain(_biased(_chunks(parts.query, 1), bias), self.square_bias)
+                entries = (piece for _, _, piece in pieces)
+            else:
+                entries = (bias if allowed is None else bias[allowed],)
+            if not all(np.isfinite(piece).all() for piece in entries):
                 raise ValidationError("bias must be finite wherever the mask allows")
         if self.scale is None:
-            self.scale = 1.0 / float(np.sqrt(self.q.shape[1]))
+            set_("scale", 1.0 / float(np.sqrt(self.q.shape[1])))
 
     @property
     def allowed(self) -> np.ndarray | None:
@@ -257,15 +272,15 @@ def _chunks(buckets, dim: int):
 
 
 def _line_keys(pieces, *mats):
-    """(rows, keys, gathered) for each (rows, keys) piece of _chunks, where
-    `gathered` holds each of `mats` taken at keys. A piece that shares its
-    keys with the piece before (a part of the same line) reuses that
-    piece's gathers, so a line cut into row parts is gathered once."""
+    """Each piece of _chunks, (rows, keys, ...), followed by `gathered`,
+    each of `mats` taken at keys. A piece that shares its keys with the
+    piece before (a part of the same line) reuses that piece's gathers, so
+    a line cut into row parts is gathered once."""
     line = gathered = None
-    for rows, keys in pieces:
-        if keys is not line:
-            line, gathered = keys, [m.take(keys, 0) for m in mats]
-        yield rows, keys, gathered
+    for piece in pieces:
+        if piece[1] is not line:
+            line, gathered = piece[1], [m.take(piece[1], 0) for m in mats]
+        yield *piece, gathered
 
 
 def _pairs(mat, rows, cols):
@@ -275,17 +290,32 @@ def _pairs(mat, rows, cols):
     if len(rows) == 1 and all(i[0, -1] - i[0, 0] == i.shape[1] - 1 for i in (rows, cols)):
         # one line of consecutive rows and keys, such as a dense call's chunk: a view
         return mat[None, rows[0, 0]:rows[0, -1] + 1, cols[0, 0]:cols[0, -1] + 1]
+    if mat.flags.c_contiguous:
+        # by flat index, which is faster than two index arrays (the reshape is a view)
+        return mat.reshape(-1).take(rows[:, :, None] * mat.shape[1] + cols[:, None, :])
     return mat[rows[:, :, None], cols[:, None, :]]
 
 
-def _line_parts(q, k, v, buckets, allowed, bias, scale):
-    """Each row's softmax output and logsumexp over its line in `buckets`
-    (0 and -inf for a row in none of them)."""
+def _biased(pieces, bias):
+    """(rows, keys, bias at them) of each (rows, keys) piece."""
+    return ((rows, keys, _pairs(bias, rows, keys)) for rows, keys in pieces)
+
+
+def _square_pieces(plan, dim: int, bias, held=None):
+    """(rows, keys, bias) of each chunk of the plan's square lines: `held`,
+    when the caller has gathered them already (AttentionInput.square_bias),
+    else gathered from `bias` as they run."""
+    return _biased(_chunks(plan.square, dim), bias) if held is None else held
+
+
+def _line_parts(q, k, v, pieces, allowed, scale):
+    """Each row's softmax output and logsumexp over its line among the
+    (rows, keys, bias) pieces (0 and -inf for a row in none of them)."""
     out = np.zeros((q.shape[0], v.shape[-1]), dtype=q.dtype)
     lse = np.full((q.shape[0], 1), -np.inf, dtype=q.dtype)
-    for rows, keys, (kg, vg) in _line_keys(_chunks(buckets, k.shape[1]), k, v):
+    for rows, keys, bias_g, (kg, vg) in _line_keys(pieces, k, v):
         p, lse[rows] = _softmax(_logits(q.take(rows, 0), kg, _pairs(allowed, rows, keys),
-                                        _pairs(bias, rows, keys), scale))
+                                        bias_g, scale))
         out[rows] = np.matmul(p, vg)
     return out, lse
 
@@ -302,12 +332,14 @@ def _merge(out, lse, rows, out_b, lse_b):
     return share
 
 
-def _forward(q, k, v, plan, allowed, bias, scale):
+def _forward(q, k, v, plan, allowed, bias, scale, square_bias=None):
     if scale is None:
         scale = 1.0 / float(np.sqrt(q.shape[-1]))
-    out, lse = _line_parts(q, k, v, plan.query, allowed, bias, scale)
+    d = k.shape[1]
+    out, lse = _line_parts(q, k, v, _biased(_chunks(plan.query, d), bias), allowed, scale)
     if plan.square:  # the rows' other parts
-        _merge(out, lse, slice(None), *_line_parts(q, k, v, plan.square, allowed, bias, scale))
+        square = _square_pieces(plan, d, bias, square_bias)
+        _merge(out, lse, slice(None), *_line_parts(q, k, v, square, allowed, scale))
     return out
 
 
@@ -325,7 +357,8 @@ def _class_grad(rel, rows, keys, ds, n_classes):
     return np.bincount(_pairs(rel, rows, keys).ravel(), weights=ds.ravel(), minlength=n_classes)
 
 
-def _backward(q, k, v, d_out, plan, allowed, bias, scale, rel=None, n_classes=None):
+def _backward(q, k, v, d_out, plan, allowed, bias, scale, rel=None, n_classes=None,
+              square_bias=None):
     """Batched passes over the plan, with no scatter-add.
 
     The query-major pass gives dq and the per-class bias gradient. Where
@@ -341,7 +374,8 @@ def _backward(q, k, v, d_out, plan, allowed, bias, scale, rel=None, n_classes=No
     without key buckets (a dense call, whose one line holds every key) adds
     its dk and dv up in the query-major pass instead. With `rel`, a per-pair
     relation-class map, the bias gradient is reduced to one scalar per class
-    (n_classes of them, rel.max() + 1 when not given).
+    (n_classes of them, rel.max() + 1 when not given). `square_bias` is
+    as for _square_pieces.
     """
     if rel is not None and n_classes is None:
         n_classes = int(rel.max()) + 1
@@ -352,11 +386,11 @@ def _backward(q, k, v, d_out, plan, allowed, bias, scale, rel=None, n_classes=No
     dbias_class = None if rel is None else np.zeros(n_classes, dtype=np.float64)
 
     if plan.square:
-        out, lse = _line_parts(q, k, v, plan.query, allowed, bias, scale)
-        for rows, keys, (kg, vg) in _line_keys(_chunks(plan.square, d), k, v):
+        out, lse = _line_parts(q, k, v, _biased(_chunks(plan.query, d), bias), allowed, scale)
+        for rows, keys, bias_g, (kg, vg) in _line_keys(_square_pieces(plan, d, bias, square_bias),
+                                                       k, v):
             qg, dog = q.take(rows, 0), d_out.take(rows, 0)
-            p, lse_b = _softmax(_logits(qg, kg, _pairs(allowed, rows, keys),
-                                        _pairs(bias, rows, keys), scale))
+            p, lse_b = _softmax(_logits(qg, kg, _pairs(allowed, rows, keys), bias_g, scale))
             p *= _merge(out, lse, rows, np.matmul(p, vg), lse_b)  # p of the whole row
             dp = np.matmul(dog, np.swapaxes(vg, -1, -2))
             dp -= np.sum(dog * out[rows], axis=-1, keepdims=True)  # rowdot of the whole row
@@ -370,9 +404,9 @@ def _backward(q, k, v, d_out, plan, allowed, bias, scale, rel=None, n_classes=No
     else:
         lse = np.empty((q.shape[0], 1), dtype=q.dtype)
         rowdot = np.empty_like(lse)
-    for rows, keys, (kg, vg) in _line_keys(_chunks(plan.query, d), k, v):
+    for rows, keys, bias_g, (kg, vg) in _line_keys(_biased(_chunks(plan.query, d), bias), k, v):
         qg, dog = q.take(rows, 0), d_out.take(rows, 0)
-        allowed_g, bias_g = _pairs(allowed, rows, keys), _pairs(bias, rows, keys)
+        allowed_g = _pairs(allowed, rows, keys)
         if plan.square:
             p, ds = _probs(qg, kg, vg, dog, lse[rows], rowdot[rows], allowed_g, bias_g, scale)
         else:
@@ -409,24 +443,26 @@ def _plan_of(blocks, length: int) -> Plan:
     return plan_blocks(blocks, length)
 
 
-def block_sparse_forward(q, k, v, blocks, bias=None, scale=None):
+def block_sparse_forward(q, k, v, blocks, bias=None, scale=None, square_bias=None):
     """Attention restricted to `blocks`, an AttentionMask or an (n, 4) array of
     (q0, q1, k0, k1) rectangles: the dense core once per chunk of each query
-    bucket."""
-    return _forward(q, k, v, _plan_of(blocks, q.shape[0]), None, bias, scale)
+    bucket. `square_bias`, the bias along the mask's square lines as an
+    AttentionInput of the mask holds it, is read there in place of `bias`."""
+    return _forward(q, k, v, _plan_of(blocks, q.shape[0]), None, bias, scale, square_bias)
 
 
 def block_sparse_backward(q, k, v, blocks, d_out, bias=None, scale=None,
-                          rel=None, n_classes=None):
+                          rel=None, n_classes=None, square_bias=None):
     """Analytic backward of block_sparse_forward: a query-major and a
     key-major pass over the plan's buckets.
 
     When `rel` (a per-pair relation-class map) is given, the bias gradient is
     reduced to one scalar per class; pairs outside the blocks contribute
-    exactly zero because they are never touched.
+    exactly zero because they are never touched. `square_bias` is as for
+    block_sparse_forward.
     """
     return _backward(q, k, v, d_out, _plan_of(blocks, q.shape[0]), None, bias, scale,
-                     rel, n_classes)
+                     rel, n_classes, square_bias)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +489,7 @@ def attn_block_sparse(inp: AttentionInput, blocks=None) -> AttentionOutput:
     if sparsity is None:
         raise ValidationError("attn_block_sparse needs rectangle blocks")
     return AttentionOutput(out=block_sparse_forward(inp.q, inp.k, inp.v, sparsity,
-                                                    inp.bias_values, inp.scale))
+                                                    inp.bias_values, inp.scale, inp.square_bias))
 
 
 def attn_backward(
@@ -477,7 +513,7 @@ def attn_backward(
     if blocks is not None:
         dq, dk, dv, dclass = block_sparse_backward(
             inp.q, inp.k, inp.v, _sparsity(inp, blocks), d_out, inp.bias_values, inp.scale,
-            rel=rel, n_classes=n_classes,
+            rel=rel, n_classes=n_classes, square_bias=inp.square_bias,
         )
     else:
         L = inp.q.shape[0]

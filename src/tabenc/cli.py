@@ -7,8 +7,10 @@ another count is an input error). Its variables act when numpy loads, so
 every sibling module but core (which loads no numpy) is imported lazily inside
 handlers; a caller that loaded numpy first gets it through OpenBLAS's run-time
 setter. grid runs each (config, replicate) in one of --workers spawned
-processes, which inherit the variables; spawn re-imports the caller's main
-module, so a script that calls main(["grid", ...]) needs a __main__ guard.
+processes, which inherit the variables (by default one per TABENC_THREADS
+threads of the machine's cores, or one when it is unset); spawn re-imports
+the caller's main module, so a script that calls main(["grid", ...]) needs
+a __main__ guard.
 """
 
 from __future__ import annotations
@@ -487,9 +489,18 @@ def _cmd_anova(args) -> int:
 # grid
 # ---------------------------------------------------------------------------
 
+def _default_workers() -> int:
+    """grid's --workers when it is not given: the machine's cores over
+    TABENC_THREADS (at least 1), or 1 when TABENC_THREADS is unset."""
+    threads = env_threads()
+    return 1 if threads is None else max(1, (os.cpu_count() or 1) // threads)
+
+
 def _build_plan(args) -> dict:
     from .datagen import SUITES
 
+    if args.workers is None:
+        args.workers = _default_workers()
     suites = tuple(s.strip() for s in args.suites.split(",") if s.strip())
     for s in suites:
         if s not in SUITES:
@@ -925,7 +936,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(sp)
     sp.set_defaults(steps=2000, eval_every=200, context_len=1024)
     sp.add_argument("--eval-batch", type=int, default=8)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=int, default=None,
+                    help="grid runs at once (default: cores // TABENC_THREADS, or 1 when it is unset)")
     sp.add_argument("--plan-only", action="store_true")
     sp.set_defaults(func=_cmd_grid)
 

@@ -24,25 +24,26 @@ a pattern of its category and column, and only the pairs that share a row
 are then rewritten; it then sets the diagonal.
 
 A mask is a view of the layout: the scheme plus each token's row, column and
-category (AttentionMask). Its runs of identical rows are planned straight
-from that layout, in O(L + nnz), as shape buckets (AttentionMask.plan); the
-rectangle tiling of block files (AttentionMask.blocks) and sparsity() are
-cut from those complete lines. The block-sparse kernel runs the mask's
-parts (AttentionMask.parts): where every line of a column takes the
-column's tokens through same-column rules and those tokens are the lines'
-own rows (M1 and M2 content), the column part is planned once, as one
-square line of the column's rows against themselves, and each line keeps
-only the rest of its keys; the kernel merges the two parts of a row by
-their logsumexp. A row may thus sit in two lines. The L x L matrix
-(AttentionMask.dense) is built like the relation map, and only when a
-caller reads it.
+category (AttentionMask). Its parts are planned once, straight from that
+layout, in O(L + nnz), as shape buckets of runs of identical rows
+(AttentionMask.parts): where every line of a column takes the column's
+tokens through same-column rules and those tokens are the lines' own rows
+(M1 and M2 content), the column part is planned once, as one square line of
+the column's rows against themselves, and each line keeps only the rest of
+its keys. The block-sparse kernel runs the parts and merges the two parts of
+a row by their logsumexp; a row may thus sit in two lines. The complete
+lines (AttentionMask.plan) and the rectangle tiling of block files
+(AttentionMask.blocks) are joined from the parts, a chunk of lines at a
+time (_complete_lines), and sparsity() counts the parts' pairs. The L x L
+matrix (AttentionMask.dense) is built like the relation map, and only when
+a caller reads it.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -97,35 +98,38 @@ class AttentionMask:
     def blocks(self) -> Tiling:
         """The (q0, q1, k0, k1) half-open rectangles that tile the allowed
         set exactly (disjoint, union equal to the True entries), as a
-        read-only (n, 4) intp Tiling sorted by (q0, k0). Cut on first use from
-        the lines of `plan`, since only block files and tiling checks need
-        it; the kernel runs the plan itself."""
-        blocks = export_blocks_from_dense(None, self.plan.query).view(Tiling)
+        read-only (n, 4) intp Tiling sorted by (q0, k0). Cut on first use
+        from the complete lines, joined from `parts` chunk by chunk
+        (_complete_lines), since only block files and tiling checks need
+        it; the kernel runs the parts themselves."""
+        blocks = export_blocks_from_dense(None, _complete_lines(self.parts, self.length)).view(Tiling)
         blocks.flags.writeable = False
         return blocks
 
     @functools.cached_property
-    def plan(self) -> Plan:
-        """The shape buckets of the mask's complete row runs (see Plan),
-        planned from the layout (_layout_buckets): the lines the tiling
-        (`blocks`) and sparsity() are cut from. The signature tables are
-        symmetric, so the key plan is the query plan."""
-        buckets, _ = _layout_buckets(self.row, self.col, self.cat, _MASK_TABLES[self.scheme])
-        return Plan(buckets, buckets)
+    def parts(self) -> Plan:
+        """The plan the block-sparse kernel runs, planned once from the
+        layout (_layout_buckets): each column part that pays as one square
+        line, and the rest of the lines as buckets. The rest of a symmetric
+        mask minus its square blocks is symmetric, so its key plan is its
+        query plan. Without square lines the parts are the complete lines."""
+        buckets, square = _layout_buckets(self.row, self.col, self.cat, _MASK_TABLES[self.scheme])
+        return Plan(buckets, buckets, square)
 
     @functools.cached_property
-    def parts(self) -> Plan:
-        """The plan the block-sparse kernel runs: each column part that
-        pays as one square line, and the rest of the lines as buckets
-        (_layout_buckets with split). The rest of a symmetric mask minus
-        its square blocks is symmetric, so its key plan is its query plan.
-        A scheme without same-column content rules has no column part to
-        split, and runs `plan`."""
-        if self.scheme not in _SAME_COL:
-            return self.plan
-        buckets, square = _layout_buckets(self.row, self.col, self.cat,
-                                          _MASK_TABLES[self.scheme], split=True)
-        return Plan(buckets, buckets, square)
+    def plan(self) -> Plan:
+        """The shape buckets of the mask's complete row runs (see Plan):
+        `parts` when it has no square line, else its lines joined with their
+        square lines (_complete_lines) and bucketed. The signature tables
+        are symmetric, so the key plan is the query plan."""
+        if not self.parts.square:
+            return self.parts
+        first, n_rows, n_runs, k0, k1 = (np.concatenate(a) for a in
+                                         zip(*_complete_lines(self.parts, self.length).chunks))
+        n_keys = np.add.reduceat(k1 - k0, np.cumsum(n_runs) - n_runs)
+        buckets = _grouped(first, n_rows, np.cumsum(n_keys) - n_keys, n_keys, _ranges(k0, k1),
+                           self.length)
+        return Plan(buckets, buckets)
 
 
 def _check_scheme(enc: EncodedInput, scheme: str) -> None:
@@ -151,9 +155,10 @@ def build_mask(enc: EncodedInput, scheme: str) -> AttentionMask:
 
 
 def sparsity(mask: AttentionMask) -> float:
-    """Fraction of disallowed pairs over L^2."""
+    """Fraction of disallowed pairs over L^2; the parts hold each allowed
+    pair once."""
     L = mask.length
-    allowed = sum(rows.size * keys.shape[1] for rows, keys in mask.plan.query)
+    allowed = sum(rows.size * keys.shape[1] for rows, keys in (*mask.parts.query, *mask.parts.square))
     return float(L * L - allowed) / float(L * L)
 
 
@@ -162,56 +167,161 @@ def export_blocks(mask: AttentionMask) -> Tiling:
     return mask.blocks
 
 
-def export_blocks_from_dense(dense: np.ndarray | None, buckets: list | None = None) -> np.ndarray:
+class Lines(NamedTuple):
+    """The complete lines (runs of identical rows) of a symmetric allow-matrix
+    of `length` rows, in row order, in chunks of (first row, row count, run
+    count, k0, k1): each line's runs of consecutive keys [k0, k1), in key
+    order, laid end to end. `bound` is at least the number of runs."""
+
+    length: int
+    bound: int
+    chunks: Iterable
+
+
+def export_blocks_from_dense(dense: np.ndarray | None, lines: Lines | None = None) -> np.ndarray:
     """Tile a symmetric allow-matrix with a True diagonal into disjoint
     (q0, q1, k0, k1) rectangles, an (n, 4) intp array sorted by (q0, k0)
     (column-major: the transpose of the (4, n) array it is built in).
 
-    `buckets` are the matrix's query buckets (_buckets(dense), built here
-    when not given): each line is a run of identical rows with its sorted
-    keys. Given them, `dense` is not read and may be None. The question
-    band (the maximal all-True leading row prefix, which by symmetry is
-    also an all-True leading column prefix) is emitted as at most two
-    rectangles; every other line is cut into its runs of consecutive keys
-    at or after the band. Residual diagonal entries come out as 1x1
-    rectangles.
+    `lines` are the matrix's complete lines (_complete_lines), read from
+    `dense` (_matrix_lines) when not given; given them, `dense` is not read
+    and may be None. The question band (the maximal all-True leading row
+    prefix, which by symmetry is also an all-True leading column prefix) is
+    emitted as at most two rectangles; every other line gives its runs cut
+    at the band. Residual diagonal entries come out as 1x1 rectangles. The
+    rectangles are written chunk by chunk into one (4, lines.bound + 2)
+    array, whose first n columns are returned, so working memory beyond
+    the result is one chunk's (pages past the last column written are
+    never touched).
     """
-    if buckets is None:
-        buckets = _buckets(dense)
-    L = sum(rows.size for rows, _ in buckets)  # the True diagonal puts each row on one line
-    # the band's rows are one line, starting at row 0, that allows every key
-    b = next((rows.shape[1] for rows, keys in buckets
-              if keys.shape[1] == L and rows[0, 0] == 0), 0)
-    if b == L:
-        return np.array([[0, L, 0, L]], dtype=np.intp)
-    band = np.array([[0, b, 0, L], [b, L, 0, b]], dtype=np.intp)[:2 if b else 0]
-    runs = []  # per bucket: its rows, the runs of each line, each run's first and last key
-    for rows, keys in buckets:
-        live = (keys >= b) & (rows[:, :1] >= b)  # keys right of the band, off its line
-        step = np.diff(keys, axis=1) != 1
-        first, last = live.copy(), live.copy()
-        first[:, 1:] &= step | ~live[:, :-1]
-        last[:, :-1] &= step
-        flat = keys.ravel()
-        runs.append((rows, np.count_nonzero(first, axis=1),
-                     flat.take(np.flatnonzero(first)), flat.take(np.flatnonzero(last))))
-    # lines are disjoint row ranges after the band's, and each line's runs
-    # are in key order: lay the lines out by first row, each bucket's runs
-    # written in place into the (4, n) transpose of the result
-    counts = np.concatenate([n for _, n, _, _ in runs])
-    order = np.argsort(np.concatenate([rows[:, 0] for rows, _, _, _ in runs]))
-    at_line = np.empty_like(counts)
-    at_line[order] = len(band) + np.cumsum(counts[order]) - counts[order]
-    out = np.empty((4, len(band) + int(counts.sum())), dtype=np.intp)
-    out[:, :len(band)] = band.T
-    g = 0
-    for rows, n, k0, k1 in runs:
-        at = np.repeat(at_line[g:g + len(n)] - np.cumsum(n) + n, n) + np.arange(len(k0))
-        g += len(n)
-        q0 = np.repeat(rows[:, 0], n)
-        for column, values in zip(out, (q0, q0 + rows.shape[1], k0, k1 + 1)):
-            column[at] = values
-    return out.T
+    if lines is None:
+        lines = _matrix_lines(dense)
+    L, b = lines.length, None
+    out = np.empty((4, lines.bound + 2), dtype=np.intp)  # the transpose of the result
+    n = 0
+    for first, n_rows, n_runs, k0, k1 in lines.chunks:
+        if b is None:
+            # the band's rows are the first line, starting at row 0, if it allows every key
+            b = int(n_rows[0]) if first[0] == 0 and k0[0] == 0 and k1[0] == L else 0
+            if b == L:
+                return np.array([[0, L, 0, L]], dtype=np.intp)
+            if b:
+                out[:, :2], n = [[0, b], [b, L], [0, 0], [L, b]], 2
+        line = np.repeat(np.arange(len(first)), n_runs)
+        if b:  # the band's rows and columns are out
+            keep = np.flatnonzero((k1 > b) & (first >= b)[line])
+            line, k0, k1 = line[keep], np.maximum(k0[keep], b), k1[keep]
+        q0, q1, out_k0, out_k1 = out[:, n:n + len(line)]
+        np.take(first, line, out=q0)
+        np.add(q0, n_rows[line], out=q1)
+        out_k0[:], out_k1[:] = k0, k1
+        n += len(line)
+    return out[:, :n].T
+
+
+def _matrix_lines(dense: np.ndarray) -> Lines:
+    """The complete lines of an allow-matrix, in one chunk."""
+    starts, ends = _row_runs(dense)
+    step = np.diff(dense[starts].astype(np.int8), prepend=0, append=0, axis=1)
+    line, k0 = np.nonzero(step == 1)
+    k1 = np.nonzero(step == -1)[1]
+    return Lines(len(dense), len(k0),
+                 [(starts, ends - starts, np.bincount(line, minlength=len(starts)), k0, k1)])
+
+
+def _line_table(buckets, L: int):
+    """Each row's line in `buckets` (-1 for none; lines are numbered bucket
+    by bucket), and per line its key count, key sum and runs of consecutive
+    keys: a line's [k0, k1) runs are at run_at[line] + range(n_runs[line]).
+    The per-line arrays end with an empty line, which row -1 picks."""
+    of_row = np.full(L, -1, dtype=np.intp)
+    at = 0
+    for rows, _ in buckets:
+        of_row[rows] = at + np.arange(len(rows))[:, None]
+        at += len(rows)
+    n_keys = np.concatenate([*(np.full(len(keys), keys.shape[1]) for _, keys in buckets), [0]])
+    sums = np.concatenate([*(keys.sum(axis=1) for _, keys in buckets), [0]])
+    # the lines' keys end to end, one bucket after another; a line's end ends a run
+    keys = np.concatenate([*(keys.ravel() for _, keys in buckets), [-2]]).astype(np.intp)
+    line_end = np.cumsum(n_keys)
+    step = keys[1:] != keys[:-1] + 1
+    step[line_end[:-1] - 1] = True
+    last = np.flatnonzero(step)
+    start = np.append(0, last[:-1] + 1)
+    n_runs = np.diff(np.searchsorted(last, line_end - 1, side="right"), prepend=0)
+    return (of_row, n_keys.astype(np.intp), sums.astype(np.intp),
+            np.cumsum(n_runs) - n_runs, n_runs, keys[start], keys[last] + 1)
+
+
+def _complete_lines(parts: Plan, L: int) -> Lines:
+    """The complete lines of a mask, joined from its parts: each row's keys
+    are its query line's and its square line's, and adjacent lines with
+    equal keys are merged. Each chunk is joined as it is read, and holds
+    whole lines and about _CHUNK_RUNS runs (more only when a line or lines
+    that may merge run past that).
+
+    Rows with one query line and one square line (either may be none) are a
+    segment. Segments whose key counts or key sums differ cannot merge, and
+    only there is the join cut into chunks. In a chunk, the runs of each
+    segment's two lines (disjoint, each in key order) are merged by position
+    (searchsorted over runs coded as segment * L + k0), runs that touch are
+    joined, and equal neighbours merged (_merged)."""
+    q_of, q_keys, q_sums, *q_runs = _line_table(parts.query, L)
+    s_of, s_keys, s_sums, *s_runs = _line_table(parts.square, L)
+    cut = np.ones(L, dtype=bool)
+    cut[1:] = (q_of[1:] != q_of[:-1]) | (s_of[1:] != s_of[:-1])
+    first = np.flatnonzero(cut)
+    end = np.append(first[1:], L)
+    qi, si = q_of[first], s_of[first]
+    n_keys, sums = q_keys[qi] + s_keys[si], q_sums[qi] + s_sums[si]
+    # a chunk may end before segment i unless segment i may merge into the one before
+    free = np.flatnonzero((n_keys[1:] != n_keys[:-1]) | (sums[1:] != sums[:-1])) + 1
+    free = np.append(free, len(first))
+    total = np.cumsum(q_runs[1][qi] + s_runs[1][si])  # runs before they are joined
+    chunks = []
+    i = 0
+    while i < len(first):
+        j = int(np.searchsorted(total, (total[i - 1] if i else 0) + _CHUNK_RUNS, side="right"))
+        j = int(free[np.searchsorted(free, max(j, i + 1))])
+        chunks.append((i, j))
+        i = j
+    return Lines(L, int(total[-1]), (_joined(first[i:j], end[i:j], L, (qi[i:j], *q_runs),
+                                             (si[i:j], *s_runs)) for i, j in chunks))
+
+
+def _joined(first, end, L, *parts):
+    """One chunk of _complete_lines from its segments [first, end) and, for
+    the query part and then the square part, each segment's line (-1 for
+    none) and the lines' run tables (_line_table)."""
+    pieces = []  # per part: each segment's run count, and the runs' k0 and k1
+    for lines, at, n_runs, k0, k1 in parts:
+        n = n_runs[lines]
+        runs = _ranges(at[lines], at[lines] + n)
+        pieces.append((n, k0[runs], k1[runs]))
+    (q_n, q_k0, q_k1), (s_n, s_k0, s_k1) = pieces
+    if not len(s_k0):  # query lines alone: whole lines, merged already (_layout_buckets)
+        return first, end - first, q_n, q_k0, q_k1
+    # merge the two parts' runs by position: each segment's are disjoint and in key order
+    q_code, s_code = (np.repeat(np.arange(len(first)) * L, n) + k0 for n, k0 in ((q_n, q_k0), (s_n, s_k0)))
+    at = np.arange(len(q_code)) + np.searchsorted(s_code, q_code)
+    from_s = np.ones(len(q_code) + len(s_code), dtype=bool)
+    from_s[at] = False
+    k0, k1 = np.empty(len(from_s), dtype=np.intp), np.empty(len(from_s), dtype=np.intp)
+    k0[at], k0[from_s], k1[at], k1[from_s] = q_k0, s_k0, q_k1, s_k1
+    # join each run to the one before when they touch in one segment
+    seg_at = np.cumsum(q_n + s_n) - q_n - s_n
+    new = np.empty(len(k0), dtype=bool)
+    np.not_equal(k0[1:], k1[:-1], out=new[1:])
+    new[seg_at] = True
+    start = np.flatnonzero(new)
+    k0, k1 = k0[start], k1[np.append(start[1:], len(new)) - 1]
+    n_runs = np.add.reduceat(new, seg_at, dtype=np.intp)
+    n_lines = len(first)
+    first, end, off, n_runs = _merged(first, end, np.cumsum(n_runs) - n_runs, n_runs, k0, k1)
+    if len(first) < n_lines:  # keep only the runs of the merged lines
+        runs = _ranges(off, off + n_runs)
+        k0, k1 = k0[runs], k1[runs]
+    return first, end - first, n_runs, k0, k1
 
 
 def blocks_cover(blocks, L: int) -> np.ndarray:
@@ -413,6 +523,9 @@ _RELATION_LOCAL = _local_categories(_RELATION_TABLE)
 # pairs per block of _row_blocks; a block holds about 11 bytes per pair (its
 # uint8 signatures, np.take's intp copy of them, and the values)
 _CHUNK_PAIRS = 1 << 18
+# runs per chunk of _complete_lines: each of its temporaries stays within
+# 128 KiB, which keeps it in cache and in memory the allocator reuses
+_CHUNK_RUNS = 1 << 14
 
 
 def _gather_pairs(rows, cols, cat, table: np.ndarray, local: np.ndarray) -> np.ndarray:
@@ -487,12 +600,13 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts - lo, counts)
 
 
-def _layout_buckets(rows, cols, cat, table: np.ndarray, split: bool = False):
-    """The query buckets of the allow-matrix that a monotone, symmetric
-    signature table gives over a layout, with the diagonal set: exactly
-    _buckets of that matrix, built in O(L + nnz) without it; and, with
-    `split`, the square buckets of its column parts. Returns (buckets,
-    square buckets).
+def _layout_buckets(rows, cols, cat, table: np.ndarray):
+    """The mask's parts (see AttentionMask.parts) that a monotone, symmetric
+    signature table gives over a layout, with the diagonal set, built in
+    O(L + nnz) without the allow-matrix: the query buckets of each line's
+    keys but its column part, and the square buckets of the column parts.
+    Returns (buckets, square buckets). Without square lines the buckets are
+    exactly _buckets of the allow-matrix.
 
     A token's mask row depends on its descriptor: its rule class (categories
     whose table entries as query are equal share one), its row if the class's
@@ -504,14 +618,13 @@ def _layout_buckets(rows, cols, cat, table: np.ndarray, split: bool = False):
     anywhere, in its row, in its column and in its cell, plus itself where
     needed. Adjacent lines with equal keys are then merged into one run.
 
-    With `split`, a line's column part is the keys its class takes through
-    its column, its own cell among them; every line of one (class, column)
-    shares it. Where that part is exactly the rows of those lines (so every
-    pair among them is allowed), is shared by two lines or more and is at
-    least as large as the rest of each line, it becomes one square line
-    (rows = keys) of the square buckets, and those lines keep only their
-    other keys. Lines left with no key are dropped. Otherwise the buckets
-    are the complete lines and there are no square buckets.
+    A line's column part is the keys its class takes through its column, its
+    own cell among them; every line of one (class, column) shares it. Where
+    that part is exactly the rows of those lines (so every pair among them is
+    allowed), is shared by two lines or more and is at least as large as the
+    rest of each line, it becomes one square line (rows = keys) of the square
+    buckets, and those lines keep only their other keys. Lines left with no
+    key are dropped.
     """
     L = len(cat)
     # [category i, category j]: j is allowed for i anywhere, or only in i's
@@ -549,8 +662,7 @@ def _layout_buckets(rows, cols, cat, table: np.ndarray, split: bool = False):
                 lo = np.searchsorted(group[keys], want, side="left")
                 hi = np.searchsorted(group[keys], want, side="right")
                 lists.append((kind, c, lines, keys, lo, hi))
-    square = _square_lines(first, end, cols[first], rule_class, cat, in_col, self_ok, lists) if split \
-        else np.zeros(len(first), dtype=bool)
+    square = _square_lines(first, end, cols[first], rule_class, cat, in_col, self_ok, lists)
 
     # (line, key) pairs, coded as line * L + key: each line's own diagonal
     # entry where needed, then its keys from each list but its column part
@@ -577,35 +689,47 @@ def _layout_buckets(rows, cols, cat, table: np.ndarray, split: bool = False):
     n_keys = np.diff(off)
     keys = code - np.repeat(np.arange(len(first)) * L, n_keys)
     live = n_keys > 0
-    first, end, off, n_keys = first[live], end[live], off[:-1][live], n_keys[live]
-
-    # merge each line into the one before when they touch and their keys are equal
-    sums = np.add.reduceat(keys, off) if len(off) else off
-    alike = 1 + np.flatnonzero((n_keys[1:] == n_keys[:-1]) & (sums[1:] == sums[:-1])
-                               & (first[1:] == end[:-1]))
-    merged = np.zeros(len(first), dtype=bool)
-    if len(alike):
-        differ = keys[_ranges(off[alike - 1], off[alike - 1] + n_keys[alike])] \
-            != keys[_ranges(off[alike], off[alike] + n_keys[alike])]
-        seg = np.cumsum(n_keys[alike]) - n_keys[alike]
-        merged[alike] = ~np.logical_or.reduceat(differ, seg)
-    kept = np.flatnonzero(~merged)
-    end = end[np.append(kept[1:], len(first)) - 1]  # a run ends where its last merged line does
-    first, off, n_keys = first[kept], off[kept], n_keys[kept]
-    n_rows = end - first
-
-    # one bucket per (R, K) shape in ascending order, its lines in row order
-    order = np.lexsort((n_keys, n_rows))
-    first, off, n_rows, n_keys = first[order], off[order], n_rows[order], n_keys[order]
-    edges = np.flatnonzero(np.diff(n_rows * (L + 1) + n_keys, prepend=-1, append=-1))
-    buckets = [(first[g0:g1, None] + np.arange(n_rows[g0]),
-                keys[off[g0:g1, None] + np.arange(n_keys[g0])])
-               for g0, g1 in zip(edges[:-1].tolist(), edges[1:].tolist())]
+    first, end, off, n_keys = _merged(first[live], end[live], off[:-1][live], n_keys[live], keys)
+    buckets = _grouped(first, end - first, off, n_keys, keys, L)
     # square lines, one bucket per size in ascending order, in row order; rows are keys
     by_size: dict[int, list] = {}
     for line in sorted(blocks, key=lambda b: (len(b), b[0])):
         by_size.setdefault(len(line), []).append(line)
     return buckets, [(b, b) for b in map(np.stack, by_size.values())]
+
+
+def _merged(first, end, off, n, *values):
+    """The runs of lines [first, end), whose entries are value[off:off + n]
+    for each array in `values`, when each line is merged into the one before
+    where they touch and their entries are equal: (first, end, off, n) of
+    the runs."""
+    alike = (n[1:] == n[:-1]) & (first[1:] == end[:-1])
+    for value in values:
+        sums = np.add.reduceat(value, off) if len(off) else off
+        alike &= sums[1:] == sums[:-1]
+    alike = 1 + np.flatnonzero(alike)
+    merged = np.zeros(len(first), dtype=bool)
+    if len(alike):
+        before = _ranges(off[alike - 1], off[alike - 1] + n[alike])
+        after = _ranges(off[alike], off[alike] + n[alike])
+        differ = np.zeros(len(before), dtype=bool)
+        for value in values:
+            differ |= value[before] != value[after]
+        merged[alike] = ~np.logical_or.reduceat(differ, np.cumsum(n[alike]) - n[alike])
+    kept = np.flatnonzero(~merged)
+    end = end[np.append(kept[1:], len(first)) - 1]  # a run ends where its last merged line does
+    return first[kept], end, off[kept], n[kept]
+
+
+def _grouped(first, n_rows, off, n_keys, keys, L: int) -> list:
+    """The lines as buckets: one per (R, K) shape in ascending order, its
+    lines in row order."""
+    order = np.lexsort((n_keys, n_rows))
+    first, off, n_rows, n_keys = first[order], off[order], n_rows[order], n_keys[order]
+    edges = np.flatnonzero(np.diff(n_rows * (L + 1) + n_keys, prepend=-1, append=-1))
+    return [(first[g0:g1, None] + np.arange(n_rows[g0]),
+             keys[off[g0:g1, None] + np.arange(n_keys[g0])])
+            for g0, g1 in zip(edges[:-1].tolist(), edges[1:].tolist())]
 
 
 def _square_lines(first, end, line_col, rule_class, cat, in_col, self_ok, lists) -> np.ndarray:

@@ -1,4 +1,6 @@
+import collections
 import ctypes
+import dataclasses
 import re
 from pathlib import Path
 
@@ -463,6 +465,15 @@ def test_mask_parts_cut_square_lines_into_row_pieces(rng, monkeypatch, scheme):
     got = (attn_block_sparse(inp).out, grads.dq, grads.dk, grads.dv, grads.dbias_class)
     for a, b in zip(got, want):
         assert np.allclose(a, b, rtol=0, atol=1e-12)
+    # a transposed (not C-contiguous) bias and class map give the bits of contiguous ones
+    runs = []
+    for bias, classes in ((scales[rel.rel], rel.rel),
+                          (np.ascontiguousarray(scales[rel.rel].T).T, np.ascontiguousarray(rel.rel.T).T)):
+        inp = AttentionInput(q, k, v, m, bias)
+        grads = attn_backward(inp, d_out, blocks=m.blocks, rel_map=classes)
+        runs.append([attn_block_sparse(inp).out, grads.dq, grads.dk, grads.dv, grads.dbias_class])
+    for a, b in zip(*runs):
+        assert a.tobytes() == b.tobytes()
     check_fd_gradients(rng, m, rel, q, k, v, d_out, scales)
 
 
@@ -586,8 +597,9 @@ def test_wrapper_round_trip(rng):
         attn_backward(inp, d_out[:2])
 
 
-def test_mask_plan_built_once_per_mask(rng, monkeypatch):
-    _, m, q, k, v, bias, _, rel = random_case(rng, "M5", d=4, with_bias=True)
+@pytest.mark.parametrize("scheme", ["M5", "M1"])
+def test_mask_plan_built_once_per_mask(rng, monkeypatch, scheme):
+    _, m, q, k, v, bias, _, rel = random_case(rng, scheme, d=4, with_bias=True)
     calls = []
     layout_buckets = mask_module._layout_buckets
 
@@ -632,8 +644,67 @@ def test_long_table_pass_builds_no_matrix(tokens, scheme):
     inp = AttentionInput(q, k, v, m, scalars[rel.rel])
     attn_block_sparse(inp)
     attn_backward(inp, d_out, blocks=m.blocks, rel_map=rel)
-    assert "plan" in m.__dict__ and "blocks" in m.__dict__
-    assert "dense" not in m.__dict__
+    assert "parts" in m.__dict__ and "blocks" in m.__dict__
+    # the tiling is joined from the parts: no plan of the complete lines either
+    assert "dense" not in m.__dict__ and "plan" not in m.__dict__
+
+
+def test_square_bias_gathered_once_per_line(rng, monkeypatch):
+    # an M1 input gathers the bias along each square line once, when it is
+    # built; its forward and backward read those pieces, and give the bits
+    # of the kernel run on the bare bias. The mask is planned once.
+    m, rel, q, k, v, d_out, scales = tall_case(rng, "M1", 14, 2, 4, np.float64)
+    bias = scales[rel.rel]
+    twin = mask_module.AttentionMask(m.scheme, m.row, m.col, m.cat)  # m itself is not planned yet
+    squares = {tuple(line) for rows, _ in twin.parts.square for line in rows.tolist()}
+    assert len(squares) >= 2
+    gathers = collections.Counter()
+    pairs, layout_buckets = attention._pairs, mask_module._layout_buckets
+    calls = []
+
+    def counted_pairs(mat, rows, cols):
+        if mat is bias:
+            gathers.update(tuple(r) for r, c in zip(rows.tolist(), cols.tolist())
+                           if r == c and tuple(r) in squares)
+        return pairs(mat, rows, cols)
+
+    def counted_buckets(rows, cols, cat, *args, **kwargs):
+        calls.append(len(cat))
+        return layout_buckets(rows, cols, cat, *args, **kwargs)
+
+    monkeypatch.setattr(attention, "_pairs", counted_pairs)
+    monkeypatch.setattr(mask_module, "_layout_buckets", counted_buckets)
+    inp = AttentionInput(q, k, v, m, bias)
+    out = attn_block_sparse(inp).out
+    grads = attn_backward(inp, d_out, blocks=m.blocks, rel_map=rel)
+    assert gathers == {line: 1 for line in squares}
+    assert m.plan.square == () and calls == [m.length]  # the plan too is joined from the parts
+    assert out.tobytes() == block_sparse_forward(q, k, v, m, bias, inp.scale).tobytes()
+    fresh = block_sparse_backward(q, k, v, m, d_out, bias, inp.scale, rel=rel.rel,
+                                  n_classes=rel.n_classes)
+    for a, b in zip((grads.dq, grads.dk, grads.dv, grads.dbias_class), fresh):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_attention_input_operands_are_fixed(rng):
+    # the bias is read once, at construction: rebinding it is refused, and an
+    # input built with another bias runs that bias on both paths
+    m, rel, q, k, v, d_out, scales = tall_case(rng, "M1", 12, 2, 4, np.float64)
+    inp = AttentionInput(q, k, v, m, scales[rel.rel])
+    assert inp.square_bias
+    other = (scales[::-1] * 2.0)[rel.rel]
+    for name, value in (("bias_values", other), ("mask", None), ("q", k), ("scale", 1.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(inp, name, value)
+    rebound = dataclasses.replace(inp, bias_values=other)
+    for case in (inp, rebound):
+        assert np.allclose(attn_block_sparse(case).out, attn_dense(case).out, rtol=0, atol=1e-12)
+        got = attn_backward(case, d_out, blocks=m.blocks, rel_map=rel)
+        want = attn_backward(case, d_out, rel_map=rel)
+        for a, b in zip((got.dq, got.dk, got.dv, got.dbias_class),
+                        (want.dq, want.dk, want.dv, want.dbias_class)):
+            assert np.allclose(a, b, rtol=0, atol=1e-12)
+    assert not np.allclose(attn_block_sparse(inp).out, attn_block_sparse(rebound).out)
 
 
 @pytest.mark.parametrize("scheme", ["M1", "M5"])

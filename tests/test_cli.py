@@ -699,6 +699,31 @@ def test_grid_runs_in_a_pool_of_workers_whatever_the_thread_cap(
     assert len((out / "results.csv").read_text().splitlines()) == 3
 
 
+@pytest.mark.parametrize("threads,cores,workers,want", [
+    (None, 8, None, 1),  # TABENC_THREADS unset: one run at a time
+    ("1", 8, None, 8),
+    ("2", 8, None, 4),
+    ("3", 8, None, 2),
+    ("4", 2, None, 1),  # never fewer than one
+    ("1", None, None, 1),  # cores unknown
+    ("1", 8, "3", 3),  # an explicit --workers wins
+])
+def test_grid_workers_default_to_cores_per_thread_count(
+        tmp_path, capsys, monkeypatch, threads, cores, workers, want):
+    for var in THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    if threads is not None:
+        monkeypatch.setenv("TABENC_THREADS", threads)
+    monkeypatch.setattr(cli, "set_blas_threads", lambda n: None)  # this process keeps its count
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    seen = []
+    monkeypatch.setattr(cli, "_run_grid", lambda work, n, results: seen.append(n))
+    flags = ("--workers", workers) if workers else ()
+    code, _, err = run(capsys, "grid", "--out", str(tmp_path / "g"), *GRID_ARGS, *flags)
+    assert code == 0, err
+    assert seen == [want]
+
+
 def test_grid_stopped_early_cancels_its_queued_runs(
         tmp_path, capsys, monkeypatch, recording_pool):
     def full_disk(results_path, lines):
