@@ -21,7 +21,7 @@ of its own parts (AttentionMask.parts), built once from the table layout.
 The kernel never tiles it; the mask's rectangle tiling (AttentionMask.blocks)
 is joined from those parts only when a block file or a check asks for it.
 An (n, 4) array of (q0, q1, k0, k1) rectangles, such as a block file's, is
-painted into a matrix and bucketed by its row runs (mask.plan_blocks). An
+planned as lines, with no matrix either (mask.plan_blocks). An
 AttentionInput whose mask is an AttentionMask always runs that mask, and
 checks it without its L x L matrix: its bias is checked along the same
 parts, so a block-sparse pass never builds the matrix. The bias of the
@@ -434,8 +434,8 @@ def _backward(q, k, v, d_out, plan, allowed, bias, scale, rel=None, n_classes=No
 # ---------------------------------------------------------------------------
 
 def _plan_of(blocks, length: int) -> Plan:
-    """The Plan of `blocks`: an AttentionMask's own (AttentionMask.plan), or
-    that of (q0, q1, k0, k1) rectangles (plan_blocks)."""
+    """The Plan of `blocks`: an AttentionMask's own parts (AttentionMask.parts),
+    or that of (q0, q1, k0, k1) rectangles (plan_blocks)."""
     if isinstance(blocks, AttentionMask):
         if blocks.length != length:
             raise ValidationError(f"mask length {blocks.length} does not match L={length}")

@@ -36,6 +36,7 @@ from .core import (
     env_threads,
     is_legal_combination,
     iter_jsonl,
+    open_text,
     read_jsonl,
     set_blas_threads,
     write_jsonl,
@@ -114,7 +115,7 @@ def _print_json(obj) -> None:
 
 
 def _load_table(path: str) -> Table:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return Table.from_json(json.load(fh))
 
 
@@ -192,7 +193,7 @@ def _cmd_exec(args) -> int:
 
 def _read_predictions(path: str) -> list[list[str]]:
     preds = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -401,7 +402,7 @@ def _read_results_csv(path, response: str, columns=()) -> list[dict]:
     integer or a factor level outside its factor raises ValidationError naming
     path:line. A file without a header has no rows."""
     rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -281,13 +282,30 @@ def write_jsonl(examples: Iterable[QAExample], path: str | Path) -> int:
     return n
 
 
+@contextmanager
+def open_text(path: str | Path, newline: str | None = None):
+    """The UTF-8 text file at `path`, open for reading. Bytes that are not
+    UTF-8 raise ValidationError naming the path and their line."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            data = Path(path).read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:  # its position is the file's, not a chunk's
+                line = data.count(b"\n", 0, exc.start) + 1
+                raise ValidationError(f"{path}:{line}: not UTF-8 text ({exc})") from None
+            raise
+
+
 def read_jsonl(path: str | Path) -> list[QAExample]:
     return [ex for _line_no, ex in iter_jsonl(path)]
 
 
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, QAExample]]:
     """(line number, example) for every non-blank line of a JSONL file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

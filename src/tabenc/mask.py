@@ -31,12 +31,12 @@ tokens through same-column rules and those tokens are the lines' own rows
 (M1 and M2 content), the column part is planned once, as one square line of
 the column's rows against themselves, and each line keeps only the rest of
 its keys. The block-sparse kernel runs the parts and merges the two parts of
-a row by their logsumexp; a row may thus sit in two lines. The complete
-lines (AttentionMask.plan) and the rectangle tiling of block files
-(AttentionMask.blocks) are joined from the parts, a chunk of lines at a
-time (_complete_lines), and sparsity() counts the parts' pairs. The L x L
-matrix (AttentionMask.dense) is built like the relation map, and only when
-a caller reads it.
+a row by their logsumexp; a row may thus sit in two lines. The rectangle
+tiling of block files (AttentionMask.blocks) is cut from the complete lines,
+joined from the parts a chunk of lines at a time (_complete_lines), and
+sparsity() counts the parts' pairs. The L x L matrix (AttentionMask.dense)
+is built like the relation map, and only when a caller reads it. Other
+rectangles, such as a block file's, are planned as lines too (plan_blocks).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .core import MASK_SCHEMES, STRUCTURAL_MASKS, ValidationError, is_legal_combination
+from .core import MASK_SCHEMES, STRUCTURAL_MASKS, ValidationError, is_legal_combination, open_text
 from .linearize import HEADER_ROW, EncodedInput, TokenRole
 
 # which content-pair rules each scheme enables
@@ -102,7 +102,7 @@ class AttentionMask:
         from the complete lines, joined from `parts` chunk by chunk
         (_complete_lines), since only block files and tiling checks need
         it; the kernel runs the parts themselves."""
-        blocks = export_blocks_from_dense(None, _complete_lines(self.parts, self.length)).view(Tiling)
+        blocks = export_blocks_from_dense(_complete_lines(self.parts, self.length)).view(Tiling)
         blocks.flags.writeable = False
         return blocks
 
@@ -115,21 +115,6 @@ class AttentionMask:
         query plan. Without square lines the parts are the complete lines."""
         buckets, square = _layout_buckets(self.row, self.col, self.cat, _MASK_TABLES[self.scheme])
         return Plan(buckets, buckets, square)
-
-    @functools.cached_property
-    def plan(self) -> Plan:
-        """The shape buckets of the mask's complete row runs (see Plan):
-        `parts` when it has no square line, else its lines joined with their
-        square lines (_complete_lines) and bucketed. The signature tables
-        are symmetric, so the key plan is the query plan."""
-        if not self.parts.square:
-            return self.parts
-        first, n_rows, n_runs, k0, k1 = (np.concatenate(a) for a in
-                                         zip(*_complete_lines(self.parts, self.length).chunks))
-        n_keys = np.add.reduceat(k1 - k0, np.cumsum(n_runs) - n_runs)
-        buckets = _grouped(first, n_rows, np.cumsum(n_keys) - n_keys, n_keys, _ranges(k0, k1),
-                           self.length)
-        return Plan(buckets, buckets)
 
 
 def _check_scheme(enc: EncodedInput, scheme: str) -> None:
@@ -178,24 +163,20 @@ class Lines(NamedTuple):
     chunks: Iterable
 
 
-def export_blocks_from_dense(dense: np.ndarray | None, lines: Lines | None = None) -> np.ndarray:
-    """Tile a symmetric allow-matrix with a True diagonal into disjoint
-    (q0, q1, k0, k1) rectangles, an (n, 4) intp array sorted by (q0, k0)
-    (column-major: the transpose of the (4, n) array it is built in).
+def export_blocks_from_dense(lines: Lines) -> np.ndarray:
+    """Tile the allow-matrix of complete lines (_complete_lines), symmetric
+    with a True diagonal, into disjoint (q0, q1, k0, k1) rectangles, an
+    (n, 4) intp array sorted by (q0, k0) (column-major: the transpose of
+    the (4, n) array it is built in).
 
-    `lines` are the matrix's complete lines (_complete_lines), read from
-    `dense` (_matrix_lines) when not given; given them, `dense` is not read
-    and may be None. The question band (the maximal all-True leading row
-    prefix, which by symmetry is also an all-True leading column prefix) is
-    emitted as at most two rectangles; every other line gives its runs cut
-    at the band. Residual diagonal entries come out as 1x1 rectangles. The
-    rectangles are written chunk by chunk into one (4, lines.bound + 2)
-    array, whose first n columns are returned, so working memory beyond
-    the result is one chunk's (pages past the last column written are
-    never touched).
+    The question band (the maximal all-True leading row prefix, which by
+    symmetry is also an all-True leading column prefix) is emitted as at
+    most two rectangles; every other line gives its runs cut at the band.
+    Residual diagonal entries come out as 1x1 rectangles. The rectangles
+    are written chunk by chunk into one (4, lines.bound + 2) array, whose
+    first n columns are returned, so working memory beyond the result is
+    one chunk's (pages past the last column written are never touched).
     """
-    if lines is None:
-        lines = _matrix_lines(dense)
     L, b = lines.length, None
     out = np.empty((4, lines.bound + 2), dtype=np.intp)  # the transpose of the result
     n = 0
@@ -217,16 +198,6 @@ def export_blocks_from_dense(dense: np.ndarray | None, lines: Lines | None = Non
         out_k0[:], out_k1[:] = k0, k1
         n += len(line)
     return out[:, :n].T
-
-
-def _matrix_lines(dense: np.ndarray) -> Lines:
-    """The complete lines of an allow-matrix, in one chunk."""
-    starts, ends = _row_runs(dense)
-    step = np.diff(dense[starts].astype(np.int8), prepend=0, append=0, axis=1)
-    line, k0 = np.nonzero(step == 1)
-    k1 = np.nonzero(step == -1)[1]
-    return Lines(len(dense), len(k0),
-                 [(starts, ends - starts, np.bincount(line, minlength=len(starts)), k0, k1)])
 
 
 def _line_table(buckets, L: int):
@@ -308,8 +279,15 @@ def _joined(first, end, L, *parts):
     from_s[at] = False
     k0, k1 = np.empty(len(from_s), dtype=np.intp), np.empty(len(from_s), dtype=np.intp)
     k0[at], k0[from_s], k1[at], k1[from_s] = q_k0, s_k0, q_k1, s_k1
-    # join each run to the one before when they touch in one segment
-    seg_at = np.cumsum(q_n + s_n) - q_n - s_n
+    return _lines(first, end, q_n + s_n, k0, k1)
+
+
+def _lines(first, end, n, k0, k1):
+    """Segments [first, end) as lines: segment i has n[i] > 0 runs of keys
+    [k0, k1), laid end to end, disjoint and in key order. Runs that touch
+    in one segment are joined, and equal neighbours merged (_merged).
+    Returns (first row, row count, run count, k0, k1) of the lines."""
+    seg_at = np.cumsum(n) - n
     new = np.empty(len(k0), dtype=bool)
     np.not_equal(k0[1:], k1[:-1], out=new[1:])
     new[seg_at] = True
@@ -322,29 +300,6 @@ def _joined(first, end, L, *parts):
         runs = _ranges(off, off + n_runs)
         k0, k1 = k0[runs], k1[runs]
     return first, end - first, n_runs, k0, k1
-
-
-def blocks_cover(blocks, L: int) -> np.ndarray:
-    """Paint rectangles into an L x L allow-matrix; raises ValidationError,
-    naming the first pair in row-major order, if any pair is covered twice."""
-    cover = np.zeros((L, L), dtype=bool)
-    twice = np.zeros((L, L), dtype=bool)  # a flag, not a count, so it cannot wrap
-    for q0, q1, k0, k1 in blocks:
-        twice[q0:q1, k0:k1] |= cover[q0:q1, k0:k1]
-        cover[q0:q1, k0:k1] = True
-    if twice.any():
-        r, k = divmod(int(np.argmax(twice)), L)
-        raise ValidationError(f"blocks cover key {k} twice for query row {r}")
-    return cover
-
-
-def _row_runs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, ends) of the runs of identical consecutive rows of a 2-D array."""
-    n = matrix.shape[0]
-    changed = np.ones(n, dtype=bool)
-    changed[1:] = (matrix[1:] != matrix[:-1]).any(axis=1)
-    starts = np.flatnonzero(changed)
-    return starts, np.append(starts[1:], n)
 
 
 class Plan(NamedTuple):
@@ -368,28 +323,15 @@ class Plan(NamedTuple):
     square: list | tuple = ()
 
 
-def _buckets(allowed: np.ndarray) -> list:
-    """[(rows (G, R), keys (G, K))] over the row runs of an allow-matrix, one
-    bucket per (R, K) shape in ascending order; runs that allow no key are
-    left out."""
-    starts, ends = _row_runs(allowed)
-    lines: dict[tuple[int, int], list] = {}
-    for r0, r1 in zip(starts.tolist(), ends.tolist()):
-        keys = np.flatnonzero(allowed[r0])
-        lines.setdefault((r1 - r0, len(keys)), []).append((r0, keys))
-    return [(np.array([r0 for r0, _ in runs])[:, None] + np.arange(R),
-             np.stack([keys for _, keys in runs]))
-            for (R, K), runs in sorted(lines.items()) if K]
-
-
 def plan_blocks(blocks, length: int) -> Plan:
     """The Plan of rectangles that are not a mask's own tiling (an
-    AttentionMask plans from its rows, AttentionMask.plan).
+    AttentionMask plans from its layout, AttentionMask.parts).
 
-    The rectangles are painted into an allow-matrix; its row runs give the
-    query buckets and its transpose's the key buckets, so the rectangles
-    need not be symmetric. Raises ValidationError for a rectangle out of
-    range, a key covered twice, or a row no rectangle covers.
+    The rectangles are planned as lines (_rect_buckets), with no L x L
+    matrix: the query buckets from their rows, the key buckets from their
+    columns, so the rectangles need not be symmetric. Raises
+    ValidationError for a rectangle out of range, a key covered twice (the
+    first such pair in row-major order) or a row no rectangle covers.
     """
     shape_error = ValidationError("blocks must be an (n, 4) array of (q0, q1, k0, k1) rectangles")
     try:
@@ -404,11 +346,45 @@ def plan_blocks(blocks, length: int) -> Plan:
         raise ValidationError(
             f"block {tuple(b[np.argmax(bad)].tolist())} out of range for L={length}"
         )
-    allowed = blocks_cover(b, length)
-    covered = allowed.any(axis=1)
-    if not covered.all():
-        raise ValidationError(f"blocks leave query row {int(np.argmin(covered))} uncovered")
-    return Plan(_buckets(allowed), _buckets(allowed.T))
+    query = _rect_buckets(q0, q1, k0, k1, length, check=True)
+    return Plan(query, _rect_buckets(k0, k1, q0, q1, length, check=False))
+
+
+def _rect_buckets(r0, r1, c0, c1, L: int, check: bool) -> list:
+    """The buckets (see Plan) of the rows of rectangles [r0, r1) x [c0, c1).
+    The L rows are cut at every r0 and r1 into segments, each rectangle
+    gives its run [c0, c1) to each segment it spans, and the segments with
+    runs are joined into lines (_lines) and bucketed. With `check`, a pair
+    covered twice or a row no rectangle covers raises ValidationError."""
+    is_cut = np.zeros(L + 1, dtype=bool)
+    is_cut[[0, L]] = is_cut[r0] = is_cut[r1] = True
+    cuts = np.flatnonzero(is_cut)
+    seg_of = np.cumsum(is_cut, dtype=np.intp) - 1  # the segment a cut starts
+    lo, hi = seg_of[r0], seg_of[r1]
+    rect = np.repeat(np.arange(len(r0)), hi - lo)
+    start = _ranges(lo, hi)  # each run's segment
+    n = np.bincount(start, minlength=len(cuts) - 1)
+    start *= L + 1
+    start += c0[rect]  # each run's k0, coded by its segment
+    order = np.argsort(start)  # a tie is an overlap, which either order reports alike
+    start, rect = start[order], rect[order]
+    del lo, hi, order
+    k0, k1 = c0[rect], c1[rect]
+    if check:
+        # a run overlaps an earlier one of its segment when it starts before
+        # the furthest of their ends: coded by segment, a running maximum
+        twice = start[1:] < np.maximum.accumulate(start + (k1 - k0))[:-1]
+        if twice.any():
+            row, key = divmod(int(start[1 + np.argmax(twice)]), L + 1)
+            raise ValidationError(f"blocks cover key {key} twice for query row {cuts[row]}")
+        if not n.all():
+            raise ValidationError(f"blocks leave query row {cuts[np.argmin(n)]} uncovered")
+    live = np.flatnonzero(n)
+    if not len(live):  # no rectangles, in a matrix of no rows
+        return []
+    first, n_rows, n_runs, k0, k1 = _lines(cuts[live], cuts[live + 1], n[live], k0, k1)
+    n_keys = np.add.reduceat(k1 - k0, np.cumsum(n_runs) - n_runs)
+    return _grouped(first, n_rows, np.cumsum(n_keys) - n_keys, n_keys, _ranges(k0, k1), L)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +582,7 @@ def _layout_buckets(rows, cols, cat, table: np.ndarray):
     O(L + nnz) without the allow-matrix: the query buckets of each line's
     keys but its column part, and the square buckets of the column parts.
     Returns (buckets, square buckets). Without square lines the buckets are
-    exactly _buckets of the allow-matrix.
+    exactly the row runs of the allow-matrix, bucketed by shape.
 
     A token's mask row depends on its descriptor: its rule class (categories
     whose table entries as query are equal share one), its row if the class's
@@ -771,7 +747,7 @@ def write_blocks_file(path, mask: AttentionMask) -> None:
 def read_blocks_file(path) -> tuple[dict, np.ndarray]:
     """The header fields and the rectangles, an (n, 4) intp array; a header
     or rectangle that no mask of the header's L and scheme has is rejected."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header_line = fh.readline().strip()
         meta = {}
         for part in header_line.split():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tabenc.core import Table, derive_rng
+from tabenc.mask import plan_blocks
 
 
 def make_table(rng: np.random.Generator, n_rows=None, n_cols=None, value_max=999) -> Table:
@@ -31,6 +32,19 @@ def random_question(rng: np.random.Generator, table: Table) -> str:
 @pytest.fixture
 def rng():
     return derive_rng(20240101, "tests", 0)
+
+
+def complete_plan(m):
+    """The plan of a mask's complete lines: its parts when it has no square
+    line, else the plan of its tiling."""
+    return plan_blocks(m.blocks, m.length) if m.parts.square else m.parts
+
+
+def same_plan(a, b) -> bool:
+    """Whether two Plans hold equal buckets in the same order."""
+    return all(len(x) == len(y) and all(np.array_equal(r, s) and np.array_equal(k, t)
+                                        for (r, k), (s, t) in zip(x, y))
+               for x, y in zip(a, b, strict=True))
 
 
 # ---------------------------------------------------------------------------

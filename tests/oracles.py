@@ -1,14 +1,15 @@
 """References the tests compare the program against: per-pair mask code,
-deliberately unvectorized, the signature gather over every pair, the dense
-attention core and the B1 bias gather and gradient in their plain
-out-of-place form, and the model's train-step primitives (embedding
-scatter-add, linear layers, LayerNorm, Adam) as plain formulas and loops."""
+deliberately unvectorized, the signature gather over every pair, rectangles
+painted into an allow-matrix and planned from its rows, the dense attention
+core and the B1 bias gather and gradient in their plain out-of-place form,
+and the model's train-step primitives (embedding scatter-add, linear
+layers, LayerNorm, Adam) as plain formulas and loops."""
 
 import numpy as np
 
-from tabenc.core import STRUCTURAL_MASKS
+from tabenc.core import STRUCTURAL_MASKS, ValidationError
 from tabenc.linearize import EncodedInput, TokenRole
-from tabenc.mask import _HEADER, _SAME_COL, _SAME_ROW, _check_scheme
+from tabenc.mask import _HEADER, _SAME_COL, _SAME_ROW, Lines, _check_scheme
 from tabenc.model import _ADAM_B1, _ADAM_B2, _ADAM_EPS
 
 
@@ -80,6 +81,63 @@ def gather_pairs_ref(rows, cols, cat, table: np.ndarray) -> np.ndarray:
 
 def block_area(blocks) -> int:
     return sum((q1 - q0) * (k1 - k0) for q0, q1, k0, k1 in blocks)
+
+
+def blocks_cover(blocks, L: int) -> np.ndarray:
+    """Paint rectangles into an L x L allow-matrix; raises ValidationError,
+    naming the first pair in row-major order, if any pair is covered twice."""
+    cover = np.zeros((L, L), dtype=bool)
+    twice = np.zeros((L, L), dtype=bool)  # a flag, not a count, so it cannot wrap
+    for q0, q1, k0, k1 in blocks:
+        twice[q0:q1, k0:k1] |= cover[q0:q1, k0:k1]
+        cover[q0:q1, k0:k1] = True
+    if twice.any():
+        r, k = divmod(int(np.argmax(twice)), L)
+        raise ValidationError(f"blocks cover key {k} twice for query row {r}")
+    return cover
+
+
+def row_runs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends) of the runs of identical consecutive rows of a 2-D array."""
+    n = matrix.shape[0]
+    changed = np.ones(n, dtype=bool)
+    changed[1:] = (matrix[1:] != matrix[:-1]).any(axis=1)
+    starts = np.flatnonzero(changed)
+    return starts, np.append(starts[1:], n)
+
+
+def buckets(allowed: np.ndarray) -> list:
+    """[(rows (G, R), keys (G, K))] over the row runs of an allow-matrix, one
+    bucket per (R, K) shape in ascending order; runs that allow no key are
+    left out (the shape buckets of mask.Plan)."""
+    starts, ends = row_runs(allowed)
+    lines: dict[tuple[int, int], list] = {}
+    for r0, r1 in zip(starts.tolist(), ends.tolist()):
+        keys = np.flatnonzero(allowed[r0])
+        lines.setdefault((r1 - r0, len(keys)), []).append((r0, keys))
+    return [(np.array([r0 for r0, _ in runs])[:, None] + np.arange(R),
+             np.stack([keys for _, keys in runs]))
+            for (R, K), runs in sorted(lines.items()) if K]
+
+
+def plan_of_rectangles(blocks, L: int) -> tuple[list, list]:
+    """The query and key buckets of rectangles, from their painted matrix;
+    raises as blocks_cover does, then for the first row no rectangle covers."""
+    allowed = blocks_cover(blocks, L)
+    covered = allowed.any(axis=1)
+    if not covered.all():
+        raise ValidationError(f"blocks leave query row {int(np.argmin(covered))} uncovered")
+    return buckets(allowed), buckets(allowed.T)
+
+
+def matrix_lines(dense: np.ndarray) -> Lines:
+    """The complete lines (mask.Lines) of an allow-matrix, in one chunk."""
+    starts, ends = row_runs(dense)
+    step = np.diff(dense[starts].astype(np.int8), prepend=0, append=0, axis=1)
+    line, k0 = np.nonzero(step == 1)
+    k1 = np.nonzero(step == -1)[1]
+    return Lines(len(dense), len(k0),
+                 [(starts, ends - starts, np.bincount(line, minlength=len(starts)), k0, k1)])
 
 
 def logits_ref(q, k, allowed, bias, scale):

@@ -31,13 +31,13 @@ from tabenc.datagen import (
     perturb_consistency,
 )
 from tabenc.linearize import linearize
-from tabenc.mask import build_bias_map, build_mask, blocks_cover
+from tabenc.mask import build_bias_map, build_mask
 from tabenc.model import ModelConfig, evaluate_da, train
 from tabenc.sqlexec import execute, unparse
 from tabenc.stats import DegenerateDataError, anova
 
 from conftest import make_table, naive_execute, random_question
-from oracles import build_mask_bruteforce
+from oracles import blocks_cover, build_mask_bruteforce
 
 
 def _emit_default(line):

@@ -24,10 +24,10 @@ from tabenc.attention import (
 )
 from tabenc.core import ValidationError, derive_rng, env_threads, set_blas_threads
 from tabenc.linearize import linearize
-from tabenc.mask import blocks_cover, build_bias_map, build_mask
+from tabenc.mask import build_bias_map, build_mask
 
-from conftest import make_table, random_question
-from oracles import dense_backward_ref, logits_ref, softmax_ref
+from conftest import complete_plan, make_table, random_question, same_plan
+from oracles import blocks_cover, dense_backward_ref, logits_ref, matrix_lines, softmax_ref
 
 ALL_SCHEMES = ("M0", "M1", "M2", "M3", "M4", "M5", "M6")
 
@@ -304,7 +304,7 @@ def test_chunks_keep_one_budget():
     budget = attention._BUCKET_CHUNK
     plans = {"dense": attention._whole(1024)}
     for scheme, tokens in (("M3", "T0"), ("M5", "T2"), ("M1", "T0")):
-        plans[scheme] = build_mask(make_bench_encoding(8192, tokens), scheme).plan
+        plans[scheme] = complete_plan(build_mask(make_bench_encoding(8192, tokens), scheme))
     for name, plan in plans.items():
         for rows, keys in (*plan.query, *(plan.key or ())):
             parts = list(attention._chunks([(rows, keys)], 16))
@@ -345,11 +345,11 @@ def test_bucket_chunks_match_dense(rng, monkeypatch):
     want = dense_reference(q, k, v, d_out, m.dense, scales, rel.rel)
     L = len(enc)
     monkeypatch.setattr(attention, "_BUCKET_CHUNK", L)
-    assert len({(rows.shape, keys.shape[1]) for rows, keys in m.plan.query}) > 2
+    assert len({(rows.shape, keys.shape[1]) for rows, keys in m.parts.query}) > 2
     # one many-line bucket is cut into runs of whole lines, and one one-line
     # bucket into parts of its rows
     cut_lines = cut_rows = False
-    for rows, keys in m.plan.query:
+    for rows, keys in m.parts.query:
         parts = list(attention._chunks([(rows, keys)], 4))
         for part_rows, part_keys in parts:
             assert part_rows.size * part_keys.shape[1] <= L
@@ -522,7 +522,7 @@ def test_unsplit_masks_run_their_rectangles_bit_for_bit(rng, scheme, dtype):
     # rectangles' plan is, and every output bit is theirs
     for _ in range(5):
         _, m, q, k, v, bias, _, rel = random_case(rng, scheme, d=8, dtype=dtype, with_bias=True)
-        assert m.parts is m.plan and not m.parts.square
+        assert same_plan(m.parts, plan_blocks(m.blocks, m.length)) and not m.parts.square
         d_out = rng.standard_normal(q.shape).astype(dtype)
         assert block_sparse_forward(q, k, v, m, bias).tobytes() == \
             block_sparse_forward(q, k, v, m.blocks, bias).tobytes()
@@ -611,8 +611,8 @@ def test_mask_plan_built_once_per_mask(rng, monkeypatch, scheme):
     monkeypatch.setattr(mask_module, "_layout_buckets", counted)
     inp = AttentionInput(q=q, k=k, v=v, mask=m, bias_values=bias)  # checks bias on the plan
     d_out = rng.standard_normal(q.shape)
-    # the same rectangles, tiled from the bare matrix, which is bucketed by its row runs
-    rects = mask_module.export_blocks_from_dense(m.dense)
+    # the same rectangles, tiled from the row runs of the bare matrix
+    rects = mask_module.export_blocks_from_dense(matrix_lines(m.dense))
     fresh = (block_sparse_forward(q, k, v, rects, bias),
              block_sparse_backward(q, k, v, rects, d_out, bias, rel=rel.rel,
                                    n_classes=rel.n_classes))
@@ -678,7 +678,8 @@ def test_square_bias_gathered_once_per_line(rng, monkeypatch):
     out = attn_block_sparse(inp).out
     grads = attn_backward(inp, d_out, blocks=m.blocks, rel_map=rel)
     assert gathers == {line: 1 for line in squares}
-    assert m.plan.square == () and calls == [m.length]  # the plan too is joined from the parts
+    # the tiling, and so its plan, is joined from the same parts
+    assert plan_blocks(m.blocks, m.length).square == () and calls == [m.length]
     assert out.tobytes() == block_sparse_forward(q, k, v, m, bias, inp.scale).tobytes()
     fresh = block_sparse_backward(q, k, v, m, d_out, bias, inp.scale, rel=rel.rel,
                                   n_classes=rel.n_classes)

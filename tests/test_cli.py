@@ -14,8 +14,9 @@ import pytest
 import tabenc
 from tabenc import cli
 from tabenc.cli import main
-from tabenc.core import QAExample, Table, write_jsonl
+from tabenc.core import QAExample, Table, ValidationError, write_jsonl
 from tabenc.linearize import linearize
+from tabenc.mask import read_blocks_file
 
 pytestmark = pytest.mark.usefixtures("clean_thread_env")
 
@@ -162,6 +163,40 @@ def test_score_non_json_line_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "score", "--data", str(data), "--pred", str(pred))
     assert code == 2
     assert f"{pred}:2:" in err
+
+
+@pytest.mark.parametrize("reader", ["data", "predictions", "table", "results", "blocks"])
+def test_non_utf8_input_names_the_file_and_line(tmp_path, capsys, reader):
+    # a 0xff byte on line 2 of each text file the package reads: a
+    # ValidationError (exit 2 from the command line) naming path:2
+    data = tmp_path / "d.jsonl"
+    run(capsys, "gen", "--n", "3", "--seed", "4", "--out", str(data))
+    pred = tmp_path / "p.jsonl"
+    pred.write_text('["1"]\n["2"]\n["3"]\n')
+    text = {
+        "data": data.read_bytes(),
+        "predictions": pred.read_bytes(),
+        "table": b'{"header": ["c1"],\n "rows": [["1"]]}\n',
+        "results": b"T,M,PE,B,E,suite,replicate,da\nT0,M0,TPE,B0,E0,iid,1,0.5\n",
+        "blocks": b"L=4 scheme=M0 sparsity=0.000000\n0 4 0 4\n",
+    }[reader]
+    first, rest = text.split(b"\n", 1)
+    bad = tmp_path / f"bad-{reader}"
+    bad.write_bytes(first + b"\n" + rest[:3] + b"\xff" + rest[3:])
+    argv = {
+        "data": ("score", "--data", str(bad), "--pred", str(pred)),
+        "predictions": ("score", "--data", str(data), "--pred", str(bad)),
+        "table": ("exec", "--table", str(bad), "--query", "select c1"),
+        "results": ("anova", "--results", str(bad), "--terms", "T"),
+    }.get(reader)
+    if argv is None:  # block files are read by the library only
+        with pytest.raises(ValidationError) as err:
+            read_blocks_file(bad)
+        message = str(err.value)
+    else:
+        code, _, message = run(capsys, *argv)
+        assert code == 2
+    assert f"{bad}:2: not UTF-8 text" in message
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import json
 import tracemalloc
 
@@ -5,12 +6,12 @@ import numpy as np
 import pytest
 
 import tabenc.mask as mask_module
-from tabenc.core import Table, TabencError, ValidationError
+from tabenc.core import Table, TabencError, ValidationError, derive_rng
 from tabenc.linearize import HEADER_ROW, TokenRole, linearize
 from tabenc.mask import (
     BIAS_CLASSES,
     N_BIAS_CLASSES,
-    blocks_cover,
+    Plan,
     build_bias_map,
     build_mask,
     export_blocks,
@@ -22,8 +23,9 @@ from tabenc.mask import (
 from tabenc.attention import make_bench_encoding, plan_blocks
 from tabenc.cli import main
 
-from conftest import make_table, random_question
-from oracles import block_area, build_mask_bruteforce, gather_pairs_ref
+from conftest import complete_plan, make_table, random_question, same_plan
+from oracles import (block_area, blocks_cover, buckets, build_mask_bruteforce, gather_pairs_ref,
+                     matrix_lines, plan_of_rectangles)
 
 ALL_SCHEMES = ("M0", "M1", "M2", "M3", "M4", "M5", "M6")
 STRUCTURAL = ("M4", "M5", "M6")
@@ -313,7 +315,7 @@ def test_blocks_from_dense_match_tiling_loop_on_any_symmetric_matrix(rng):
         n = int(rng.integers(1, 12))
         upper = np.triu(rng.random((n, n)) < rng.random())
         dense = upper | upper.T | np.eye(n, dtype=bool)
-        assert_tiling(export_blocks_from_dense(dense), tiling_loop(dense))
+        assert_tiling(export_blocks_from_dense(matrix_lines(dense)), tiling_loop(dense))
 
 
 @pytest.mark.parametrize("tokens,scheme", list(legal_pairs()))
@@ -321,12 +323,81 @@ def test_plan_is_the_tiling_planned(rng, tokens, scheme):
     for _ in range(20):
         t = make_table(rng)
         m = build_mask(linearize(random_question(rng, t), t, tokens), scheme)
-        want = plan_blocks(m.blocks, m.length)
-        # query buckets, then key buckets (the mask's own, since it is symmetric)
-        for got_buckets, want_buckets in zip(m.plan, want, strict=True):
+        got = plan_blocks(m.blocks, m.length)
+        want = Plan(buckets(m.dense), buckets(m.dense.T))
+        # query buckets, then key buckets (those of the transposed matrix)
+        for got_buckets, want_buckets in zip(got, want, strict=True):
             assert len(got_buckets) == len(want_buckets)
             for got, wanted in zip(got_buckets, want_buckets):
                 assert all(np.array_equal(a, b) for a, b in zip(got, wanted, strict=True))
+
+
+def random_rectangles(rng):
+    """(rectangles, L, kind) for the planner's differential test. A random
+    guillotine cut of the L x L matrix, with some key columns taken out of
+    every piece (keys no query attends) and, in one case in four, a piece
+    dropped (rows may be left uncovered). In one case in three one more
+    rectangle is added: a piece again, one nested in a piece, or anywhere
+    (a partial overlap, or none). The rectangles come in random order."""
+    L = int(rng.integers(1, 13))
+    pieces, todo = [], [(0, L, 0, L)]
+    while todo:
+        q0, q1, k0, k1 = todo.pop()
+        rows = q1 - q0 > 1 and (k1 - k0 == 1 or rng.random() < 0.5)
+        if rng.random() < 0.3 or (q1 - q0 == 1 and k1 - k0 == 1):
+            pieces.append((q0, q1, k0, k1))
+        elif rows:
+            cut = int(rng.integers(q0 + 1, q1))
+            todo += [(q0, cut, k0, k1), (cut, q1, k0, k1)]
+        else:
+            cut = int(rng.integers(k0 + 1, k1))
+            todo += [(q0, q1, k0, cut), (q0, q1, cut, k1)]
+    dead = rng.random(L) < 0.15
+    live = []
+    for q0, q1, k0, k1 in pieces:
+        step = np.diff(np.concatenate(([0], ~dead[k0:k1], [0])).astype(np.int8))
+        live += [(q0, q1, k0 + a, k0 + b)
+                 for a, b in zip(np.flatnonzero(step == 1), np.flatnonzero(step == -1))]
+    if live and rng.random() < 0.25:
+        del live[int(rng.integers(len(live)))]
+    kind = "tiling"
+    if live and rng.random() < 1 / 3:
+        q0, q1, k0, k1 = live[int(rng.integers(len(live)))]
+        kind = ("repeated", "nested", "anywhere")[int(rng.integers(3))]
+        if kind == "nested":
+            a, b = np.sort(rng.choice(np.arange(q0, q1 + 1), 2, replace=False))
+            c, d = np.sort(rng.choice(np.arange(k0, k1 + 1), 2, replace=False))
+            q0, q1, k0, k1 = a, b, c, d
+        elif kind == "anywhere":
+            (q0, q1), (k0, k1) = (np.sort(rng.choice(L + 1, 2, replace=False)) for _ in range(2))
+        live.append((int(q0), int(q1), int(k0), int(k1)))
+    order = rng.permutation(len(live))
+    return np.array(live, dtype=np.intp).reshape(-1, 4)[order], L, kind
+
+
+def test_plan_blocks_is_the_plan_of_the_painted_matrix():
+    # asymmetric, shuffled rectangles, with keys no query attends, rows no
+    # rectangle covers and rectangles covered twice: the planner gives the
+    # painted matrix's buckets, query and key, or its exact error
+    rng = derive_rng(21, "plan-blocks-differential")
+    seen = collections.Counter()
+    cases = [random_rectangles(rng) for _ in range(2000)]
+    cases += [(np.array([(0, 1, 0, 1)] * 256), 1, "repeated"),  # would wrap a uint8 count
+              (np.zeros((0, 4), dtype=np.intp), 3, "tiling"), (np.zeros((0, 4), dtype=np.intp), 0, "tiling")]
+    for blocks, L, kind in cases:
+        seen[kind] += 1
+        try:
+            want = Plan(*plan_of_rectangles(blocks, L))
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as err:
+                plan_blocks(blocks, L)
+            assert str(err.value) == str(exc), (blocks.tolist(), L)
+            seen["twice" if "twice" in str(exc) else "uncovered"] += 1
+            continue
+        assert same_plan(plan_blocks(blocks, L), want), (blocks.tolist(), L)
+        seen["planned"] += 1
+        seen["keys unattended"] += not blocks_cover(blocks, L).any(axis=0).all()
+    assert min(seen.values()) >= 50, seen
 
 
 def assert_same_buckets(got, want):
@@ -344,13 +415,13 @@ def test_layout_plan_is_the_plan_of_the_matrix(rng, tokens, scheme):
         n_rows, n_cols = shapes[i % len(shapes)]
         t = make_table(rng, n_rows, n_cols, value_max=9 if i % 2 else 99999)
         m = build_mask(linearize(random_question(rng, t), t, tokens), scheme)
-        assert_same_buckets(m.plan.query, mask_module._buckets(m.dense))
+        assert_same_buckets(complete_plan(m).query, buckets(m.dense))
 
 
 @pytest.mark.parametrize("tokens,scheme", [("T0", "M3"), ("T2", "M5"), ("T0", "M1")])
 def test_layout_plan_on_the_long_table_recipe(tokens, scheme):
     m = build_mask(make_bench_encoding(8192, tokens, seed=1), scheme)
-    assert_same_buckets(m.plan.query, mask_module._buckets(m.dense))
+    assert_same_buckets(complete_plan(m).query, buckets(m.dense))
 
 
 def parts_cover(parts, L):
@@ -379,7 +450,7 @@ def assert_parts_split_the_lines(m):
     assert all(rows is keys for rows, keys in m.parts.square)
     assert m.parts.key is m.parts.query
     if m.scheme not in ("M1", "M2", "M4"):  # no same-column content rule: the complete lines
-        assert m.parts is m.plan and not m.parts.square
+        assert same_plan(m.parts, plan_blocks(m.blocks, m.length)) and not m.parts.square
 
 
 @pytest.mark.parametrize("tokens,scheme", list(legal_pairs()))
@@ -496,6 +567,55 @@ def test_blocks_file_rejects_garbage(tmp_path):
         with pytest.raises(ValidationError, match="not within") as err:
             read_blocks_file(path)
         assert f"{path}:3:" in str(err.value)
+
+
+def blocks_file_mutant(rng, good: bytes, kind: str) -> bytes:
+    """The bytes of a block file with one seeded mutation of `kind`."""
+    lines = good.splitlines(keepends=True)
+    j = int(rng.integers(len(lines)))
+    if kind == "truncate":  # mid-line: keep part of line j, without its newline
+        return b"".join(lines[:j]) + lines[j][:int(rng.integers(1, len(lines[j]) - 1))]
+    if kind == "drop":
+        return b"".join(lines[:j] + lines[j + 1:])
+    if kind == "duplicate":
+        return b"".join(lines[:j + 1] + lines[j:])
+    if kind == "flip":
+        data = bytearray(good)
+        data[int(rng.integers(len(data)))] ^= int(rng.integers(1, 256))
+        return bytes(data)
+    j = int(rng.integers(1, len(lines)))  # shift one coordinate of a rectangle by one
+    fields = lines[j].split()
+    f = int(rng.integers(4))
+    fields[f] = str(int(fields[f]) + int(rng.choice((-1, 1)))).encode()
+    lines[j] = b" ".join(fields) + b"\n"
+    return b"".join(lines)
+
+
+@pytest.mark.parametrize("tokens,scheme", [(t, s) for t, s in legal_pairs() if t != "T1"
+                                           and (t == "T2") == (s in STRUCTURAL)])
+def test_mutated_blocks_files_give_a_plan_or_a_validation_error(tmp_path, tokens, scheme):
+    # truncated, dropped, duplicated, flipped and shifted: each mutant is read
+    # and planned, or rejected with a ValidationError; the reader's name the file
+    path = tmp_path / f"{scheme}.blocks"
+    write_blocks_file(path, build_mask(make_bench_encoding(300, tokens, seed=1), scheme))
+    good = path.read_bytes()
+    rng = derive_rng(21, f"blocks-file-mutants-{scheme}")
+    outcomes = collections.Counter()
+    for i in range(60):
+        kind = ("truncate", "drop", "duplicate", "flip", "shift")[i % 5]
+        path.write_bytes(blocks_file_mutant(rng, good, kind))
+        try:
+            meta, blocks = read_blocks_file(path)
+        except ValidationError as exc:
+            assert str(exc).startswith(f"{path}:"), (kind, str(exc))
+            outcomes["reader"] += 1
+            continue
+        try:
+            plan_blocks(blocks, meta["L"])
+            outcomes["plan"] += 1
+        except ValidationError:
+            outcomes["planner"] += 1
+    assert outcomes["reader"] and outcomes["plan"] + outcomes["planner"], outcomes
 
 
 # ---------------------------------------------------------------------------
