@@ -47,8 +47,10 @@ most _BUCKET_CHUNK logits (a row with more keys than that runs alone), so
 working memory stays O(L*d + _BUCKET_CHUNK) at any L; the row pieces of one
 line share one gather of its keys and values.
 
-dense_forward and dense_backward are the plain batched core, as the model
-calls it. The single-head operations run every call through the chunker:
+dense_forward and dense_backward are the plain batched core. The model's
+decoder calls it on a whole batch and its encoder on one batch element at
+a time, (H, L, L) logits each. The single-head operations run every call
+through the chunker:
 attn_dense and the dense side of attn_backward run one bucket line of every
 row against every key, cut into row chunks like any other line.
 

@@ -42,6 +42,7 @@ rectangles, such as a block file's, are planned as lines too (plan_blocks).
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -49,6 +50,8 @@ import numpy as np
 
 from .core import MASK_SCHEMES, STRUCTURAL_MASKS, ValidationError, is_legal_combination, open_text
 from .linearize import HEADER_ROW, EncodedInput, TokenRole
+
+_INTEGER = re.compile(r"-?[0-9]+")  # a block file coordinate
 
 # which content-pair rules each scheme enables
 _SAME_ROW = frozenset({"M1", "M3", "M5"})
@@ -745,8 +748,10 @@ def write_blocks_file(path, mask: AttentionMask) -> None:
 
 
 def read_blocks_file(path) -> tuple[dict, np.ndarray]:
-    """The header fields and the rectangles, an (n, 4) intp array; a header
-    or rectangle that no mask of the header's L and scheme has is rejected."""
+    """The header fields and the rectangles, an (n, 4) intp array. A header
+    or rectangle that no mask of the header's L and scheme has is rejected,
+    and so are coordinates other than ASCII digits (with an optional minus
+    sign) and rectangles that plan_blocks rejects, with the file's name."""
     with open_text(path) as fh:
         header_line = fh.readline().strip()
         meta = {}
@@ -767,14 +772,19 @@ def read_blocks_file(path) -> tuple[dict, np.ndarray]:
             fields = line.split()
             if not fields:
                 continue
-            try:
-                q0, q1, k0, k1 = (int(x) for x in fields)
-            except ValueError:
+            # int() alone would also take non-ASCII digits, "_" and "+"
+            if len(fields) != 4 or not all(_INTEGER.fullmatch(x) for x in fields):
                 raise ValidationError(
                     f"{path}:{lineno}: a block line is four integers, got {line.strip()!r}"
-                ) from None
+                )
+            q0, q1, k0, k1 = (int(x) for x in fields)
             if not (0 <= q0 < q1 <= L and 0 <= k0 < k1 <= L):
                 raise ValidationError(f"{path}:{lineno}: rectangle {line.strip()!r} is not within "
                                       f"0 <= q0 < q1 <= {L}, 0 <= k0 < k1 <= {L}")
             blocks.append((q0, q1, k0, k1))
-    return meta, np.array(blocks, dtype=np.intp).reshape(-1, 4)
+    blocks = np.array(blocks, dtype=np.intp).reshape(-1, 4)
+    try:
+        plan_blocks(blocks, L)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    return meta, blocks

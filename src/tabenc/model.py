@@ -8,8 +8,13 @@ layer). The decoder is a standard causal transformer with dense
 cross-attention; answers are digit tokens with SEP between values.
 
 Everything runs on numpy in float32 with hand-written backward passes; every
-attention call (forward and backward) goes through the attention module, so
-masked pairs contribute exactly zero gradient. Training is plain Adam with
+attention call (forward and backward) goes through the attention module's
+dense core, so masked pairs contribute exactly zero gradient. The encoder
+calls it one batch element at a time (_self_attention), so an element's
+(H, L, L) logits, weights, logit gradient and B1 bias exist one at a time
+and no (B, H, L, L) array is built (the memory argument of arXiv
+2112.05682, per element); the decoder, with at most dec_positions query
+rows, calls it on the whole batch. Training is plain Adam with
 greedy-decoding evaluation and early stopping on denotation accuracy.
 """
 
@@ -252,30 +257,32 @@ def _kv_fwd(params, prefix, cfg, x_kv):
     return k, v
 
 
-def _mha_fwd(params, prefix, cfg, x_q, x_kv, allowed, bias, kv=None):
-    """Multi-head attention of x_q over x_kv; `kv` passes keys and values
+def _mha_fwd(params, prefix, cfg, x_q, x_kv, core, kv=None):
+    """Multi-head attention of x_q over x_kv: core(q, k, v) gives the heads'
+    outputs and the state its backward reads. `kv` passes keys and values
     already projected (and split into heads) instead of x_kv."""
     q = _split_heads(_linear_fwd(x_q, params[f"{prefix}.wq"], params[f"{prefix}.wq_b"]), cfg.n_heads)
     k, v = _kv_fwd(params, prefix, cfg, x_kv) if kv is None else kv
-    out_h, weights = dense_forward(q, k, v, allowed=allowed, bias=bias)  # scale 1/sqrt(head_dim)
+    out_h, state = core(q, k, v)
     merged = _merge_heads(out_h)
     y = _linear_fwd(merged, params[f"{prefix}.wo"], params[f"{prefix}.wo_b"])
-    return y, (x_q, x_kv, q, k, v, weights, merged)
+    return y, (x_q, x_kv, q, k, v, state, merged)
 
 
-def _mha_bwd(dy, cache, params, prefix, cfg, grads):
-    x_q, x_kv, q, k, v, weights, merged = cache
+def _mha_bwd(dy, cache, params, prefix, cfg, grads, core_bwd):
+    """The backward of _mha_fwd; core_bwd(q, k, v, d_out, state) gives the
+    heads' dq, dk and dv first."""
+    x_q, x_kv, q, k, v, state, merged = cache
     dmerged = _linear_bwd(merged, params[f"{prefix}.wo"], dy, grads,
                           f"{prefix}.wo", f"{prefix}.wo_b")
-    d_out_h = _split_heads(dmerged, cfg.n_heads)
-    dq, dk, dv, ds = dense_backward(q, k, v, d_out_h, weights)
+    dq, dk, dv = core_bwd(q, k, v, _split_heads(dmerged, cfg.n_heads), state)[:3]
     dx_q = _linear_bwd(x_q, params[f"{prefix}.wq"], _merge_heads(dq), grads,
                        f"{prefix}.wq", f"{prefix}.wq_b")
     dx_kv = _linear_bwd(x_kv, params[f"{prefix}.wk"], _merge_heads(dk), grads,
                         f"{prefix}.wk", f"{prefix}.wk_b")
     dx_kv += _linear_bwd(x_kv, params[f"{prefix}.wv"], _merge_heads(dv), grads,
                          f"{prefix}.wv", f"{prefix}.wv_b")
-    return dx_q, dx_kv, ds
+    return dx_q, dx_kv
 
 
 def _ffn_fwd(params, prefix, x):
@@ -418,17 +425,50 @@ def collate(items: list[Prepared], pad_id: int, with_rel: bool) -> Batch:
 # forward / backward
 # ---------------------------------------------------------------------------
 
-def _gather_bias(scales: np.ndarray, rel: np.ndarray) -> np.ndarray:
-    """Each head's class scalars at the relation map: scales (H, C) and
-    rel (B, L, L) give one C-contiguous (B, H, L, L) array."""
-    out = np.empty((len(rel), len(scales)) + rel.shape[1:], dtype=scales.dtype)
-    for b, classes in enumerate(rel):
-        classes = classes.astype(np.intp)
-        for h, head in enumerate(scales):
-            # class ids are below C by construction (collate), so "clip" moves
-            # none; it spares take the copy of its "raise" mode
-            np.take(head, classes, out=out[b, h], mode="clip")
-    return out
+def _self_attention(q, k, v, batch: Batch, scales, keep: bool):
+    """The encoder's masked self-attention, one batch element at a time, bit
+    for bit the batched core on the whole batch: numpy's stacked matmul runs
+    one 2-D product per (b, h), and every other step works per row. Under
+    B1 an element's bias, the (H, C) class `scales` at its classes, goes
+    into one (H, L, L) buffer through one intp plane of its classes, both
+    reused across the batch. Only `keep` holds each element's weights, for
+    _self_attention_bwd."""
+    out, weights, bias = np.empty_like(q), [], None
+    if scales is not None:
+        plane = np.empty(batch.rel.shape[1:], dtype=np.intp)
+        bias = np.empty((len(scales),) + plane.shape, dtype=scales.dtype)
+    for b in range(len(q)):
+        if bias is not None:
+            np.copyto(plane, batch.rel[b])
+            for h, head in enumerate(scales):
+                # class ids are below C by construction (collate), so "clip"
+                # moves none; it spares take the copy of its "raise" mode
+                np.take(head, plane, out=bias[h], mode="clip")
+        out[b], w = dense_forward(q[b], k[b], v[b], allowed=batch.allowed[b], bias=bias)
+        if keep:
+            weights.append(w)
+        del w  # uncached, it would live through the next element's forward
+    return out, weights
+
+
+def _self_attention_bwd(q, k, v, d_out, weights, batch: Batch, pairs, scales_grad):
+    """The backward of _self_attention, one batch element at a time; it
+    frees each element's weights (a list entry set to None) once it has
+    read them. Under B1 (`pairs`, from _bias_pairs), it adds the class-scalar
+    gradient into `scales_grad`."""
+    dq, dk, dv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+    if pairs is not None:
+        grad = np.zeros(scales_grad.shape, dtype=np.float64)
+    for b in range(len(q)):
+        w, weights[b] = weights[b], None
+        dq[b], dk[b], dv[b], ds = dense_backward(q[b], k[b], v[b], d_out[b], w)
+        del w
+        if pairs is not None:
+            _bias_scale_grad(grad, ds, pairs[b])
+        del ds  # the (H, L, L) logit gradient, not kept through the next element
+    if pairs is not None:
+        scales_grad += grad.astype(scales_grad.dtype)
+    return dq, dk, dv
 
 
 def encoder_forward(params, cfg: ModelConfig, batch: Batch, keep_cache: bool):
@@ -438,17 +478,17 @@ def encoder_forward(params, cfg: ModelConfig, batch: Batch, keep_cache: bool):
     layers = []
     for i in range(cfg.n_enc_layers):
         h1, c_ln1 = _ln_fwd(x, params[f"enc{i}.ln1.g"], params[f"enc{i}.ln1.b"])
-        bias = None
-        if cfg.factor.bias == "B1":
-            bias = _gather_bias(params[f"enc{i}.bias_scales"], batch.rel)
-        a, c_attn = _mha_fwd(params, f"enc{i}.attn", cfg, h1, h1, batch.allowed, bias)
+        scales = params[f"enc{i}.bias_scales"] if cfg.factor.bias == "B1" else None
+        a, c_attn = _mha_fwd(params, f"enc{i}.attn", cfg, h1, h1,
+                             lambda q, k, v: _self_attention(q, k, v, batch, scales, keep_cache))
         x = x + a
         h2, c_ln2 = _ln_fwd(x, params[f"enc{i}.ln2.g"], params[f"enc{i}.ln2.b"])
         f, c_ffn = _ffn_fwd(params, f"enc{i}.ffn", h2)
         x = x + f
         if keep_cache:
             layers.append((c_ln1, c_attn, c_ln2, c_ffn))
-        del c_attn  # uncached, its (B, H, L, L) weights would live through the next layer
+        # uncached, the layer's states would otherwise live through the next layer
+        del h1, c_ln1, a, c_attn, h2, c_ln2, f, c_ffn
     out, c_final = _ln_fwd(x, params["enc_ln.g"], params["enc_ln.b"])
     cache = (layers, c_final) if keep_cache else None
     return out, cache
@@ -466,24 +506,23 @@ def _bias_pairs(allowed: np.ndarray, rel: np.ndarray, n_heads: int) -> list:
     return pairs
 
 
-def _bias_scale_grad(ds: np.ndarray, pairs: list) -> np.ndarray:
-    """The (H, C) class-scalar gradient from the (B, H, L, L) logit gradient
-    and the batch's _bias_pairs: per batch element one float64 bincount over
-    (head, class) bins of its allowed pairs in pair order, added over b in
-    order. A masked pair's ds is p * (...) with p exactly 0, and a bin starts
-    at +0.0, so leaving those pairs out changes no bit of a sum."""
-    H = ds.shape[1]
-    grad = np.zeros(H * N_BIAS_CLASSES, dtype=np.float64)
-    for ds_b, (flat, bins) in zip(ds, pairs):
-        weights = ds_b.reshape(H, -1).take(flat, axis=1).astype(np.float64)
-        grad += np.bincount(bins, weights=weights.ravel(), minlength=grad.size)
-    return grad.reshape(H, N_BIAS_CLASSES)
+def _bias_scale_grad(grad: np.ndarray, ds: np.ndarray, pairs) -> None:
+    """Add one batch element's class-scalar gradient into the float64 (H, C)
+    `grad`: one bincount of its (H, L, L) logit gradient over the (head,
+    class) bins of its allowed pairs (its _bias_pairs entry), in pair order.
+    Called in b order, this is the batch's sum. A masked pair's ds is
+    p * (...) with p exactly 0, and a bin starts at +0.0, so leaving those
+    pairs out changes no bit of a sum."""
+    flat, bins = pairs
+    weights = ds.reshape(len(ds), -1).take(flat, axis=1).astype(np.float64)
+    grad += np.bincount(bins, weights=weights.ravel(), minlength=grad.size).reshape(grad.shape)
 
 
 def encoder_backward(d_out, cache, params, cfg: ModelConfig, batch: Batch, grads):
     """Add the encoder's gradients into `grads`, popping each layer off the
     cache's layer list as its backward starts: a layer's attention weights
-    are freed before the layer below runs, and the list ends empty."""
+    are freed, element by element, before the layer below runs, and the
+    list ends empty."""
     layers, c_final = cache
     pairs = None
     if cfg.factor.bias == "B1":
@@ -493,11 +532,10 @@ def encoder_backward(d_out, cache, params, cfg: ModelConfig, batch: Batch, grads
         c_ln1, c_attn, c_ln2, c_ffn = layers.pop()
         dh2 = _ffn_bwd(dx, c_ffn, params, f"enc{i}.ffn", grads)
         dx = dx + _ln_bwd(dh2, c_ln2, grads, f"enc{i}.ln2.g", f"enc{i}.ln2.b")
-        dq_in, dkv_in, ds = _mha_bwd(dx, c_attn, params, f"enc{i}.attn", cfg, grads)
-        if pairs is not None:
-            scales_grad = grads[f"enc{i}.bias_scales"]
-            scales_grad += _bias_scale_grad(ds, pairs).astype(scales_grad.dtype)
-        del ds  # the (B, H, L, L) logit gradient, not kept through the next layer's backward
+        scales_grad = grads.get(f"enc{i}.bias_scales")
+        dq_in, dkv_in = _mha_bwd(
+            dx, c_attn, params, f"enc{i}.attn", cfg, grads,
+            lambda q, k, v, d, w: _self_attention_bwd(q, k, v, d, w, batch, pairs, scales_grad))
         dx = dx + _ln_bwd(dq_in + dkv_in, c_ln1, grads, f"enc{i}.ln1.g", f"enc{i}.ln1.b")
 
     _scatter_add(grads["tok_emb"], batch.ids, dx)
@@ -554,11 +592,13 @@ def decoder_forward(params, cfg: ModelConfig, dec_in, enc_states, cross_allowed,
         self_kv = None
         if cache is not None:
             self_kv = cache.extend(i, *_kv_fwd(params, f"dec{i}.self", cfg, h1))
-        a, c_self = _mha_fwd(params, f"dec{i}.self", cfg, h1, h1, self_allowed, None, self_kv)
+        a, c_self = _mha_fwd(params, f"dec{i}.self", cfg, h1, h1,
+                             lambda q, k, v: dense_forward(q, k, v, allowed=self_allowed), self_kv)
         y = y + a
         h2, c_ln2 = _ln_fwd(y, params[f"dec{i}.ln2.g"], params[f"dec{i}.ln2.b"])
-        c, c_cross = _mha_fwd(params, f"dec{i}.cross", cfg, h2, enc_states, cross_allowed,
-                              None, None if cache is None else cache.cross[i])
+        c, c_cross = _mha_fwd(params, f"dec{i}.cross", cfg, h2, enc_states,
+                              lambda q, k, v: dense_forward(q, k, v, allowed=cross_allowed),
+                              None if cache is None else cache.cross[i])
         y = y + c
         h3, c_ln3 = _ln_fwd(y, params[f"dec{i}.ln3.g"], params[f"dec{i}.ln3.b"])
         f, c_ffn = _ffn_fwd(params, f"dec{i}.ffn", h3)
@@ -584,10 +624,10 @@ def decoder_backward(dlogits, cache, params, cfg: ModelConfig, dec_in, enc_state
         c_ln1, c_self, c_ln2, c_cross, c_ln3, c_ffn = layers.pop()
         dh3 = _ffn_bwd(dy, c_ffn, params, f"dec{i}.ffn", grads)
         dy = dy + _ln_bwd(dh3, c_ln3, grads, f"dec{i}.ln3.g", f"dec{i}.ln3.b")
-        dq_in, dkv, _ = _mha_bwd(dy, c_cross, params, f"dec{i}.cross", cfg, grads)
+        dq_in, dkv = _mha_bwd(dy, c_cross, params, f"dec{i}.cross", cfg, grads, dense_backward)
         d_enc += dkv
         dy = dy + _ln_bwd(dq_in, c_ln2, grads, f"dec{i}.ln2.g", f"dec{i}.ln2.b")
-        dq_in, dkv_in, _ = _mha_bwd(dy, c_self, params, f"dec{i}.self", cfg, grads)
+        dq_in, dkv_in = _mha_bwd(dy, c_self, params, f"dec{i}.self", cfg, grads, dense_backward)
         dy = dy + _ln_bwd(dq_in + dkv_in, c_ln1, grads, f"dec{i}.ln1.g", f"dec{i}.ln1.b")
     _scatter_add(grads["tok_emb"], dec_in, dy)
     grads["dec_pos_emb"][:dec_in.shape[1]] += dy.sum(axis=0)

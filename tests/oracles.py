@@ -2,11 +2,13 @@
 deliberately unvectorized, the signature gather over every pair, rectangles
 painted into an allow-matrix and planned from its rows, the dense attention
 core and the B1 bias gather and gradient in their plain out-of-place form,
+the model's encoder self-attention as the batched core on the whole batch,
 and the model's train-step primitives (embedding scatter-add, linear
 layers, LayerNorm, Adam) as plain formulas and loops."""
 
 import numpy as np
 
+from tabenc.attention import dense_backward, dense_forward
 from tabenc.core import STRUCTURAL_MASKS, ValidationError
 from tabenc.linearize import EncodedInput, TokenRole
 from tabenc.mask import _HEADER, _SAME_COL, _SAME_ROW, Lines, _check_scheme
@@ -181,6 +183,23 @@ def bias_scale_grad_ref(ds, rel, n_classes):
             grad[h] += np.bincount(flat_rel, weights=ds[b, h].ravel().astype(np.float64),
                                    minlength=n_classes)
     return grad
+
+
+def self_attention_ref(q, k, v, batch, scales, keep):
+    """model._self_attention as one batched core call: (B, H, L, L) logits
+    and, under B1, the gathered (B, H, L, L) bias."""
+    bias = None if scales is None else gather_bias_ref(scales, batch.rel)
+    out, weights = dense_forward(q, k, v, allowed=batch.allowed, bias=bias)
+    return out, weights if keep else None
+
+
+def self_attention_bwd_ref(q, k, v, d_out, weights, batch, pairs, scales_grad):
+    """model._self_attention_bwd as one batched core call, with the B1
+    class-scalar gradient from bias_scale_grad_ref."""
+    dq, dk, dv, ds = dense_backward(q, k, v, d_out, weights)
+    if pairs is not None:
+        scales_grad += bias_scale_grad_ref(ds, batch.rel, scales_grad.shape[1]).astype(scales_grad.dtype)
+    return dq, dk, dv
 
 
 def scatter_add_ref(table, idx, rows):

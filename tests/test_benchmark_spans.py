@@ -1,9 +1,9 @@
 """The benchmark's tracer still finds the mask and attention functions it wraps.
 
-benchmark/spans.py wraps mask and attention functions by module-level name,
-and the long_table workload looks their spans up by name to time the dense
-reference, so a renamed, moved or bypassed function would break a traced
-benchmark run or silently zero its per-layer metrics.
+benchmark/spans.py wraps mask, attention and model functions by module-level
+name, and the long_table workload looks their spans up by name to time the
+dense reference, so a renamed, moved or bypassed function would break a
+traced benchmark run or silently zero its per-layer metrics.
 """
 
 import importlib.util
@@ -13,7 +13,10 @@ import numpy as np
 
 import tabenc.attention as attention
 import tabenc.mask as mask
-from tabenc.linearize import linearize
+import tabenc.model as model
+from tabenc.core import FactorConfig, derive_rng
+from tabenc.datagen import GenSpec, gen_dataset
+from tabenc.linearize import default_vocab, linearize
 from tabenc.mask import build_mask
 
 from conftest import make_table, random_question
@@ -71,3 +74,37 @@ def test_traced_tiling_records_one_span_and_its_rectangles(rng):
     assert names.count("mask.export_blocks") == 1
     assert tracer.counts["mask.rectangles"] == len(blocks) > 1
     assert mask.export_blocks_from_dense is original
+
+
+def test_traced_train_step_records_encoder_attention_inside_the_encoder():
+    # the model calls dense_forward and dense_backward through its module
+    # globals, which spans.py wraps; the encoder calls them once per batch
+    # element and layer
+    examples, _ = gen_dataset(GenSpec(n=3, seed=11, row_values=(2, 3), col_values=(2, 3),
+                                      value_max=9, templates=("select",)))
+    cfg = model.ModelConfig(d_model=16, n_heads=2, n_enc_layers=2, n_dec_layers=1, ffn_dim=24,
+                            context_len=128, max_positions=128, dec_positions=16,
+                            max_answer_len=16, factor=FactorConfig("T2", "M5", "CPE", "B1", "E1"))
+    vocab = default_vocab()
+    batch = model.collate([model.prepare_example(ex, cfg, vocab) for ex in examples],
+                          vocab.pad, with_rel=True)
+    params = model.init_params(cfg, vocab.size, derive_rng(1, "init", 0))
+    originals = (model.dense_forward, model.dense_backward)
+    spans = load_spans()
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    try:
+        model.loss_and_grads(params, cfg, batch, vocab.pad)
+    finally:
+        tracer.unwrap_all()
+
+    def ancestors(i):
+        while (i := tracer.spans[i][3]) is not None:
+            yield tracer.spans[i][0]
+
+    for name, outer in (("attention.dense_fwd", "model.encoder_fwd"),
+                        ("attention.dense_bwd", "model.encoder_bwd")):
+        inside = [i for i, span in enumerate(tracer.spans)
+                  if span[0] == name and outer in ancestors(i)]
+        assert len(inside) == cfg.n_enc_layers * len(examples), name
+    assert (model.dense_forward, model.dense_backward) == originals

@@ -569,6 +569,29 @@ def test_blocks_file_rejects_garbage(tmp_path):
         assert f"{path}:3:" in str(err.value)
 
 
+def test_blocks_file_takes_ascii_integers_only(tmp_path):
+    # int() alone reads each of these as a coordinate of "0 4 0 4"
+    path = tmp_path / "odd.blocks"
+    for rect in ("\u0660 \u0664 0 4", "0 4 0 \uff14", "0 4 0 +4", "0 4 0 0_4", "0 4 0 4 0"):
+        path.write_text(f"L=4 scheme=M0\n{rect}\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="four integers") as err:
+            read_blocks_file(path)
+        assert str(err.value).startswith(f"{path}:2: "), rect
+
+
+def test_blocks_file_rejects_what_the_planner_rejects(tmp_path):
+    # rectangles that overlap or leave a row uncovered are no mask's tiling;
+    # the reader names the file in front of the planner's message
+    path = tmp_path / "bad.blocks"
+    for body, message in (("0 4 0 4\n0 1 0 1\n", "blocks cover key 0 twice for query row 0"),
+                          ("0 2 0 4\n3 4 0 4\n", "blocks leave query row 2 uncovered"),
+                          ("", "blocks leave query row 0 uncovered")):
+        path.write_text("L=4 scheme=M0\n" + body)
+        with pytest.raises(ValidationError) as err:
+            read_blocks_file(path)
+        assert str(err.value) == f"{path}: {message}"
+
+
 def blocks_file_mutant(rng, good: bytes, kind: str) -> bytes:
     """The bytes of a block file with one seeded mutation of `kind`."""
     lines = good.splitlines(keepends=True)

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,6 +9,7 @@ from tabenc.core import FactorConfig, QAExample, Table, ValidationError, derive_
 from tabenc.datagen import GenSpec, gen_dataset
 from tabenc.linearize import default_vocab
 from tabenc.model import (
+    Batch,
     DecodeCache,
     ModelConfig,
     TrainingDivergedError,
@@ -34,7 +36,6 @@ from tabenc.model import (
     _bias_pairs,
     _bias_scale_grad,
     _ffn_fwd,
-    _gather_bias,
     _linear_bwd,
     _linear_fwd,
     _ln_bwd,
@@ -51,6 +52,8 @@ from oracles import (
     ln_bwd_ref,
     ln_fwd_ref,
     scatter_add_ref,
+    self_attention_bwd_ref,
+    self_attention_ref,
 )
 
 TINY = dict(d_model=16, n_heads=2, n_enc_layers=1, n_dec_layers=1, ffn_dim=24,
@@ -209,8 +212,8 @@ def test_gradients_match_finite_differences(factor):
 def encoder_logit_grads(monkeypatch, params, cfg, batch, pad_id):
     """The (B, H, L, L) logit gradients of one loss_and_grads' encoder
     layers, last layer first, from the model's dense_backward calls: the
-    encoder's backward runs after the decoder's, so its calls are the last
-    n_enc_layers."""
+    encoder's backward runs after the decoder's and calls it once per batch
+    element, in b order, so its calls are the last B * n_enc_layers."""
     real, calls = model.dense_backward, []
 
     def capture(*args):
@@ -220,7 +223,9 @@ def encoder_logit_grads(monkeypatch, params, cfg, batch, pad_id):
 
     monkeypatch.setattr(model, "dense_backward", capture)
     loss_and_grads(params, cfg, batch, pad_id)
-    return calls[len(calls) - cfg.n_enc_layers:]
+    n = len(batch.ids)
+    calls = calls[len(calls) - cfg.n_enc_layers * n:]
+    return [np.stack(calls[i:i + n]) for i in range(0, len(calls), n)]
 
 
 def test_masked_pairs_get_zero_attention_gradient(monkeypatch):
@@ -237,68 +242,124 @@ def test_masked_pairs_get_zero_attention_gradient(monkeypatch):
         assert (ds[blocked] == 0.0).all()
 
 
-def b1_batch(n=3):
-    cfg = tiny_cfg(factor=FactorConfig(tokens="T2", mask="M5", bias="B1"), n_heads=4)
+def b1_batch(n=3, **kw):
+    cfg = tiny_cfg(factor=FactorConfig(tokens="T2", mask="M5", bias="B1"), n_heads=4, **kw)
     vocab = default_vocab()
     items = [prepare_example(ex, cfg, vocab) for ex in small_examples(n, seed=8)]
     return cfg, collate(items, vocab.pad, with_rel=True)
 
 
 def test_attention_state_is_freed_once_its_reader_has_run(monkeypatch):
-    """No gathered B1 bias outlives encoder_forward, an uncached forward
-    frees each layer's attention weights before the next layer runs, and
-    encoder_backward frees them before the layer below runs."""
+    """The encoder's attention state exists one batch element at a time: the
+    uncached forward keeps no element's weights past its dense_forward call,
+    no layer's B1 bias buffer outlives that layer, and encoder_backward
+    frees each element's weights and logit gradient once its dense_backward
+    has run, before the next element's runs."""
     cfg = tiny_cfg(factor=FactorConfig(tokens="T2", mask="M5", bias="B1"), n_enc_layers=3)
     vocab = default_vocab()
     batch = collate([prepare_example(ex, cfg, vocab) for ex in small_examples(3, seed=8)],
                     vocab.pad, with_rel=True)
+    B, n = len(batch.ids), cfg.n_enc_layers
     params = init_params(cfg, vocab.size, derive_rng(9, "init", 0))
-    gather, forward, backward = model._gather_bias, model.dense_forward, model._mha_bwd
-    biases, weights, alive, dead_above = [], [], [], []
-
-    def gather_bias(*args):
-        bias = gather(*args)
-        biases.append(weakref.ref(bias))
-        return bias
+    forward, backward = model.dense_forward, model.dense_backward
+    biases, weights, alive, dead, logit_grads = [], [], [], [], []
 
     def dense_forward(*args, **kwargs):
-        alive.append(sum(ref() is not None for ref in weights))
+        bias = kwargs["bias"]
+        # alive: earlier elements' weights, and bias buffers other than this one
+        alive.append((sum(ref() is not None for ref in weights),
+                      sum(ref() is not None and ref() is not bias for ref in biases)))
         out, w = forward(*args, **kwargs)
         weights.append(weakref.ref(w))
+        biases.append(weakref.ref(bias))
         return out, w
 
-    def mha_bwd(*args):
-        # layers run last first; every layer above this one is done
-        layer = cfg.n_enc_layers - 1 - len(dead_above)
-        dead_above.append([ref() is None for ref in weights[layer + 1:]])
-        return backward(*args)
+    def dense_backward(*args):
+        dead.append([ref() is None for ref in weights])
+        assert all(ref() is None for ref in logit_grads)
+        grads = backward(*args)
+        logit_grads.append(weakref.ref(grads[3]))
+        return grads
 
-    monkeypatch.setattr(model, "_gather_bias", gather_bias)
     monkeypatch.setattr(model, "dense_forward", dense_forward)
-    monkeypatch.setattr(model, "_mha_bwd", mha_bwd)
+    monkeypatch.setattr(model, "dense_backward", dense_backward)
     encoder_forward(params, cfg, batch, keep_cache=False)
-    assert alive == [0] * cfg.n_enc_layers
+    assert alive == [(0, 0)] * (n * B)
+    assert all(ref() is None for ref in biases)
     biases.clear()
     weights.clear()
+    alive.clear()
     enc_states, cache = encoder_forward(params, cfg, batch, keep_cache=True)
-    assert len(biases) == len(weights) == cfg.n_enc_layers
-    assert [ref() is None for ref in biases] == [True] * cfg.n_enc_layers
+    assert [a for _, a in alive] == [0] * (n * B)
+    assert len(biases) == len(weights) == n * B
+    assert all(ref() is None for ref in biases)
+    assert all(ref() is not None for ref in weights)
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     encoder_backward(np.ones_like(enc_states), cache, params, cfg, batch, grads)
-    assert dead_above == [[True] * n for n in range(cfg.n_enc_layers)]
+    # call j reads layer n - 1 - j // B, element j % B: every element read
+    # before it is freed, every later one alive
+    read = [(n - 1 - j // B) * B + j % B for j in range(n * B)]
+    assert dead == [[idx in read[:j] for idx in range(n * B)] for j in range(n * B)]
+    assert all(ref() is None for ref in weights + logit_grads)
     assert cache[0] == []
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_gather_bias_is_the_class_gather_made_contiguous(dtype):
-    _, batch = b1_batch()
-    scales = derive_rng(3, "scales", 0).standard_normal((4, N_BIAS_CLASSES)).astype(dtype)
-    scales0, rel0 = scales.copy(), batch.rel.copy()
-    got = _gather_bias(scales, batch.rel)
-    want = gather_bias_ref(scales, batch.rel)
-    assert got.flags.c_contiguous and got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-    assert np.array_equal(scales, scales0) and np.array_equal(batch.rel, rel0)
+def test_gather_bias_is_the_class_gather_made_contiguous(monkeypatch, dtype):
+    """The B1 bias each batch element's dense_forward gets is a C-contiguous
+    (H, L, L) array, bytewise that element's slice of the class gather."""
+    cfg, batch = b1_batch(n_enc_layers=2)
+    vocab = default_vocab()
+    rng = derive_rng(3, "scales", 0)
+    params = {k: (rng.standard_normal(v.shape) if k.endswith("bias_scales") else v).astype(dtype)
+              for k, v in init_params(cfg, vocab.size, derive_rng(9, "init", 0)).items()}
+    scales0, rel0 = {k: v.copy() for k, v in params.items()}, batch.rel.copy()
+    forward, got = model.dense_forward, []
+
+    def dense_forward(*args, **kwargs):
+        bias = kwargs["bias"]
+        got.append((bias.flags.c_contiguous, bias.dtype, bias.shape, bias.tobytes()))
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(model, "dense_forward", dense_forward)
+    encoder_forward(params, cfg, batch, keep_cache=False)
+    B = len(batch.ids)
+    assert len(got) == cfg.n_enc_layers * B
+    for j, (contiguous, dt, shape, data) in enumerate(got):
+        want = gather_bias_ref(params[f"enc{j // B}.bias_scales"], batch.rel)[j % B]
+        assert contiguous and dt == want.dtype and shape == want.shape
+        assert data == want.tobytes()
+    assert all(np.array_equal(params[k], v) for k, v in scales0.items())
+    assert np.array_equal(batch.rel, rel0)
+
+
+@pytest.mark.parametrize("bias", ["B0", "B1"])
+def test_uncached_encoder_forward_holds_one_element_of_attention(bias):
+    """At B 8, H 4, L 600, one uncached encoder_forward allocates less at its
+    peak than one (B, H, L, L) float32 array: its logits, weights and bias
+    exist for one batch element at a time."""
+    B, L = 8, 600
+    cfg = ModelConfig(n_heads=4, context_len=L, max_positions=L,
+                      factor=FactorConfig(tokens="T0", mask="M0", bias=bias))
+    vocab = default_vocab()
+    rng = derive_rng(41, "memory", 0)
+    params = init_params(cfg, vocab.size, rng)
+    allowed = rng.random((B, 1, L, L)) < 0.5
+    allowed[:, 0, np.arange(L), np.arange(L)] = True
+    rel = rng.integers(0, N_BIAS_CLASSES, (B, L, L)).astype(np.int8) if bias == "B1" else None
+    zeros = np.zeros((B, L), dtype=np.int32)
+    ids = rng.integers(0, vocab.size, (B, L)).astype(np.int32)
+    pos = np.broadcast_to(np.arange(L, dtype=np.int32), (B, L)).copy()
+    dec = np.zeros((B, 1), dtype=np.int32)
+    batch = Batch(ids, pos, zeros, zeros, zeros, allowed, rel, np.ones((B, L), dtype=bool),
+                  dec, dec, np.ones((1, 1), dtype=bool))
+    tracemalloc.start()
+    try:
+        encoder_forward(params, cfg, batch, keep_cache=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < B * cfg.n_heads * L * L * 4, peak
 
 
 def test_bias_scale_grad_is_the_per_head_bincount_loop(monkeypatch):
@@ -318,7 +379,9 @@ def test_bias_scale_grad_is_the_per_head_bincount_loop(monkeypatch):
     assert np.signbit(captured[-1][~np.broadcast_to(batch.allowed, captured[-1].shape)]).any()
     pairs = _bias_pairs(batch.allowed, batch.rel, cfg.n_heads)
     for ds in captured:
-        got = _bias_scale_grad(ds, pairs)
+        got = np.zeros((cfg.n_heads, N_BIAS_CLASSES), dtype=np.float64)
+        for ds_b, pairs_b in zip(ds, pairs):
+            _bias_scale_grad(got, ds_b, pairs_b)
         want = bias_scale_grad_ref(ds, batch.rel, N_BIAS_CLASSES)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -441,7 +504,8 @@ def test_train_is_bitwise_the_reference_primitives(monkeypatch, factor):
     got = train(examples, cfg, seed=3)
     for name, ref in (("_scatter_add", scatter_add_ref), ("_linear_fwd", linear_fwd_ref),
                       ("_linear_bwd", linear_bwd_ref), ("_ln_fwd", ln_fwd_ref),
-                      ("_ln_bwd", ln_bwd_ref)):
+                      ("_ln_bwd", ln_bwd_ref), ("_self_attention", self_attention_ref),
+                      ("_self_attention_bwd", self_attention_bwd_ref)):
         monkeypatch.setattr(model, name, ref)
     monkeypatch.setattr(model.Adam, "step", adam_step_ref)
     want = train(examples, cfg, seed=3)
