@@ -47,6 +47,15 @@ most _BUCKET_CHUNK logits (a row with more keys than that runs alone), so
 working memory stays O(L*d + _BUCKET_CHUNK) at any L; the row pieces of one
 line share one gather of its keys and values.
 
+With a relation-class map the backward sums the logit gradient per class:
+it gathers a chunk's class ids and counts them in one bincount
+(_class_grad). A BiasRelationMap over the mask's own layout spares the
+square lines that gather. Every pair of a square line shares a column, so
+its class follows from its two categories and whether it shares a row too
+(a cell's tokens do); the line's sums are the categories' one-hot product
+with the logit gradient, corrected at those few same-row pairs
+(BiasRelationMap.column_class_sums).
+
 dense_forward and dense_backward are the plain batched core. The model's
 decoder calls it on a whole batch and its encoder on one batch element at
 a time, (H, L, L) logits each. The single-head operations run every call
@@ -69,7 +78,7 @@ import numpy as np
 
 from .core import STRUCTURAL_MASKS, Table, ValidationError, derive_rng, env_threads, set_blas_threads
 from .linearize import EncodedInput, linearize
-from .mask import AttentionMask, Plan, build_mask, plan_blocks
+from .mask import AttentionMask, BiasRelationMap, Plan, build_mask, plan_blocks
 
 # the one work budget of a dense-core call in the single-head operations:
 # whole lines are batched while their logits and gathered (K, d) keys stay
@@ -355,12 +364,27 @@ def _probs(qg, kg, vg, dog, lse_g, rowdot_g, allowed_g, bias_g, scale):
 
 
 def _class_grad(rel, rows, keys, ds, n_classes):
-    """The per-class sums of ds over (rows, keys), in float64."""
-    return np.bincount(_pairs(rel, rows, keys).ravel(), weights=ds.ravel(), minlength=n_classes)
+    """The per-class sums of ds over (rows, keys), in float64: one bincount
+    of the class ids there, handed to it as intp and float64, which it
+    would convert them to itself, more slowly (the same values added in
+    the same order, so the same bits)."""
+    ids = _pairs(rel, rows, keys).astype(np.intp)
+    return np.bincount(ids.ravel(), weights=ds.astype(np.float64).ravel(), minlength=n_classes)
+
+
+def _classes(rel, n_classes, blocks=None):
+    """(class ids, class count, square-line class sums) of `rel`: an (L, L)
+    class array, or a BiasRelationMap, which gives its own count. The sums
+    are the map's BiasRelationMap.column_class_sums when `blocks` is an
+    AttentionMask over the map's layout, else None (_class_grad runs)."""
+    if not isinstance(rel, BiasRelationMap):
+        return rel, n_classes, None
+    own = isinstance(blocks, AttentionMask) and rel.same_layout(blocks)
+    return rel.rel, n_classes or rel.n_classes, rel.column_class_sums if own else None
 
 
 def _backward(q, k, v, d_out, plan, allowed, bias, scale, rel=None, n_classes=None,
-              square_bias=None):
+              square_bias=None, square_classes=None):
     """Batched passes over the plan, with no scatter-add.
 
     The query-major pass gives dq and the per-class bias gradient. Where
@@ -376,8 +400,10 @@ def _backward(q, k, v, d_out, plan, allowed, bias, scale, rel=None, n_classes=No
     without key buckets (a dense call, whose one line holds every key) adds
     its dk and dv up in the query-major pass instead. With `rel`, a per-pair
     relation-class map, the bias gradient is reduced to one scalar per class
-    (n_classes of them, rel.max() + 1 when not given). `square_bias` is
-    as for _square_pieces.
+    (n_classes of them, rel.max() + 1 when not given): the class ids of each
+    chunk are summed (_class_grad), but the square lines' sums come from
+    `square_classes(rows, keys, ds)` when it is given (see _classes).
+    `square_bias` is as for _square_pieces.
     """
     if rel is not None and n_classes is None:
         n_classes = int(rel.max()) + 1
@@ -400,7 +426,9 @@ def _backward(q, k, v, d_out, plan, allowed, bias, scale, rel=None, n_classes=No
             dq[rows] += np.matmul(ds, kg) * scale
             dk[keys] += np.matmul(np.swapaxes(ds, -1, -2), qg) * scale
             dv[keys] += np.matmul(np.swapaxes(p, -1, -2), dog)
-            if dbias_class is not None:
+            if square_classes is not None:
+                dbias_class += square_classes(rows, keys, ds)
+            elif dbias_class is not None:
                 dbias_class += _class_grad(rel, rows, keys, ds, n_classes)
         rowdot = np.sum(d_out * out, axis=-1, keepdims=True)
     else:
@@ -458,13 +486,16 @@ def block_sparse_backward(q, k, v, blocks, d_out, bias=None, scale=None,
     """Analytic backward of block_sparse_forward: a query-major and a
     key-major pass over the plan's buckets.
 
-    When `rel` (a per-pair relation-class map) is given, the bias gradient is
-    reduced to one scalar per class; pairs outside the blocks contribute
-    exactly zero because they are never touched. `square_bias` is as for
-    block_sparse_forward.
+    When `rel` (a per-pair relation-class map: an (L, L) array of class ids
+    or a BiasRelationMap) is given, the bias gradient is reduced to one
+    scalar per class; pairs outside the blocks contribute exactly zero
+    because they are never touched. A BiasRelationMap over the layout of
+    `blocks`, an AttentionMask, gives the square lines' sums from that
+    layout (_classes). `square_bias` is as for block_sparse_forward.
     """
+    rel, n_classes, square_classes = _classes(rel, n_classes, blocks)
     return _backward(q, k, v, d_out, _plan_of(blocks, q.shape[0]), None, bias, scale,
-                     rel, n_classes, square_bias)
+                     rel, n_classes, square_bias, square_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -501,26 +532,27 @@ def attn_backward(
     rel_map=None,
 ) -> AttentionGrads:
     """Gradients of sum(out * d_out) w.r.t. q, k, v, and per relation class
-    of the bias when `rel_map` (see mask.build_bias_map) is given.
+    of the bias when `rel_map` (a BiasRelationMap, see mask.build_bias_map,
+    or an (L, L) class array) is given.
 
     With `blocks` the block-sparse kernel runs, on the input's AttentionMask
     when it has one (blocks is then not read) and on the blocks otherwise;
     without, the dense core runs as one line of every row against every key.
+    A map over the input mask's layout gives the class sums of the mask's
+    square lines from that layout (BiasRelationMap.column_class_sums).
     """
     d_out = np.asarray(d_out, dtype=inp.q.dtype)
     if d_out.shape != inp.q.shape:
         raise ValidationError("d_out must match the output shape")
-    rel = rel_map.rel if hasattr(rel_map, "rel") else rel_map
-    n_classes = getattr(rel_map, "n_classes", None)
     if blocks is not None:
         dq, dk, dv, dclass = block_sparse_backward(
             inp.q, inp.k, inp.v, _sparsity(inp, blocks), d_out, inp.bias_values, inp.scale,
-            rel=rel, n_classes=n_classes, square_bias=inp.square_bias,
+            rel=rel_map, square_bias=inp.square_bias,
         )
     else:
         L = inp.q.shape[0]
         dq, dk, dv, dclass = _backward(inp.q, inp.k, inp.v, d_out, _whole(L), inp.allowed,
-                                       inp.bias_values, inp.scale, rel, n_classes)
+                                       inp.bias_values, inp.scale, *_classes(rel_map, None)[:2])
     return AttentionGrads(dq=dq, dk=dk, dv=dv, dbias_class=dclass)
 
 

@@ -21,7 +21,10 @@ TokenRoles plus header-row content. The rules are evaluated once, at import,
 at all 2 x 2 x 8 x 8 signatures. build_bias_map builds its L x L map from
 those tables and the layout (_gather_pairs): each token's row is copied from
 a pattern of its category and column, and only the pairs that share a row
-are then rewritten; it then sets the diagonal.
+are then rewritten; it then sets the diagonal. The map keeps its layout,
+so the kernel can sum the gradient of a mask's square lines per class from
+the layout (BiasRelationMap.column_class_sums) when the map and the mask
+share it.
 
 A mask is a view of the layout: the scheme plus each token's row, column and
 category (AttentionMask). Its parts are planned once, straight from that
@@ -418,21 +421,69 @@ N_BIAS_CLASSES = len(BIAS_CLASSES)
 
 @dataclass(frozen=True, eq=False)
 class BiasRelationMap:
-    """Per-pair relation class ids (L x L int8), indices into BIAS_CLASSES.
-    Maps compare and hash by identity, as masks do: `rel` is an array."""
+    """Per-pair relation class ids (L x L int8), indices into BIAS_CLASSES,
+    and the table layout they were built from: each token's row, column and
+    signature category, as an AttentionMask holds them. Maps compare and
+    hash by identity, as masks do: their fields are arrays."""
 
     length: int
     rel: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    cat: np.ndarray
 
     @property
     def n_classes(self) -> int:
         return N_BIAS_CLASSES
 
+    def same_layout(self, mask: AttentionMask) -> bool:
+        """Whether `mask` is over the map's layout (an O(L) compare)."""
+        return all(np.array_equal(a, b) for a, b in
+                   ((self.row, mask.row), (self.col, mask.col), (self.cat, mask.cat)))
+
+    def column_class_sums(self, rows, keys, ds) -> np.ndarray:
+        """The per-class sums of ds, in float64, over lines (rows (G, R) and
+        keys (G, K), ds (G, R, K)) whose pairs all share a column, such as
+        a mask's square lines, from the layout: no class id is read.
+
+        Such a pair's class is _RELATION_TABLE[0, 1] at its two categories
+        unless its tokens also share a row, as a cell's do: then it is
+        [1, 1]'s, or "self" on the diagonal. So the sums are the categories'
+        one-hot product onehot(cat[rows])^T ds onehot(cat[keys]), less the
+        same-row pairs, mapped through [0, 1], plus the same-row pairs in
+        their own classes. Those pairs are found by grouping each line's
+        keys by row; there are about R per line, not R x K."""
+        n = _HEADER + 1
+        G, R, K = ds.shape
+        ds = ds.astype(np.float64, copy=False)
+        hot = [(self.cat[ix][..., None] == np.arange(n)).astype(np.float64) for ix in (rows, keys)]
+        by_cat = hot[0].reshape(-1, n).T @ np.matmul(ds, hot[1]).reshape(-1, n)
+        # each (line, row) of the chunk's rows, and the keys of its line in that row
+        row_r, row_k = (self.row[ix].astype(np.intp) for ix in (rows, keys))
+        lo, hi = min(row_r.min(), row_k.min()), max(row_r.max(), row_k.max())
+        span = (np.arange(G) * (hi - lo + 1))[:, None] - lo  # codes line by line
+        code = (row_k + span).ravel()
+        order = np.argsort(code, kind="stable")
+        code = code[order]
+        at_r = (row_r + span).ravel()
+        first, end = np.searchsorted(code, at_r, "left"), np.searchsorted(code, at_r, "right")
+        at_k = order[_ranges(first, end)]  # flat (line, key) places
+        at_r = np.repeat(np.arange(G * R), end - first)  # flat (line, row) places
+        same = ds.reshape(-1)[at_r * K + at_k % K]
+        i, j = rows.reshape(-1)[at_r], keys.reshape(-1)[at_k]
+        pair = self.cat[i].astype(np.intp) * n + self.cat[j]
+        by_cat -= np.bincount(pair, same, minlength=n * n).reshape(n, n)
+        classes = np.where(i == j, 0, _RELATION_TABLE[1, 1].reshape(-1)[pair])  # 0: "self"
+        return (np.bincount(_RELATION_TABLE[0, 1].reshape(-1), by_cat.reshape(-1),
+                            minlength=N_BIAS_CLASSES)
+                + np.bincount(classes, same, minlength=N_BIAS_CLASSES))
+
 
 def build_bias_map(enc: EncodedInput) -> BiasRelationMap:
-    rel = _gather_pairs(*_layout(enc), _RELATION_TABLE, _RELATION_LOCAL)
+    layout = _layout(enc)
+    rel = _gather_pairs(*layout, _RELATION_TABLE, _RELATION_LOCAL)
     np.fill_diagonal(rel, 0)  # "self"
-    return BiasRelationMap(len(enc), rel)
+    return BiasRelationMap(len(enc), rel, *layout)
 
 
 # ---------------------------------------------------------------------------

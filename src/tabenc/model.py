@@ -286,16 +286,19 @@ def _mha_bwd(dy, cache, params, prefix, cfg, grads, core_bwd):
 
 
 def _ffn_fwd(params, prefix, x):
-    h = _linear_fwd(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"])
-    a = np.maximum(h, 0.0)
+    """relu(x w1 + b1) w2 + b2, the ReLU taken in its input's buffer; the
+    cache keeps x and the ReLU output only."""
+    a = _linear_fwd(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"])
+    np.maximum(a, 0.0, out=a)
     y = _linear_fwd(a, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
-    return y, (x, h, a)
+    return y, (x, a)
 
 
 def _ffn_bwd(dy, cache, params, prefix, grads):
-    x, h, a = cache
+    x, a = cache
     da = _linear_bwd(a, params[f"{prefix}.w2"], dy, grads, f"{prefix}.w2", f"{prefix}.b2")
-    dh = da * (h > 0)
+    # a > 0 exactly where its input h > 0: a is h there, and +-0.0 or NaN elsewhere
+    dh = da * (a > 0)
     return _linear_bwd(x, params[f"{prefix}.w1"], dh, grads, f"{prefix}.w1", f"{prefix}.b1")
 
 
@@ -481,14 +484,17 @@ def encoder_forward(params, cfg: ModelConfig, batch: Batch, keep_cache: bool):
         scales = params[f"enc{i}.bias_scales"] if cfg.factor.bias == "B1" else None
         a, c_attn = _mha_fwd(params, f"enc{i}.attn", cfg, h1, h1,
                              lambda q, k, v: _self_attention(q, k, v, batch, scales, keep_cache))
+        kept = (c_ln1, c_attn) if keep_cache else ()
+        # uncached, the attention's states would otherwise live through the FFN,
+        # and the FFN's through the next layer
+        del h1, c_ln1, c_attn
         x = x + a
         h2, c_ln2 = _ln_fwd(x, params[f"enc{i}.ln2.g"], params[f"enc{i}.ln2.b"])
         f, c_ffn = _ffn_fwd(params, f"enc{i}.ffn", h2)
         x = x + f
         if keep_cache:
-            layers.append((c_ln1, c_attn, c_ln2, c_ffn))
-        # uncached, the layer's states would otherwise live through the next layer
-        del h1, c_ln1, a, c_attn, h2, c_ln2, f, c_ffn
+            layers.append((*kept, c_ln2, c_ffn))
+        del kept, a, h2, c_ln2, f, c_ffn
     out, c_final = _ln_fwd(x, params["enc_ln.g"], params["enc_ln.b"])
     cache = (layers, c_final) if keep_cache else None
     return out, cache

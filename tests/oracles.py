@@ -1,10 +1,11 @@
 """References the tests compare the program against: per-pair mask code,
 deliberately unvectorized, the signature gather over every pair, rectangles
 painted into an allow-matrix and planned from its rows, the dense attention
-core and the B1 bias gather and gradient in their plain out-of-place form,
-the model's encoder self-attention as the batched core on the whole batch,
-and the model's train-step primitives (embedding scatter-add, linear
-layers, LayerNorm, Adam) as plain formulas and loops."""
+core, the kernel's class-id bincount and the B1 bias gather and gradient in
+their plain out-of-place form, the model's encoder self-attention as the
+batched core on the whole batch, and the model's train-step primitives
+(embedding scatter-add, linear layers, LayerNorm, Adam) as plain formulas
+and loops."""
 
 import numpy as np
 
@@ -167,6 +168,14 @@ def dense_backward_ref(q, k, v, d_out, allowed, bias, scale):
     dq = np.matmul(ds, k) * scale
     dk = np.matmul(np.swapaxes(ds, -1, -2), q) * scale
     return dq, dk, dv, ds
+
+
+def class_grad_ref(rel, rows, keys, ds, n_classes):
+    """The per-class sums of ds over the (G, R, K) pairs of lines (rows,
+    keys): one bincount of the class ids there, which converts the ids and
+    the weights itself."""
+    ids = rel[rows[:, :, None], keys[:, None, :]]
+    return np.bincount(ids.ravel(), weights=ds.ravel(), minlength=n_classes)
 
 
 def gather_bias_ref(scales, rel):

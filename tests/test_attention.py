@@ -22,12 +22,19 @@ from tabenc.attention import (
     make_bench_encoding,
     plan_blocks,
 )
-from tabenc.core import ValidationError, derive_rng, env_threads, set_blas_threads
+from tabenc.core import Table, ValidationError, derive_rng, env_threads, set_blas_threads
 from tabenc.linearize import linearize
-from tabenc.mask import build_bias_map, build_mask
+from tabenc.mask import _HEADER, BiasRelationMap, build_bias_map, build_mask
 
 from conftest import complete_plan, make_table, random_question, same_plan
-from oracles import blocks_cover, dense_backward_ref, logits_ref, matrix_lines, softmax_ref
+from oracles import (
+    blocks_cover,
+    class_grad_ref,
+    dense_backward_ref,
+    logits_ref,
+    matrix_lines,
+    softmax_ref,
+)
 
 ALL_SCHEMES = ("M0", "M1", "M2", "M3", "M4", "M5", "M6")
 
@@ -515,6 +522,127 @@ def test_mask_parts_float32_against_float64(encoding):
     assert_within_criterion_3(got, *float64_reference(q, k, v, d_out, m, rel, scales))
 
 
+# ---------------------------------------------------------------------------
+# class gradient: square lines from the layout, the other lines by class ids
+# ---------------------------------------------------------------------------
+
+def test_class_grad_is_the_bincount_of_the_class_ids(rng):
+    # bit for bit the bincount that converts its int8 ids and its weights
+    # itself: lines gathered by flat index, a line of consecutive rows and
+    # keys (a view) and a transposed map, with ds over enough binades that
+    # float64 sums round, so their order shows
+    enc = make_bench_encoding(600, "T0", seed=2)
+    m, rel = build_mask(enc, "M1"), build_bias_map(enc)
+    line = np.arange(len(enc))[None]
+    pieces = [*attention._chunks(m.parts.square, 16), *attention._chunks(m.parts.query, 16),
+              (line[:, 100:140], line)]
+    for classes in (rel.rel, np.ascontiguousarray(rel.rel.T).T):
+        for rows, keys in pieces:
+            shape = rows.shape + keys.shape[1:]
+            for dtype in (np.float32, np.float64):
+                ds = (rng.standard_normal(shape) * np.exp2(rng.integers(-40, 40, shape))).astype(dtype)
+                want = class_grad_ref(classes, rows, keys, ds, rel.n_classes)
+                got = attention._class_grad(classes, rows, keys, ds, rel.n_classes)
+                assert got.tobytes() == want.tobytes()
+
+
+def square_case(rng, scheme, tokens):
+    """A tall table with multi-token cells and headers (one header holds
+    one token, the others two and three), whose M1 or M2 mask plans square
+    lines; the case asserts that those lines hold same-cell pairs and
+    header tokens."""
+    t = make_table(rng, n_rows=14, n_cols=3, value_max=999)
+    enc = linearize(random_question(rng, t), Table(("c1 7", "c2", "c3 4 5"), t.rows), tokens)
+    m, rel = build_mask(enc, scheme), build_bias_map(enc)
+    lines = [line for rows, _ in m.parts.square for line in rows]
+    assert len(lines) == 3
+    assert all((np.diff(m.row[line]) == 0).sum() > len(line) // 3 for line in lines)
+    assert sorted(int((m.cat[line] == _HEADER).sum()) for line in lines) == [1, 2, 3]
+    return enc, m, rel
+
+
+def within_float64(got, want):
+    """Class sums within 1e-12 of max(1, |want|), entry by entry."""
+    return np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("scheme", ["M1", "M2"])
+@pytest.mark.parametrize("tokens", ["T0", "T1", "T2"])
+def test_square_class_sums_from_the_layout(rng, monkeypatch, scheme, tokens):
+    # a square chunk's class sums from the layout against the bincount of
+    # its class ids, for whole lines (several a chunk) and row pieces
+    _, m, rel = square_case(rng, scheme, tokens)
+    n = max(rows.shape[1] for rows, _ in m.parts.square)
+    for budget in (attention._BUCKET_CHUNK, 3 * n):
+        monkeypatch.setattr(attention, "_BUCKET_CHUNK", budget)
+        pieces = list(attention._chunks(m.parts.square, 4))
+        assert any(len(rows) > 1 for rows, _ in pieces) == (budget > 3 * n)
+        for rows, keys in pieces:
+            ds = rng.standard_normal(rows.shape + keys.shape[1:])
+            want = class_grad_ref(rel.rel, rows, keys, ds, rel.n_classes)
+            assert within_float64(rel.column_class_sums(rows, keys, ds), want)
+
+
+@pytest.mark.parametrize("scheme", ["M1", "M2"])
+@pytest.mark.parametrize("tokens", ["T0", "T1", "T2"])
+def test_square_class_gradient_through_the_kernel(rng, monkeypatch, scheme, tokens):
+    # the map of the mask's layout against its raw class array, which sums
+    # class ids: q, k and v gradients bit for bit, class gradients within
+    # 1e-12 in float64; in float32, criterion 3 against float64
+    _, m, rel = square_case(rng, scheme, tokens)
+    L = m.length
+    scales = rng.standard_normal(rel.n_classes) * 0.5
+    q, k, v, d_out = (rng.standard_normal((L, 8)) for _ in range(4))
+    n = max(rows.shape[1] for rows, _ in m.parts.square)
+    for budget in (attention._BUCKET_CHUNK, 3 * n):
+        monkeypatch.setattr(attention, "_BUCKET_CHUNK", budget)
+        inp = AttentionInput(q, k, v, m, scales[rel.rel])
+        got = attn_backward(inp, d_out, blocks=m.blocks, rel_map=rel)
+        want = attn_backward(inp, d_out, blocks=m.blocks, rel_map=rel.rel)
+        for a, b in zip((got.dq, got.dk, got.dv), (want.dq, want.dk, want.dv)):
+            assert a.tobytes() == b.tobytes()
+        assert within_float64(got.dbias_class, want.dbias_class)
+    monkeypatch.undo()
+    q, k, v, d_out, scales = (x.astype(np.float32) for x in (q, k, v, d_out, scales))
+    inp = AttentionInput(q, k, v, m, scales[rel.rel])
+    grads = attn_backward(inp, d_out, blocks=m.blocks, rel_map=rel)
+    got = (attn_block_sparse(inp).out, grads.dq, grads.dk, grads.dv, grads.dbias_class)
+    assert_within_criterion_3(got, *float64_reference(q, k, v, d_out, m, rel, scales))
+
+
+def test_class_ids_summed_unless_the_map_is_of_the_mask(rng, monkeypatch):
+    # the map of the mask's layout sums each square chunk from that layout;
+    # a raw class array, a map over another layout and the dense path sum
+    # class ids (_class_grad), which gives the bits of the bincount oracle
+    _, m, rel = square_case(rng, "M1", "T0")
+    L = m.length
+    q, k, v, d_out = (rng.standard_normal((L, 8)).astype(np.float32) for _ in range(4))
+    inp = AttentionInput(q, k, v, m, (rng.standard_normal(rel.n_classes) * 0.5)[rel.rel])
+    cat = m.cat.copy()
+    cat[cat == _HEADER] = m.cat[np.flatnonzero(m.cat != _HEADER)[0]]
+    foreign = BiasRelationMap(L, rel.rel, rel.row, rel.col, cat)
+    assert rel.same_layout(m) and not foreign.same_layout(m)
+    sums, calls = BiasRelationMap.column_class_sums, []
+
+    def counted(self, *args):
+        calls.append(self)
+        return sums(self, *args)
+
+    monkeypatch.setattr(BiasRelationMap, "column_class_sums", counted)
+    attn_backward(inp, d_out, blocks=m.blocks, rel_map=rel)
+    assert calls == [rel] * len(list(attention._chunks(m.parts.square, 8)))
+    cases = ((rel.rel, m.blocks), (foreign, m.blocks), (rel, None))
+    ran = [attn_backward(inp, d_out, blocks=blocks, rel_map=classes) for classes, blocks in cases]
+    assert calls == [rel] * len(list(attention._chunks(m.parts.square, 8)))
+    monkeypatch.setattr(attention, "_class_grad", lambda rel, rows, keys, ds, n:
+                        class_grad_ref(rel, rows, keys, ds, n))
+    for grads, (classes, blocks) in zip(ran, cases):
+        want = attn_backward(inp, d_out, blocks=blocks, rel_map=classes)
+        for a, b in zip((grads.dq, grads.dk, grads.dv, grads.dbias_class),
+                        (want.dq, want.dk, want.dv, want.dbias_class)):
+            assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("scheme", ["M3", "M5"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_unsplit_masks_run_their_rectangles_bit_for_bit(rng, scheme, dtype):
@@ -681,10 +809,15 @@ def test_square_bias_gathered_once_per_line(rng, monkeypatch):
     # the tiling, and so its plan, is joined from the same parts
     assert plan_blocks(m.blocks, m.length).square == () and calls == [m.length]
     assert out.tobytes() == block_sparse_forward(q, k, v, m, bias, inp.scale).tobytes()
-    fresh = block_sparse_backward(q, k, v, m, d_out, bias, inp.scale, rel=rel.rel,
-                                  n_classes=rel.n_classes)
+    fresh = block_sparse_backward(q, k, v, m, d_out, bias, inp.scale, rel=rel)
     for a, b in zip((grads.dq, grads.dk, grads.dv, grads.dbias_class), fresh):
         assert a.tobytes() == b.tobytes()
+    # the raw class array sums the class ids of the square lines too (_class_grad)
+    ids = block_sparse_backward(q, k, v, m, d_out, bias, inp.scale, rel=rel.rel,
+                                n_classes=rel.n_classes)
+    for a, b in zip((grads.dq, grads.dk, grads.dv), ids):
+        assert a.tobytes() == b.tobytes()
+    assert within_float64(grads.dbias_class, ids[3])
 
 
 def test_attention_input_operands_are_fixed(rng):

@@ -362,6 +362,65 @@ def test_uncached_encoder_forward_holds_one_element_of_attention(bias):
     assert peak < B * cfg.n_heads * L * L * 4, peak
 
 
+def test_uncached_encoder_forward_frees_attention_before_the_ffn(monkeypatch):
+    """The uncached encoder_forward drops each layer's attention cache (its
+    input, q, k, v and merged heads) before that layer's FFN runs; the
+    cached one keeps it for encoder_backward."""
+    cfg = tiny_cfg(factor=FactorConfig(tokens="T2", mask="M5", bias="B1"), n_enc_layers=2)
+    vocab = default_vocab()
+    batch = collate([prepare_example(ex, cfg, vocab) for ex in small_examples(3, seed=8)],
+                    vocab.pad, with_rel=True)
+    params = init_params(cfg, vocab.size, derive_rng(9, "init", 0))
+    mha_fwd, ffn_fwd = model._mha_fwd, model._ffn_fwd
+    caches, alive = [], []
+
+    def spied_mha(*args, **kwargs):
+        y, cache = mha_fwd(*args, **kwargs)
+        caches.append([weakref.ref(x) for x in cache if isinstance(x, np.ndarray)])
+        return y, cache
+
+    def spied_ffn(*args):
+        alive.append(sum(ref() is not None for refs in caches for ref in refs))
+        return ffn_fwd(*args)
+
+    monkeypatch.setattr(model, "_mha_fwd", spied_mha)
+    monkeypatch.setattr(model, "_ffn_fwd", spied_ffn)
+    encoder_forward(params, cfg, batch, keep_cache=False)
+    assert len(caches) == cfg.n_enc_layers and all(len(refs) == 6 for refs in caches)
+    assert alive == [0] * cfg.n_enc_layers
+    caches.clear()
+    alive.clear()
+    _, cache = encoder_forward(params, cfg, batch, keep_cache=True)
+    assert alive == [6 * (i + 1) for i in range(cfg.n_enc_layers)]
+    del cache
+
+
+def test_ffn_cache_keeps_the_relu_output_only():
+    """_ffn_fwd caches (x, relu output), and _ffn_bwd's mask a > 0 is its
+    input's h > 0 bit for bit, at +-0.0, NaN and either sign."""
+    rng = derive_rng(3, "ffn", 0)
+    params = {"f.w1": rng.standard_normal((4, 6)), "f.b1": rng.standard_normal(6),
+              "f.w2": rng.standard_normal((6, 4)), "f.b2": rng.standard_normal(4)}
+    x = rng.standard_normal((2, 5, 4))
+    y, cache = _ffn_fwd(params, "f", x)
+    h = linear_fwd_ref(x, params["f.w1"], params["f.b1"])
+    assert len(cache) == 2 and cache[0] is x
+    assert cache[1].tobytes() == np.maximum(h, 0.0).tobytes()
+    assert y.tobytes() == _linear_fwd(np.maximum(h, 0.0), params["f.w2"], params["f.b2"]).tobytes()
+    h = np.array([-1.0, -0.0, 0.0, np.nan, 2.0, -np.inf, np.inf])
+    assert np.array_equal(np.maximum(h, 0.0) > 0, h > 0)
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    want = {k: np.zeros_like(v) for k, v in params.items()}
+    dy = rng.standard_normal(y.shape)
+    got = model._ffn_bwd(dy, cache, params, "f", grads)
+    da = linear_bwd_ref(cache[1], params["f.w2"], dy, want, "f.w2", "f.b2")
+    dh = da * (linear_fwd_ref(x, params["f.w1"], params["f.b1"]) > 0)
+    ref = linear_bwd_ref(x, params["f.w1"], dh, want, "f.w1", "f.b1")
+    assert got.tobytes() == ref.tobytes()
+    for k in params:
+        assert grads[k].tobytes() == want[k].tobytes()
+
+
 def test_bias_scale_grad_is_the_per_head_bincount_loop(monkeypatch):
     """Bit for bit the loop of one bincount per (b, h): the logit gradient of
     a real backward, and a random one that is -0.0 at some masked pairs and
