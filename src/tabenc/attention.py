@@ -227,7 +227,8 @@ def dense_forward(q, k, v, allowed=None, bias=None, scale=None):
     dims; returns (out, weights), the softmax weights dense_backward reads.
 
     allowed and bias broadcast against the (..., Lq, Lk) logit shape. Rows of
-    `allowed` must each keep at least one key.
+    `allowed` must each keep at least one key. For finite logits, a -inf
+    bias entry masks its pair as a False `allowed` entry does, to the bit.
     """
     if scale is None:
         scale = 1.0 / float(np.sqrt(q.shape[-1]))

@@ -24,7 +24,10 @@ a pattern of its category and column, and only the pairs that share a row
 are then rewritten; it then sets the diagonal. The map keeps its layout,
 so the kernel can sum the gradient of a mask's square lines per class from
 the layout (BiasRelationMap.column_class_sums) when the map and the mask
-share it.
+share it. signature_classes gathers a mask's pairs the same way through one
+table that folds the scheme's rule into the relation classes: a pair the
+mask blocks gets the extra class BLOCKED. That is the model's one (L, L)
+plane per encoder element.
 
 A mask is a view of the layout: the scheme plus each token's row, column and
 category (AttentionMask). Its parts are planned once, straight from that
@@ -417,6 +420,7 @@ BIAS_CLASSES = (
 )
 
 N_BIAS_CLASSES = len(BIAS_CLASSES)
+BLOCKED = N_BIAS_CLASSES  # signature_classes' class of a pair the mask blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -486,6 +490,19 @@ def build_bias_map(enc: EncodedInput) -> BiasRelationMap:
     return BiasRelationMap(len(enc), rel, *layout)
 
 
+def signature_classes(mask: AttentionMask) -> np.ndarray:
+    """The (L, L) int8 classes of a mask's pairs: the BIAS_CLASSES index
+    where the scheme allows the pair, BLOCKED where it does not, and 0
+    ("self") on the diagonal; that is, where(mask.dense, build_bias_map's
+    rel, BLOCKED). Gathered from the layout (_gather_pairs) at each call
+    through one table that folds the scheme's rule into the relation
+    classes; nothing is cached on the mask."""
+    classes = _gather_pairs(mask.row, mask.col, mask.cat, _CLASS_TABLES[mask.scheme],
+                            _CLASS_LOCAL[mask.scheme])
+    np.fill_diagonal(classes, 0)  # "self"
+    return classes
+
+
 # ---------------------------------------------------------------------------
 # pair rules, evaluated once at every signature (same_row, same_col, cat_i, cat_j)
 # ---------------------------------------------------------------------------
@@ -550,6 +567,10 @@ def _local_categories(table: np.ndarray) -> np.ndarray:
 _MASK_TABLES, _RELATION_TABLE = _signature_tables()
 _MASK_LOCAL = {scheme: _local_categories(t) for scheme, t in _MASK_TABLES.items()}
 _RELATION_LOCAL = _local_categories(_RELATION_TABLE)
+# each scheme's relation class where it allows a signature, BLOCKED elsewhere
+_CLASS_TABLES = {scheme: np.where(t, _RELATION_TABLE, np.int8(BLOCKED))
+                 for scheme, t in _MASK_TABLES.items()}
+_CLASS_LOCAL = {scheme: _local_categories(t) for scheme, t in _CLASS_TABLES.items()}
 # pairs per block of _row_blocks; a block holds about 11 bytes per pair (its
 # uint8 signatures, np.take's intp copy of them, and the values)
 _CHUNK_PAIRS = 1 << 18

@@ -7,11 +7,18 @@ per-relation-class bias scalars (B1, one scalar per class per head per
 layer). The decoder is a standard causal transformer with dense
 cross-attention; answers are digit tokens with SEP between values.
 
+An example keeps its mask as the table layout (O(L)). Each batch holds one
+int8 (B, L, L) plane of relation classes, built from the layouts when the
+batch is collated (mask.signature_classes), in which the mask is one more
+class, BLOCKED. A layer's bias is each head's class scalars (zeros under
+B0) with -inf for BLOCKED, gathered at the plane, so one bias add both
+shifts and masks the logits.
+
 Everything runs on numpy in float32 with hand-written backward passes; every
 attention call (forward and backward) goes through the attention module's
 dense core, so masked pairs contribute exactly zero gradient. The encoder
 calls it one batch element at a time (_self_attention), so an element's
-(H, L, L) logits, weights, logit gradient and B1 bias exist one at a time
+(H, L, L) logits, weights, logit gradient and bias exist one at a time
 and no (B, H, L, L) array is built (the memory argument of arXiv
 2112.05682, per element); the decoder, with at most dec_positions query
 rows, calls it on the whole batch. Training is plain Adam with
@@ -30,7 +37,10 @@ import numpy as np
 from .attention import dense_backward, dense_forward
 from .core import FactorConfig, QAExample, TabencError, ValidationError, derive_rng
 from .linearize import EncodedInput, Vocabulary, default_vocab, encode_input
-from .mask import N_BIAS_CLASSES, build_bias_map, build_mask, count_classes
+from .mask import (BLOCKED, N_BIAS_CLASSES, AttentionMask, build_mask, count_classes,
+                   signature_classes)
+# not called here; the benchmark's tracer wraps model.build_bias_map
+from .mask import build_bias_map  # noqa: F401
 from .sqlexec import denotation_accuracy
 
 _ADAM_B1 = 0.9
@@ -315,8 +325,7 @@ class Prepared:
     seg: np.ndarray
     row: np.ndarray
     col: np.ndarray
-    allowed: np.ndarray  # (L, L) encoder self-attention mask
-    rel: np.ndarray | None  # (L, L) relation classes, only under B1
+    mask: AttentionMask  # encoder self-attention mask: the layout, O(L)
     dec_in: np.ndarray
     target: np.ndarray
     answer: tuple[str, ...]
@@ -360,8 +369,7 @@ def prepare_example(ex: QAExample, cfg: ModelConfig, vocab: Vocabulary) -> Prepa
             raise ValidationError(f"table exceeds {cfg.max_table_rows} rows")
         if enc.col_idx.max(initial=0) > cfg.max_table_cols:
             raise ValidationError(f"table exceeds {cfg.max_table_cols} columns")
-    allowed = build_mask(enc, cfg.factor.mask).dense
-    rel = build_bias_map(enc).rel if cfg.factor.bias == "B1" else None
+    mask = build_mask(enc, cfg.factor.mask)
     target = np.asarray(answer_token_ids(ex.answer, vocab), dtype=np.int32)
     if len(target) > cfg.dec_positions:
         raise ValidationError(
@@ -371,8 +379,7 @@ def prepare_example(ex: QAExample, cfg: ModelConfig, vocab: Vocabulary) -> Prepa
     return Prepared(
         ids=enc.token_ids, pos=enc.pos_idx, seg=enc.segment,
         row=enc.row_idx, col=enc.col_idx,
-        allowed=allowed, rel=rel,
-        dec_in=dec_in, target=target, answer=ex.answer,
+        mask=mask, dec_in=dec_in, target=target, answer=ex.answer,
     )
 
 
@@ -383,15 +390,19 @@ class Batch:
     seg: np.ndarray
     row: np.ndarray
     col: np.ndarray
-    allowed: np.ndarray      # (B, 1, L, L)
-    rel: np.ndarray | None   # (B, L, L)
+    classes: np.ndarray      # (B, L, L) int8 relation classes, BLOCKED where masked
     enc_real: np.ndarray     # (B, L) True at non-pad encoder positions
     dec_in: np.ndarray       # (B, D)
     target: np.ndarray       # (B, D)
     causal: np.ndarray       # (D, D)
 
 
-def collate(items: list[Prepared], pad_id: int, with_rel: bool) -> Batch:
+def collate(items: list[Prepared], pad_id: int, with_rel: bool | None = None) -> Batch:
+    """Pad the items into one batch. Each element's classes plane is its
+    mask's signature_classes, built here from the layout, and BLOCKED at
+    every pad pair but the pad diagonal, which is the catch-all class so
+    that pad rows stay softmax-safe. The one plane serves B0 and B1, so
+    `with_rel`, which older callers pass, is ignored."""
     b = len(items)
     L = max(len(it.ids) for it in items)
     D = max(len(it.dec_in) for it in items)
@@ -400,9 +411,8 @@ def collate(items: list[Prepared], pad_id: int, with_rel: bool) -> Batch:
     seg = np.zeros((b, L), dtype=np.int32)
     row = np.zeros((b, L), dtype=np.int32)
     col = np.zeros((b, L), dtype=np.int32)
-    allowed = np.zeros((b, 1, L, L), dtype=bool)
-    allowed[:, 0, np.arange(L), np.arange(L)] = True  # pad rows stay softmax-safe
-    rel = np.full((b, L, L), _OTHER_CLASS, dtype=np.int8) if with_rel else None
+    classes = np.full((b, L, L), BLOCKED, dtype=np.int8)
+    classes[:, np.arange(L), np.arange(L)] = _OTHER_CLASS  # pad rows stay softmax-safe
     enc_real = np.zeros((b, L), dtype=bool)
     dec_in = np.full((b, D), pad_id, dtype=np.int32)
     target = np.full((b, D), pad_id, dtype=np.int32)
@@ -414,14 +424,12 @@ def collate(items: list[Prepared], pad_id: int, with_rel: bool) -> Batch:
         seg[i, :n] = it.seg
         row[i, :n] = it.row
         col[i, :n] = it.col
-        allowed[i, 0, :n, :n] = it.allowed
-        if with_rel and it.rel is not None:
-            rel[i, :n, :n] = it.rel
+        classes[i, :n, :n] = signature_classes(it.mask)
         enc_real[i, :n] = True
         dec_in[i, :m] = it.dec_in
         target[i, :m] = it.target
     causal = np.tril(np.ones((D, D), dtype=bool))
-    return Batch(ids, pos, seg, row, col, allowed, rel, enc_real, dec_in, target, causal)
+    return Batch(ids, pos, seg, row, col, classes, enc_real, dec_in, target, causal)
 
 
 # ---------------------------------------------------------------------------
@@ -430,24 +438,28 @@ def collate(items: list[Prepared], pad_id: int, with_rel: bool) -> Batch:
 
 def _self_attention(q, k, v, batch: Batch, scales, keep: bool):
     """The encoder's masked self-attention, one batch element at a time, bit
-    for bit the batched core on the whole batch: numpy's stacked matmul runs
-    one 2-D product per (b, h), and every other step works per row. Under
-    B1 an element's bias, the (H, C) class `scales` at its classes, goes
-    into one (H, L, L) buffer through one intp plane of its classes, both
-    reused across the batch. Only `keep` holds each element's weights, for
-    _self_attention_bwd."""
-    out, weights, bias = np.empty_like(q), [], None
-    if scales is not None:
-        plane = np.empty(batch.rel.shape[1:], dtype=np.intp)
-        bias = np.empty((len(scales),) + plane.shape, dtype=scales.dtype)
+    for bit the batched core on the whole batch with the mask as `allowed`:
+    numpy's stacked matmul runs one 2-D product per (b, h), and every other
+    step works per row. An element's bias is each head's table, its class
+    `scales` under B1 (zeros under B0), then -inf for BLOCKED, at the
+    element's classes. It goes into one reused (H, L, L) buffer ((1, L, L)
+    under B0, broadcast over the heads) through one reused intp plane of
+    the classes. For finite logits, adding -inf is masking, and adding
+    +0.0 can only turn a -0.0 logit into +0.0, which has the same weights.
+    Only `keep` holds each element's weights, for _self_attention_bwd."""
+    out, weights = np.empty_like(q), []
+    if scales is None:
+        scales = np.zeros((1, N_BIAS_CLASSES), dtype=q.dtype)
+    tables = np.concatenate([scales, np.full((len(scales), 1), -np.inf, scales.dtype)], axis=1)
+    plane = np.empty(batch.classes.shape[1:], dtype=np.intp)
+    bias = np.empty((len(tables),) + plane.shape, dtype=tables.dtype)
     for b in range(len(q)):
-        if bias is not None:
-            np.copyto(plane, batch.rel[b])
-            for h, head in enumerate(scales):
-                # class ids are below C by construction (collate), so "clip"
-                # moves none; it spares take the copy of its "raise" mode
-                np.take(head, plane, out=bias[h], mode="clip")
-        out[b], w = dense_forward(q[b], k[b], v[b], allowed=batch.allowed[b], bias=bias)
+        np.copyto(plane, batch.classes[b])
+        for h, table in enumerate(tables):
+            # classes are at most BLOCKED by construction (collate), so "clip"
+            # moves none; it spares take the copy of its "raise" mode
+            np.take(table, plane, out=bias[h], mode="clip")
+        out[b], w = dense_forward(q[b], k[b], v[b], bias=bias)
         if keep:
             weights.append(w)
         del w  # uncached, it would live through the next element's forward
@@ -500,28 +512,29 @@ def encoder_forward(params, cfg: ModelConfig, batch: Batch, keep_cache: bool):
     return out, cache
 
 
-def _bias_pairs(allowed: np.ndarray, rel: np.ndarray, n_heads: int) -> list:
-    """Per batch element, the flat places of its allowed pairs in the (L, L)
-    plane and their (head, class) bins, head-major: what _bias_scale_grad
-    reads in every layer, so a batch computes them once."""
-    heads = np.arange(n_heads)[:, None] * N_BIAS_CLASSES
+def _bias_pairs(classes: np.ndarray) -> list:
+    """Per batch element, the flat places of its allowed pairs (classes not
+    BLOCKED) in the (L, L) plane, as int32, and their classes, as int8:
+    what _bias_scale_grad reads in every layer, so a batch gathers them
+    once."""
     pairs = []
-    for allowed_b, rel_b in zip(allowed[:, 0], rel):
-        flat = np.flatnonzero(allowed_b)
-        pairs.append((flat, (heads + rel_b.ravel()[flat]).ravel()))
+    for classes_b in classes:
+        flat = np.flatnonzero(classes_b != BLOCKED).astype(np.int32)
+        pairs.append((flat, classes_b.ravel()[flat]))
     return pairs
 
 
 def _bias_scale_grad(grad: np.ndarray, ds: np.ndarray, pairs) -> None:
     """Add one batch element's class-scalar gradient into the float64 (H, C)
-    `grad`: one bincount of its (H, L, L) logit gradient over the (head,
-    class) bins of its allowed pairs (its _bias_pairs entry), in pair order.
-    Called in b order, this is the batch's sum. A masked pair's ds is
-    p * (...) with p exactly 0, and a bin starts at +0.0, so leaving those
-    pairs out changes no bit of a sum."""
-    flat, bins = pairs
+    `grad`: per head, one bincount of its (L, L) logit gradient at its
+    allowed pairs (its _bias_pairs entry) over their classes, in pair
+    order. Called in b order, this is the batch's sum. A masked pair's ds
+    is p * (...) with p exactly 0, and a bin starts at +0.0, so leaving
+    those pairs out changes no bit of a sum."""
+    flat, classes = pairs
     weights = ds.reshape(len(ds), -1).take(flat, axis=1).astype(np.float64)
-    grad += np.bincount(bins, weights=weights.ravel(), minlength=grad.size).reshape(grad.shape)
+    for h, head in enumerate(weights):
+        grad[h] += np.bincount(classes, weights=head, minlength=grad.shape[1])
 
 
 def encoder_backward(d_out, cache, params, cfg: ModelConfig, batch: Batch, grads):
@@ -532,7 +545,7 @@ def encoder_backward(d_out, cache, params, cfg: ModelConfig, batch: Batch, grads
     layers, c_final = cache
     pairs = None
     if cfg.factor.bias == "B1":
-        pairs = _bias_pairs(batch.allowed, batch.rel, cfg.n_heads)
+        pairs = _bias_pairs(batch.classes)
     dx = _ln_bwd(d_out, c_final, grads, "enc_ln.g", "enc_ln.b")
     for i in reversed(range(cfg.n_enc_layers)):
         c_ln1, c_attn, c_ln2, c_ffn = layers.pop()
@@ -554,14 +567,17 @@ def encoder_backward(d_out, cache, params, cfg: ModelConfig, batch: Batch, grads
 
 class DecodeCache:
     """State of incremental decoding for one batch: each decoder layer's
-    cross-attention K/V, projected once from the encoder states, and
+    cross-attention K/V, projected once from the encoder states and stored
+    head by head (C-contiguous (B, H, L, head_dim), which numpy's product
+    per (b, h) runs faster than _split_heads' strided view), and
     self-attention K/V buffers of shape (B, H, max_answer_len, head_dim)
     whose first `t` positions are filled."""
 
     def __init__(self, params, cfg: ModelConfig, enc_states: np.ndarray):
         b = enc_states.shape[0]
         shape = (b, cfg.n_heads, cfg.max_answer_len, cfg.head_dim)
-        self.cross = [_kv_fwd(params, f"dec{i}.cross", cfg, enc_states)
+        self.cross = [tuple(map(np.ascontiguousarray,
+                                _kv_fwd(params, f"dec{i}.cross", cfg, enc_states)))
                       for i in range(cfg.n_dec_layers)]
         self.self_k = [np.empty(shape, dtype=enc_states.dtype) for _ in range(cfg.n_dec_layers)]
         self.self_v = [np.empty(shape, dtype=enc_states.dtype) for _ in range(cfg.n_dec_layers)]
@@ -675,7 +691,7 @@ def encode(params, cfg: ModelConfig, ex: QAExample, vocab: Vocabulary | None = N
     """Final encoder states for one example, shape (L, d_model)."""
     vocab = vocab or default_vocab()
     prepared = prepare_example(ex, cfg, vocab)
-    batch = collate([prepared], vocab.pad, with_rel=cfg.factor.bias == "B1")
+    batch = collate([prepared], vocab.pad)
     states, _ = encoder_forward(params, cfg, batch, keep_cache=False)
     return states[0]
 
@@ -725,10 +741,10 @@ class TrainResult:
     final_loss: float
 
 
-def _batched(prepared: list[Prepared], order, batch_size: int, pad_id: int, with_rel: bool):
+def _batched(prepared: list[Prepared], order, batch_size: int, pad_id: int):
     for i in range(0, len(order), batch_size):
         chunk = [prepared[j] for j in order[i:i + batch_size]]
-        yield collate(chunk, pad_id, with_rel)
+        yield collate(chunk, pad_id)
 
 
 def predict_prepared(params, cfg: ModelConfig, prepared: list[Prepared],
@@ -738,10 +754,9 @@ def predict_prepared(params, cfg: ModelConfig, prepared: list[Prepared],
     if batch_size < 1:
         raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
     out: list[list[str]] = []
-    with_rel = cfg.factor.bias == "B1"
     for i in range(0, len(prepared), batch_size):
         chunk = prepared[i:i + batch_size]
-        batch = collate(chunk, vocab.pad, with_rel)
+        batch = collate(chunk, vocab.pad)
         enc_states, _ = encoder_forward(params, cfg, batch, keep_cache=False)
         cross_allowed = batch.enc_real[:, None, None, :]
         cache = DecodeCache(params, cfg, enc_states)
@@ -786,7 +801,6 @@ def train(examples: list[QAExample], cfg: ModelConfig, seed: int,
         raise ValidationError("empty training set")
     vocab = default_vocab()
     prepared = [prepare_example(ex, cfg, vocab) for ex in examples]
-    with_rel = cfg.factor.bias == "B1"
 
     split_rng = derive_rng(seed, "split", 0)
     order = split_rng.permutation(len(prepared))
@@ -815,7 +829,7 @@ def train(examples: list[QAExample], cfg: ModelConfig, seed: int,
 
     while step < cfg.steps and not stop:
         epoch_order = shuffle_rng.permutation(len(train_set))
-        for batch in _batched(train_set, epoch_order, cfg.batch_size, vocab.pad, with_rel):
+        for batch in _batched(train_set, epoch_order, cfg.batch_size, vocab.pad):
             loss, grads = loss_and_grads(params, cfg, batch, vocab.pad)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"loss became {loss} at step {step}")

@@ -2,18 +2,21 @@
 deliberately unvectorized, the signature gather over every pair, rectangles
 painted into an allow-matrix and planned from its rows, the dense attention
 core, the kernel's class-id bincount and the B1 bias gather and gradient in
-their plain out-of-place form, the model's encoder self-attention as the
-batched core on the whole batch, and the model's train-step primitives
-(embedding scatter-add, linear layers, LayerNorm, Adam) as plain formulas
-and loops."""
+their plain out-of-place form, the model's (L, L) encoder planes as it
+once held them (an allow-matrix and relation classes per example, padded
+per batch), the model's encoder self-attention as the batched core on the
+whole batch with its mask as `allowed`, and the model's train-step
+primitives (embedding scatter-add, linear layers, LayerNorm, Adam) as plain
+formulas and loops."""
 
 import numpy as np
 
 from tabenc.attention import dense_backward, dense_forward
 from tabenc.core import STRUCTURAL_MASKS, ValidationError
-from tabenc.linearize import EncodedInput, TokenRole
-from tabenc.mask import _HEADER, _SAME_COL, _SAME_ROW, Lines, _check_scheme
-from tabenc.model import _ADAM_B1, _ADAM_B2, _ADAM_EPS
+from tabenc.linearize import EncodedInput, TokenRole, encode_input
+from tabenc.mask import (_HEADER, _SAME_COL, _SAME_ROW, BLOCKED, Lines, _check_scheme,
+                         build_bias_map, build_mask)
+from tabenc.model import _ADAM_B1, _ADAM_B2, _ADAM_EPS, _OTHER_CLASS
 
 
 def _allowed_pair(enc: EncodedInput, scheme: str, i: int, j: int) -> bool:
@@ -194,11 +197,50 @@ def bias_scale_grad_ref(ds, rel, n_classes):
     return grad
 
 
+def encoding_planes(enc, scheme):
+    """An encoding's (L, L) planes as the model once prepared them: the
+    scheme's allow-matrix and the relation classes."""
+    return build_mask(enc, scheme).dense, build_bias_map(enc).rel
+
+
+def prepared_planes(ex, cfg, vocab):
+    """encoding_planes of an example, encoded as prepare_example encodes it."""
+    enc = encode_input(ex.query, ex.table, cfg.factor, vocab, max_len=cfg.context_len)
+    return encoding_planes(enc, cfg.factor.mask)
+
+
+def collated_planes(examples, cfg, vocab):
+    """The examples' planes padded as the model once collated them: a
+    (B, 1, L, L) allow-matrix whose pad rows keep only their diagonal, and
+    (B, L, L) relation classes that are the catch-all class at every pad
+    pair."""
+    planes = [prepared_planes(ex, cfg, vocab) for ex in examples]
+    B, L = len(planes), max(len(allowed) for allowed, _ in planes)
+    allowed = np.zeros((B, 1, L, L), dtype=bool)
+    allowed[:, 0, np.arange(L), np.arange(L)] = True  # pad rows stay softmax-safe
+    rel = np.full((B, L, L), _OTHER_CLASS, dtype=np.int8)
+    for i, (allowed_i, rel_i) in enumerate(planes):
+        n = len(allowed_i)
+        allowed[i, 0, :n, :n] = allowed_i
+        rel[i, :n, :n] = rel_i
+    return allowed, rel
+
+
+def batch_planes(batch):
+    """A batch's (B, 1, L, L) allow-matrix and (B, L, L) relation classes,
+    read back from its classes plane: allowed where the class is not
+    BLOCKED, with the catch-all class at masked pairs."""
+    allowed = batch.classes != BLOCKED
+    return allowed[:, None], np.where(allowed, batch.classes, np.int8(_OTHER_CLASS))
+
+
 def self_attention_ref(q, k, v, batch, scales, keep):
-    """model._self_attention as one batched core call: (B, H, L, L) logits
-    and, under B1, the gathered (B, H, L, L) bias."""
-    bias = None if scales is None else gather_bias_ref(scales, batch.rel)
-    out, weights = dense_forward(q, k, v, allowed=batch.allowed, bias=bias)
+    """model._self_attention as one batched core call that masks with
+    `allowed` (the core's copyto(where=) pass): (B, H, L, L) logits and,
+    under B1, the gathered (B, H, L, L) bias."""
+    allowed, rel = batch_planes(batch)
+    bias = None if scales is None else gather_bias_ref(scales, rel)
+    out, weights = dense_forward(q, k, v, allowed=allowed, bias=bias)
     return out, weights if keep else None
 
 
@@ -207,7 +249,8 @@ def self_attention_bwd_ref(q, k, v, d_out, weights, batch, pairs, scales_grad):
     class-scalar gradient from bias_scale_grad_ref."""
     dq, dk, dv, ds = dense_backward(q, k, v, d_out, weights)
     if pairs is not None:
-        scales_grad += bias_scale_grad_ref(ds, batch.rel, scales_grad.shape[1]).astype(scales_grad.dtype)
+        rel = batch_planes(batch)[1]
+        scales_grad += bias_scale_grad_ref(ds, rel, scales_grad.shape[1]).astype(scales_grad.dtype)
     return dq, dk, dv
 
 

@@ -172,6 +172,27 @@ def test_dense_core_stays_out_of_place_where_a_result_would_grow(rng):
         assert_core_matches_formulas(q, k, v, d_out, allowed, bias, scale)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_minus_inf_bias_is_the_mask(rng, dtype):
+    """A bias that is -inf at masked pairs gives the weights and output of
+    allowed=False there, bit for bit, for finite logits: with a finite bias
+    elsewhere, and with +0.0 elsewhere, which turns -0.0 logits into +0.0
+    (seeded by zero query rows under a negative scale)."""
+    H, L, d, scale = 3, 9, 4, -0.5
+    q, k, v = (rng.standard_normal((H, L, d)).astype(dtype) for _ in range(3))
+    q[:, ::3] = 0.0
+    allowed = (rng.random((L, L)) < 0.5) | np.eye(L, dtype=bool)
+    logits = logits_ref(q, k, None, None, scale)
+    assert (np.signbit(logits) & (logits == 0) & allowed).any()
+    for bias in (None, rng.standard_normal((H, L, L)).astype(dtype)):
+        out, weights = dense_forward(q, k, v, allowed=allowed, bias=bias, scale=scale)
+        finite = np.zeros((1, L, L), dtype=dtype) if bias is None else bias
+        folded = np.where(allowed, finite, dtype(-np.inf))
+        got_out, got_weights = dense_forward(q, k, v, bias=folded, scale=scale)
+        assert_same_bits(got_weights, weights)
+        assert_same_bits(got_out, out)
+
+
 # ---------------------------------------------------------------------------
 # backward: finite differences (float64)
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from tabenc.core import Table, TabencError, ValidationError, derive_rng
 from tabenc.linearize import HEADER_ROW, TokenRole, linearize
 from tabenc.mask import (
     BIAS_CLASSES,
+    BLOCKED,
     N_BIAS_CLASSES,
     Plan,
     build_bias_map,
@@ -17,6 +18,7 @@ from tabenc.mask import (
     export_blocks,
     export_blocks_from_dense,
     read_blocks_file,
+    signature_classes,
     sparsity,
     write_blocks_file,
 )
@@ -24,8 +26,8 @@ from tabenc.attention import make_bench_encoding, plan_blocks
 from tabenc.cli import main
 
 from conftest import complete_plan, make_table, random_question, same_plan
-from oracles import (block_area, blocks_cover, buckets, build_mask_bruteforce, gather_pairs_ref,
-                     matrix_lines, plan_of_rectangles)
+from oracles import (block_area, blocks_cover, buckets, build_mask_bruteforce, encoding_planes,
+                     gather_pairs_ref, matrix_lines, plan_of_rectangles)
 
 ALL_SCHEMES = ("M0", "M1", "M2", "M3", "M4", "M5", "M6")
 STRUCTURAL = ("M4", "M5", "M6")
@@ -112,6 +114,33 @@ def test_pair_maps_match_the_pair_gather_on_random_tables(rng, tokens):
             local = mask_module._MASK_LOCAL.get(name, mask_module._RELATION_LOCAL)
             got = mask_module._gather_pairs(*lay, table, local)
             assert np.array_equal(got, gather_pairs_ref(*lay, table)), name
+
+
+def assert_signature_classes(enc, tokens):
+    """signature_classes is where(allow-matrix, relation classes, BLOCKED),
+    0 on the diagonal, at every legal scheme, and caches nothing on the mask."""
+    for scheme in (m for t, m in legal_pairs() if t == tokens):
+        m = build_mask(enc, scheme)
+        dense, rel = encoding_planes(enc, scheme)
+        want = np.where(dense, rel, np.int8(BLOCKED))
+        assert (want.diagonal() == 0).all()
+        got = signature_classes(m)
+        assert got.dtype == np.int8 and got.tobytes() == want.tobytes(), scheme
+        assert not {"dense", "blocks", "parts"} & set(vars(m))
+
+
+@pytest.mark.parametrize("layout,tokens", [c for c in pair_map_cases() if c[0] != "long table"])
+def test_signature_classes_fold_the_mask_into_the_relation_classes(layout, tokens):
+    assert_signature_classes(PAIR_MAP_LAYOUTS[layout](tokens), tokens)
+
+
+@pytest.mark.parametrize("tokens", ["T0", "T1", "T2"])
+def test_signature_classes_on_random_tables(rng, tokens):
+    for i in range(10):
+        t = make_table(rng, value_max=9 if i % 2 else 99999)
+        if i % 3 == 0:  # multi-piece headers
+            t = Table(tuple(f"{h} {int(rng.integers(0, 999))}" for h in t.headers), t.rows)
+        assert_signature_classes(linearize(random_question(rng, t), t, tokens), tokens)
 
 
 # ---------------------------------------------------------------------------

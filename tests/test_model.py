@@ -29,7 +29,7 @@ from tabenc.model import (
     tokens_to_values,
     train,
 )
-from tabenc.mask import N_BIAS_CLASSES
+from tabenc.mask import BLOCKED, N_BIAS_CLASSES, AttentionMask
 from tabenc import model
 from tabenc.model import (
     Adam,
@@ -46,11 +46,13 @@ from tabenc.model import (
 from oracles import (
     adam_step_ref,
     bias_scale_grad_ref,
+    collated_planes,
     gather_bias_ref,
     linear_bwd_ref,
     linear_fwd_ref,
     ln_bwd_ref,
     ln_fwd_ref,
+    prepared_planes,
     scatter_add_ref,
     self_attention_bwd_ref,
     self_attention_ref,
@@ -124,8 +126,10 @@ def test_prepare_example_shapes():
     ex = small_examples(1)[0]
     prep = prepare_example(ex, cfg, vocab)
     L = len(prep.ids)
-    assert prep.allowed.shape == (L, L)
-    assert prep.rel.shape == (L, L)
+    allowed, rel = prepared_planes(ex, cfg, vocab)
+    assert prep.mask.length == L
+    assert allowed.shape == (L, L)
+    assert rel.shape == (L, L)
     assert prep.dec_in[0] == vocab.bos
     assert prep.target[-1] == vocab.eos
     assert len(prep.dec_in) == len(prep.target)
@@ -153,6 +157,7 @@ def test_collate_padding():
     examples = small_examples(3)
     items = [prepare_example(ex, cfg, vocab) for ex in examples]
     batch = collate(items, vocab.pad, with_rel=True)
+    allowed, rel = collated_planes(examples, cfg, vocab)
     B, L = batch.ids.shape
     assert B == 3 and L == max(len(it.ids) for it in items)
     for i, it in enumerate(items):
@@ -161,10 +166,55 @@ def test_collate_padding():
         assert batch.enc_real[i, :n].all() and not batch.enc_real[i, n:].any()
         # pad rows keep their diagonal so softmax stays defined
         if n < L:
-            assert batch.allowed[i, 0, n:, n:].diagonal().all()
-            assert (batch.rel[i, n:, :] == batch.rel[i, n:, n:].max()).all()
+            assert allowed[i, 0, n:, n:].diagonal().all()
+            assert (rel[i, n:, :] == rel[i, n:, n:].max()).all()
     assert batch.causal.shape[0] == batch.dec_in.shape[1]
     assert np.array_equal(batch.causal, np.tril(batch.causal))
+
+
+COLLATE_CASES = [
+    FactorConfig(tokens="T0", mask="M1", pe="TPE", bias="B0", emb="E0"),
+    FactorConfig(tokens="T1", mask="M2", pe="TPE", bias="B1", emb="E0"),
+    FactorConfig(tokens="T2", mask="M5", pe="CPE", bias="B1", emb="E1"),
+    FactorConfig(tokens="T2", mask="M6", pe="CPE", bias="B0", emb="E1"),
+    FactorConfig(tokens="T0", mask="M0", pe="TPE", bias="B1", emb="E0"),
+]
+
+
+@pytest.mark.parametrize("factor", COLLATE_CASES, ids=lambda f: f"{f.tokens}-{f.mask}-{f.bias}")
+def test_collate_classes_are_the_parent_planes(factor):
+    """collate's one int8 plane is the allow-matrix and the relation classes
+    as the model once collated them, folded: the class where allowed (pad
+    diagonal included), BLOCKED elsewhere (the other pad pairs included),
+    under B0 as under B1."""
+    cfg = tiny_cfg(factor=factor)
+    vocab = default_vocab()
+    examples = small_examples(4, seed=13)
+    items = [prepare_example(ex, cfg, vocab) for ex in examples]
+    assert len({len(it.ids) for it in items}) > 1  # some elements are padded
+    allowed, rel = collated_planes(examples, cfg, vocab)
+    for with_rel in (True, False):
+        batch = collate(items, vocab.pad, with_rel)
+        assert batch.classes.dtype == np.int8
+        assert np.array_equal(batch.classes, np.where(allowed[:, 0], rel, np.int8(BLOCKED)))
+
+
+def test_prepared_holds_no_array_larger_than_its_length():
+    """A Prepared example keeps its mask as the layout: every array it
+    holds, its mask's included, is 1-D and at most L long, and collating
+    it caches no (L, L) array on the mask."""
+    cfg = tiny_cfg(factor=FactorConfig(tokens="T2", mask="M5", pe="CPE", bias="B1", emb="E1"))
+    vocab = default_vocab()
+    examples = small_examples(3, seed=13)
+    items = [prepare_example(ex, cfg, vocab) for ex in examples]
+    collate(items, vocab.pad, with_rel=True)
+    for it in items:
+        L = len(it.ids)
+        assert isinstance(it.mask, AttentionMask) and it.mask.length == L
+        held = [*vars(it).values(), *vars(it.mask).values()]
+        arrays = [x for x in held if isinstance(x, np.ndarray)]
+        assert len(arrays) == 10
+        assert all(a.ndim == 1 and a.size <= L for a in arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +282,15 @@ def test_masked_pairs_get_zero_attention_gradient(monkeypatch):
     factor = FactorConfig(tokens="T2", mask="M6", bias="B1", emb="E1")
     cfg = tiny_cfg(factor=factor)
     vocab = default_vocab()
-    items = [prepare_example(ex, cfg, vocab) for ex in small_examples(2, seed=8)]
+    examples = small_examples(2, seed=8)
+    items = [prepare_example(ex, cfg, vocab) for ex in examples]
     batch = collate(items, vocab.pad, with_rel=True)
+    allowed, _ = collated_planes(examples, cfg, vocab)
     params = init_params(cfg, vocab.size, derive_rng(9, "init", 0))
     captured = encoder_logit_grads(monkeypatch, params, cfg, batch, vocab.pad)
     assert len(captured) == cfg.n_enc_layers
     for ds in captured:
-        blocked = ~np.broadcast_to(batch.allowed, ds.shape)
+        blocked = ~np.broadcast_to(allowed, ds.shape)
         assert (ds[blocked] == 0.0).all()
 
 
@@ -247,6 +299,11 @@ def b1_batch(n=3, **kw):
     vocab = default_vocab()
     items = [prepare_example(ex, cfg, vocab) for ex in small_examples(n, seed=8)]
     return cfg, collate(items, vocab.pad, with_rel=True)
+
+
+def b1_planes(cfg, n=3):
+    """b1_batch's planes as the model once collated them (collated_planes)."""
+    return collated_planes(small_examples(n, seed=8), cfg, default_vocab())
 
 
 def test_attention_state_is_freed_once_its_reader_has_run(monkeypatch):
@@ -307,13 +364,15 @@ def test_attention_state_is_freed_once_its_reader_has_run(monkeypatch):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gather_bias_is_the_class_gather_made_contiguous(monkeypatch, dtype):
     """The B1 bias each batch element's dense_forward gets is a C-contiguous
-    (H, L, L) array, bytewise that element's slice of the class gather."""
+    (H, L, L) array, bytewise that element's slice of the class gather,
+    with -inf at its masked pairs."""
     cfg, batch = b1_batch(n_enc_layers=2)
+    allowed, rel = b1_planes(cfg)
     vocab = default_vocab()
     rng = derive_rng(3, "scales", 0)
     params = {k: (rng.standard_normal(v.shape) if k.endswith("bias_scales") else v).astype(dtype)
               for k, v in init_params(cfg, vocab.size, derive_rng(9, "init", 0)).items()}
-    scales0, rel0 = {k: v.copy() for k, v in params.items()}, batch.rel.copy()
+    scales0, classes0 = {k: v.copy() for k, v in params.items()}, batch.classes.copy()
     forward, got = model.dense_forward, []
 
     def dense_forward(*args, **kwargs):
@@ -326,11 +385,12 @@ def test_gather_bias_is_the_class_gather_made_contiguous(monkeypatch, dtype):
     B = len(batch.ids)
     assert len(got) == cfg.n_enc_layers * B
     for j, (contiguous, dt, shape, data) in enumerate(got):
-        want = gather_bias_ref(params[f"enc{j // B}.bias_scales"], batch.rel)[j % B]
+        gathered = gather_bias_ref(params[f"enc{j // B}.bias_scales"], rel)
+        want = np.where(allowed, gathered, -np.inf)[j % B]
         assert contiguous and dt == want.dtype and shape == want.shape
         assert data == want.tobytes()
     assert all(np.array_equal(params[k], v) for k, v in scales0.items())
-    assert np.array_equal(batch.rel, rel0)
+    assert np.array_equal(batch.classes, classes0)
 
 
 @pytest.mark.parametrize("bias", ["B0", "B1"])
@@ -344,14 +404,15 @@ def test_uncached_encoder_forward_holds_one_element_of_attention(bias):
     vocab = default_vocab()
     rng = derive_rng(41, "memory", 0)
     params = init_params(cfg, vocab.size, rng)
-    allowed = rng.random((B, 1, L, L)) < 0.5
-    allowed[:, 0, np.arange(L), np.arange(L)] = True
-    rel = rng.integers(0, N_BIAS_CLASSES, (B, L, L)).astype(np.int8) if bias == "B1" else None
+    allowed = rng.random((B, L, L)) < 0.5
+    allowed[:, np.arange(L), np.arange(L)] = True
+    rel = rng.integers(0, N_BIAS_CLASSES, (B, L, L)).astype(np.int8)
+    classes = np.where(allowed, rel, np.int8(BLOCKED))
     zeros = np.zeros((B, L), dtype=np.int32)
     ids = rng.integers(0, vocab.size, (B, L)).astype(np.int32)
     pos = np.broadcast_to(np.arange(L, dtype=np.int32), (B, L)).copy()
     dec = np.zeros((B, 1), dtype=np.int32)
-    batch = Batch(ids, pos, zeros, zeros, zeros, allowed, rel, np.ones((B, L), dtype=bool),
+    batch = Batch(ids, pos, zeros, zeros, zeros, classes, np.ones((B, L), dtype=bool),
                   dec, dec, np.ones((1, 1), dtype=bool))
     tracemalloc.start()
     try:
@@ -426,6 +487,7 @@ def test_bias_scale_grad_is_the_per_head_bincount_loop(monkeypatch):
     a real backward, and a random one that is -0.0 at some masked pairs and
     spans enough binades that float64 sums round, so their order shows."""
     cfg, batch = b1_batch()
+    allowed, rel = b1_planes(cfg)
     vocab = default_vocab()
     params = init_params(cfg, vocab.size, derive_rng(9, "init", 0))
     params = {k: (derive_rng(4, "b1", 0).standard_normal(v.shape).astype(v.dtype)
@@ -434,14 +496,14 @@ def test_bias_scale_grad_is_the_per_head_bincount_loop(monkeypatch):
     rng = derive_rng(5, "ds", 0)
     shape = captured[0].shape
     wide = rng.standard_normal(shape) * np.exp2(rng.integers(-60, 60, shape))
-    captured.append(wide.astype(np.float32) * batch.allowed)
-    assert np.signbit(captured[-1][~np.broadcast_to(batch.allowed, captured[-1].shape)]).any()
-    pairs = _bias_pairs(batch.allowed, batch.rel, cfg.n_heads)
+    captured.append(wide.astype(np.float32) * allowed)
+    assert np.signbit(captured[-1][~np.broadcast_to(allowed, captured[-1].shape)]).any()
+    pairs = _bias_pairs(batch.classes)
     for ds in captured:
         got = np.zeros((cfg.n_heads, N_BIAS_CLASSES), dtype=np.float64)
         for ds_b, pairs_b in zip(ds, pairs):
             _bias_scale_grad(got, ds_b, pairs_b)
-        want = bias_scale_grad_ref(ds, batch.rel, N_BIAS_CLASSES)
+        want = bias_scale_grad_ref(ds, rel, N_BIAS_CLASSES)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
