@@ -115,8 +115,15 @@ def _print_json(obj) -> None:
 
 
 def _load_table(path: str) -> Table:
+    """The table of a JSON table file; one that is not a table raises
+    ValidationError naming it (open_text reports bytes that are not UTF-8)."""
     with open_text(path) as fh:
-        return Table.from_json(json.load(fh))
+        try:
+            return Table.from_json(json.load(fh))
+        except UnicodeDecodeError:
+            raise
+        except (ValueError, TypeError, ValidationError) as exc:
+            raise ValidationError(f"{path}: not a table: {exc}") from None
 
 
 def _factor(args) -> FactorConfig:
@@ -220,6 +227,9 @@ def _cmd_score(args) -> int:
     preds = _read_predictions(args.pred)
     if not golds:
         raise ValidationError(f"{args.data}: no examples")
+    if len(preds) != len(golds):
+        raise ValidationError(f"{args.pred}: {len(preds)} predictions vs "
+                              f"{len(golds)} references in {args.data}")
     da = denotation_accuracy(preds, golds, set_semantics=args.set_semantics)
     _print_json({"n": len(golds), "da": round(da, 6)})
     return 0

@@ -96,6 +96,8 @@ class Table:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Table":
+        if not (isinstance(obj, dict) and all(isinstance(obj.get(key), list) for key in ("header", "rows"))):
+            raise ValidationError("a table is a JSON object with 'header' and 'rows' lists")
         return cls(tuple(obj["header"]), tuple(tuple(r) for r in obj["rows"]))
 
 
@@ -311,6 +313,7 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, QAExample]]:
             if not line:
                 continue
             try:
-                yield line_no, QAExample.from_json(json.loads(line))
-            except (KeyError, ValueError, TypeError) as exc:
+                example = QAExample.from_json(json.loads(line))
+            except (KeyError, ValueError, TypeError, ValidationError) as exc:
                 raise ValidationError(f"{path}:{line_no}: bad example line: {exc}") from exc
+            yield line_no, example

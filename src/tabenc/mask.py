@@ -18,16 +18,17 @@ self-only. M4..M6 require T2 inputs.
 Every mask rule and bias relation class sees a token pair only through its
 signature (same_row, same_col, category i, category j); the categories are the
 TokenRoles plus header-row content. The rules are evaluated once, at import,
-at all 2 x 2 x 8 x 8 signatures. build_bias_map builds its L x L map from
-those tables and the layout (_gather_pairs): each token's row is copied from
-a pattern of its category and column, and only the pairs that share a row
-are then rewritten; it then sets the diagonal. The map keeps its layout,
-so the kernel can sum the gradient of a mask's square lines per class from
-the layout (BiasRelationMap.column_class_sums) when the map and the mask
-share it. signature_classes gathers a mask's pairs the same way through one
-table that folds the scheme's rule into the relation classes: a pair the
-mask blocks gets the extra class BLOCKED. That is the model's one (L, L)
-plane per encoder element.
+at all 2 x 2 x 8 x 8 signatures. signature_classes gathers a mask's L x L
+classes from the layout (_gather_pairs) through one table that folds the
+scheme's rule into the relation classes: a pair the mask blocks gets the
+extra class BLOCKED. Each token's row is copied from a pattern of its
+category and column, only the pairs that share a row are then rewritten, and
+the diagonal is set. That is the model's one (L, L) plane per encoder
+element. The relation map (BiasRelationMap) is the M0 mask of its layout,
+which blocks no pair, so its signature classes are the relation classes; it
+gathers them only when its `rel` is read. As it keeps the layout, the kernel
+can sum the gradient of a mask's square lines per class from the layout
+(BiasRelationMap.column_class_sums) when the map and the mask share it.
 
 A mask is a view of the layout: the scheme plus each token's row, column and
 category (AttentionMask). Its parts are planned once, straight from that
@@ -41,8 +42,9 @@ a row by their logsumexp; a row may thus sit in two lines. The rectangle
 tiling of block files (AttentionMask.blocks) is cut from the complete lines,
 joined from the parts a chunk of lines at a time (_complete_lines), and
 sparsity() counts the parts' pairs. The L x L matrix (AttentionMask.dense)
-is built like the relation map, and only when a caller reads it. Other
-rectangles, such as a block file's, are planned as lines too (plan_blocks).
+is gathered like the classes, through the scheme's boolean table, and only
+when a caller reads it. Other rectangles, such as a block file's, are
+planned as lines too (plan_blocks).
 """
 
 from __future__ import annotations
@@ -98,8 +100,7 @@ class AttentionMask:
         """The boolean allow-matrix; dense[i, j] is True when query i may attend
         key j. Built from the layout as the relation map is (_gather_pairs),
         with the diagonal set."""
-        allowed = _gather_pairs(self.row, self.col, self.cat, _MASK_TABLES[self.scheme],
-                                _MASK_LOCAL[self.scheme])
+        allowed = _gather_pairs(self.row, self.col, self.cat, _MASK_TABLES[self.scheme])
         np.fill_diagonal(allowed, True)
         return allowed
 
@@ -424,21 +425,21 @@ BLOCKED = N_BIAS_CLASSES  # signature_classes' class of a pair the mask blocks
 
 
 @dataclass(frozen=True, eq=False)
-class BiasRelationMap:
-    """Per-pair relation class ids (L x L int8), indices into BIAS_CLASSES,
-    and the table layout they were built from: each token's row, column and
-    signature category, as an AttentionMask holds them. Maps compare and
-    hash by identity, as masks do: their fields are arrays."""
+class BiasRelationMap(AttentionMask):
+    """The relation classes of a layout's pairs: its M0 mask, which blocks no
+    pair, so that its signature classes are the BIAS_CLASSES indices. The
+    L x L int8 `rel` is gathered from the layout (signature_classes) when
+    it is first read. Maps compare and hash by identity, as masks do."""
 
-    length: int
-    rel: np.ndarray
-    row: np.ndarray
-    col: np.ndarray
-    cat: np.ndarray
+    n_classes = N_BIAS_CLASSES
 
-    @property
-    def n_classes(self) -> int:
-        return N_BIAS_CLASSES
+    def __post_init__(self):
+        if self.scheme != "M0":
+            raise ValidationError(f"a relation map is the M0 mask of its layout, got {self.scheme}")
+
+    @functools.cached_property
+    def rel(self) -> np.ndarray:
+        return signature_classes(self)
 
     def same_layout(self, mask: AttentionMask) -> bool:
         """Whether `mask` is over the map's layout (an O(L) compare)."""
@@ -484,10 +485,8 @@ class BiasRelationMap:
 
 
 def build_bias_map(enc: EncodedInput) -> BiasRelationMap:
-    layout = _layout(enc)
-    rel = _gather_pairs(*layout, _RELATION_TABLE, _RELATION_LOCAL)
-    np.fill_diagonal(rel, 0)  # "self"
-    return BiasRelationMap(len(enc), rel, *layout)
+    """The relation map of enc's layout, in O(L): see BiasRelationMap."""
+    return BiasRelationMap("M0", *_layout(enc))
 
 
 def signature_classes(mask: AttentionMask) -> np.ndarray:
@@ -497,8 +496,7 @@ def signature_classes(mask: AttentionMask) -> np.ndarray:
     rel, BLOCKED). Gathered from the layout (_gather_pairs) at each call
     through one table that folds the scheme's rule into the relation
     classes; nothing is cached on the mask."""
-    classes = _gather_pairs(mask.row, mask.col, mask.cat, _CLASS_TABLES[mask.scheme],
-                            _CLASS_LOCAL[mask.scheme])
+    classes = _gather_pairs(mask.row, mask.col, mask.cat, _CLASS_TABLES[mask.scheme])
     np.fill_diagonal(classes, 0)  # "self"
     return classes
 
@@ -565,12 +563,9 @@ def _local_categories(table: np.ndarray) -> np.ndarray:
 
 
 _MASK_TABLES, _RELATION_TABLE = _signature_tables()
-_MASK_LOCAL = {scheme: _local_categories(t) for scheme, t in _MASK_TABLES.items()}
-_RELATION_LOCAL = _local_categories(_RELATION_TABLE)
 # each scheme's relation class where it allows a signature, BLOCKED elsewhere
 _CLASS_TABLES = {scheme: np.where(t, _RELATION_TABLE, np.int8(BLOCKED))
                  for scheme, t in _MASK_TABLES.items()}
-_CLASS_LOCAL = {scheme: _local_categories(t) for scheme, t in _CLASS_TABLES.items()}
 # pairs per block of _row_blocks; a block holds about 11 bytes per pair (its
 # uint8 signatures, np.take's intp copy of them, and the values)
 _CHUNK_PAIRS = 1 << 18
@@ -579,10 +574,9 @@ _CHUNK_PAIRS = 1 << 18
 _CHUNK_RUNS = 1 << 14
 
 
-def _gather_pairs(rows, cols, cat, table: np.ndarray, local: np.ndarray) -> np.ndarray:
+def _gather_pairs(rows, cols, cat, table: np.ndarray) -> np.ndarray:
     """L x L array whose [i, j] is table[same_row, same_col, cat[i], cat[j]],
-    for non-negative rows and columns (an encoding's); `local` is the table's
-    _local_categories.
+    for non-negative rows and columns (an encoding's).
 
     Built from the layout, not pair by pair. Against the keys outside its
     own row, a token's entries depend only on its category and its column:
@@ -595,7 +589,7 @@ def _gather_pairs(rows, cols, cat, table: np.ndarray, local: np.ndarray) -> np.n
     x L bytes; an encoding has at most MAX_COLUMNS columns) and one block.
     """
     n, width = _HEADER + 1, int(cols.max(initial=0)) + 1
-    members = np.flatnonzero(local[cat])
+    members = np.flatnonzero(_local_categories(table)[cat])
     patterns = np.repeat(np.take(table[0, 0], cat, axis=1)[:, None], width, axis=1)
     patterns[:, cols[members], members] = np.take(table[0, 1], cat[members], axis=1)
     out = np.take(patterns.reshape(n * width, -1), cat.astype(np.intp) * width + cols, axis=0)

@@ -442,23 +442,20 @@ def _self_attention(q, k, v, batch: Batch, scales, keep: bool):
     numpy's stacked matmul runs one 2-D product per (b, h), and every other
     step works per row. An element's bias is each head's table, its class
     `scales` under B1 (zeros under B0), then -inf for BLOCKED, at the
-    element's classes. It goes into one reused (H, L, L) buffer ((1, L, L)
-    under B0, broadcast over the heads) through one reused intp plane of
-    the classes. For finite logits, adding -inf is masking, and adding
-    +0.0 can only turn a -0.0 logit into +0.0, which has the same weights.
-    Only `keep` holds each element's weights, for _self_attention_bwd."""
+    element's classes. It is gathered for every head at once into one
+    reused (H, L, L) buffer ((1, L, L) under B0, broadcast over the heads).
+    For finite logits, adding -inf is masking, and adding +0.0 can only
+    turn a -0.0 logit into +0.0, which has the same weights. Only `keep`
+    holds each element's weights, for _self_attention_bwd."""
     out, weights = np.empty_like(q), []
     if scales is None:
         scales = np.zeros((1, N_BIAS_CLASSES), dtype=q.dtype)
     tables = np.concatenate([scales, np.full((len(scales), 1), -np.inf, scales.dtype)], axis=1)
-    plane = np.empty(batch.classes.shape[1:], dtype=np.intp)
-    bias = np.empty((len(tables),) + plane.shape, dtype=tables.dtype)
+    bias = np.empty((len(tables),) + batch.classes.shape[1:], dtype=tables.dtype)
     for b in range(len(q)):
-        np.copyto(plane, batch.classes[b])
-        for h, table in enumerate(tables):
-            # classes are at most BLOCKED by construction (collate), so "clip"
-            # moves none; it spares take the copy of its "raise" mode
-            np.take(table, plane, out=bias[h], mode="clip")
+        # classes are at most BLOCKED by construction (collate), so "clip"
+        # moves none; it spares take the copy of its "raise" mode
+        np.take(tables, batch.classes[b], axis=1, out=bias, mode="clip")
         out[b], w = dense_forward(q[b], k[b], v[b], bias=bias)
         if keep:
             weights.append(w)

@@ -641,7 +641,7 @@ def test_class_ids_summed_unless_the_map_is_of_the_mask(rng, monkeypatch):
     inp = AttentionInput(q, k, v, m, (rng.standard_normal(rel.n_classes) * 0.5)[rel.rel])
     cat = m.cat.copy()
     cat[cat == _HEADER] = m.cat[np.flatnonzero(m.cat != _HEADER)[0]]
-    foreign = BiasRelationMap(L, rel.rel, rel.row, rel.col, cat)
+    foreign = BiasRelationMap("M0", rel.row, rel.col, cat)
     assert rel.same_layout(m) and not foreign.same_layout(m)
     sums, calls = BiasRelationMap.column_class_sums, []
 

@@ -14,7 +14,7 @@ import pytest
 import tabenc
 from tabenc import cli
 from tabenc.cli import main
-from tabenc.core import QAExample, Table, ValidationError, write_jsonl
+from tabenc.core import QAExample, Table, ValidationError, derive_rng, write_jsonl
 from tabenc.linearize import linearize
 from tabenc.mask import read_blocks_file
 
@@ -151,8 +151,9 @@ def test_score_count_mismatch_exits_2(tmp_path, capsys):
     run(capsys, "gen", "--n", "5", "--seed", "4", "--out", str(data))
     pred = tmp_path / "p.jsonl"
     pred.write_text('["1"]\n')
-    code, _, _ = run(capsys, "score", "--data", str(data), "--pred", str(pred))
+    code, _, err = run(capsys, "score", "--data", str(data), "--pred", str(pred))
     assert code == 2
+    assert f"{pred}: 1 predictions vs 5 references in {data}" in err
 
 
 def test_score_non_json_line_exits_2(tmp_path, capsys):
@@ -197,6 +198,87 @@ def test_non_utf8_input_names_the_file_and_line(tmp_path, capsys, reader):
         code, _, message = run(capsys, *argv)
         assert code == 2
     assert f"{bad}:2: not UTF-8 text" in message
+
+
+TABLE_COMMANDS = {
+    "exec": ("--query", "select c1"),
+    "dump-encoding": ("--question", "select c1"),
+    "mask": ("--question", "select c1"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TABLE_COMMANDS))
+@pytest.mark.parametrize("text", [
+    pytest.param('{"rows": [["1"]]}', id="no-header"),
+    pytest.param('{"header": ["c1"]}', id="no-rows"),
+    pytest.param('[["c1"], ["1"]]', id="not-an-object"),
+    pytest.param('{"header": "c1", "rows": [["1"]]}', id="header-not-a-list"),
+    pytest.param('{"header": ["c1"], "rows": 1}', id="rows-not-a-list"),
+    pytest.param('{"header": ["c1"], "rows": [1]}', id="row-not-a-list"),
+    pytest.param('{"header": ["c1"], "rows": [["1"]', id="truncated"),
+    pytest.param('{"header": ["c1"], "rows": [["1", "2"]]}', id="ragged"),
+    pytest.param('{"header": ["c1"], "rows": [[""]]}', id="empty-cell"),
+])
+def test_malformed_table_file_names_the_file(tmp_path, capsys, command, text):
+    path = tmp_path / "t.json"
+    path.write_text(text)
+    code, _, err = run(capsys, command, "--table", str(path), *TABLE_COMMANDS[command])
+    assert code == 2
+    assert f"tabenc: error: {path}: " in err
+
+
+def test_ragged_table_in_data_names_the_file_and_line(tmp_path, capsys):
+    data = tmp_path / "d.jsonl"
+    run(capsys, "gen", "--n", "3", "--seed", "4", "--out", str(data))
+    lines = data.read_text().splitlines()
+    example = json.loads(lines[1])
+    example["table"]["rows"][0].append("7")
+    lines[1] = json.dumps(example)
+    data.write_text("\n".join(lines) + "\n")
+    pred = tmp_path / "p.jsonl"
+    pred.write_text('["1"]\n["2"]\n["3"]\n')
+    code, _, err = run(capsys, "score", "--data", str(data), "--pred", str(pred))
+    assert code == 2
+    assert f"{data}:2: bad example line: row 0 has" in err
+
+
+def _mutants(text: bytes, rng, n: int):
+    """n seeded mutants of `text`: truncations, byte flips, and deleted or
+    duplicated spans, in turn."""
+    for i in range(n):
+        a, b = sorted(int(x) for x in rng.integers(0, len(text) + 1, size=2))
+        kind = i % 4
+        if kind == 0:
+            yield text[:a]
+        elif kind == 1:
+            at = min(a, len(text) - 1)
+            yield text[:at] + bytes([text[at] ^ int(rng.integers(1, 256))]) + text[at + 1:]
+        elif kind == 2:
+            yield text[:a] + text[b:]
+        else:
+            yield text[:b] + text[a:b] + text[b:]
+
+
+@pytest.mark.parametrize("reader", ["table", "data"])
+def test_mutated_inputs_exit_0_or_2_naming_the_file(tmp_path, capsys, reader):
+    # a damaged table file or data file is either still readable or an
+    # exit 2 whose message names it; never an exit 3
+    data = tmp_path / "d.jsonl"
+    run(capsys, "gen", "--n", "3", "--seed", "4", "--rows", "2", "--cols", "2", "--out", str(data))
+    pred = tmp_path / "p.jsonl"
+    pred.write_text('["1"]\n["2"]\n["3"]\n')
+    text = data.read_bytes() if reader == "data" else write_table(tmp_path).read_bytes()
+    bad = tmp_path / f"bad-{reader}"
+    argv = (("score", "--data", str(bad), "--pred", str(pred)) if reader == "data" else
+            ("dump-encoding", "--table", str(bad), "--question", "select c1", "--json"))
+    codes = []
+    for mutant in _mutants(text, derive_rng(7, f"tests-mutants-{reader}"), 160):
+        bad.write_bytes(mutant)
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 2), (mutant, err)
+        assert code == 0 or str(bad) in err, (mutant, err)
+        codes.append(code)
+    assert codes.count(2) > len(codes) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from tabenc.mask import (
     BIAS_CLASSES,
     BLOCKED,
     N_BIAS_CLASSES,
+    BiasRelationMap,
     Plan,
     build_bias_map,
     build_mask,
@@ -111,8 +112,7 @@ def test_pair_maps_match_the_pair_gather_on_random_tables(rng, tokens):
             t = Table(tuple(f"{h} {int(rng.integers(0, 999))}" for h in t.headers), t.rows)
         lay = mask_module._layout(linearize(random_question(rng, t), t, tokens))
         for name, table in tables.items():
-            local = mask_module._MASK_LOCAL.get(name, mask_module._RELATION_LOCAL)
-            got = mask_module._gather_pairs(*lay, table, local)
+            got = mask_module._gather_pairs(*lay, table)
             assert np.array_equal(got, gather_pairs_ref(*lay, table)), name
 
 
@@ -786,11 +786,30 @@ def test_bias_map_working_memory_is_one_chunk(table):
     assert L > 4000
     tracemalloc.start()
     try:
-        build_bias_map(enc)
+        build_bias_map(enc).rel
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak - L * L < 16 * mask_module._CHUNK_PAIRS, peak - L * L
+
+
+def test_bias_map_gathers_its_classes_when_read():
+    # the map is the M0 mask of its layout: building it is O(L), and its
+    # L x L classes are gathered on the first read of .rel, once
+    enc = make_bench_encoding(2048, "T2", seed=1)
+    L = len(enc)
+    tracemalloc.start()
+    try:
+        rel = build_bias_map(enc)
+        _, built = tracemalloc.get_traced_memory()
+        classes = rel.rel
+        _, read = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built < L * L <= read, (built, read)
+    assert rel.rel is classes and rel.length == L and rel.n_classes == N_BIAS_CLASSES
+    with pytest.raises(ValidationError, match="M0"):
+        BiasRelationMap("M1", rel.row, rel.col, rel.cat)
 
 
 def test_bias_map_values_in_range(rng):
