@@ -27,6 +27,7 @@ _EXPORTS = {
     "Table": "core",
     "QAExample": "core",
     "FactorConfig": "core",
+    "ModelConfig": "core",
     "TabencError": "core",
     "ValidationError": "core",
     "derive_rng": "core",
@@ -57,7 +58,6 @@ _EXPORTS = {
     "anova": "stats",
     "AnovaReport": "stats",
     "f_upper_tail": "stats",
-    "ModelConfig": "model",
     "train": "model",
     "predict": "model",
     "evaluate_da": "model",

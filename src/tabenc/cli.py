@@ -29,14 +29,17 @@ from pathlib import Path
 from .core import (
     FACTORS,
     FactorConfig,
+    ModelConfig,
     TabencError,
     Table,
     ValidationError,
     derive_seed,
     env_threads,
     is_legal_combination,
+    iter_json_lines,
     iter_jsonl,
     open_text,
+    parse_json,
     read_jsonl,
     set_blas_threads,
     write_jsonl,
@@ -118,12 +121,11 @@ def _load_table(path: str) -> Table:
     """The table of a JSON table file; one that is not a table raises
     ValidationError naming it (open_text reports bytes that are not UTF-8)."""
     with open_text(path) as fh:
-        try:
-            return Table.from_json(json.load(fh))
-        except UnicodeDecodeError:
-            raise
-        except (ValueError, TypeError, ValidationError) as exc:
-            raise ValidationError(f"{path}: not a table: {exc}") from None
+        obj = parse_json(fh.read(), path)
+    try:
+        return Table.from_json(obj)
+    except (ValueError, TypeError, ValidationError) as exc:
+        raise ValidationError(f"{path}: not a table: {exc}") from None
 
 
 def _factor(args) -> FactorConfig:
@@ -141,6 +143,10 @@ def _fmt_float(x: float) -> str:
 # gen
 # ---------------------------------------------------------------------------
 
+# GenSpec fields that gen overrides with a --<field> flag of the field's type
+_GEN_OVERRIDES = ("value_max", "consistency_rate", "mix_strength", "mix_alphabet")
+
+
 def _int_list(text: str, flag: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(",") if p.strip())
@@ -153,16 +159,14 @@ def _int_list(text: str, flag: str) -> tuple[int, ...]:
 def _cmd_gen(args) -> int:
     from .datagen import gen_dataset, suite_spec
 
-    overrides = {}
+    overrides = {name: getattr(args, name) for name in _GEN_OVERRIDES
+                 if getattr(args, name) is not None}
     if args.templates:
         overrides["templates"] = tuple(p.strip() for p in args.templates.split(",") if p.strip())
     if args.rows:
         overrides["row_values"] = _int_list(args.rows, "rows")
     if args.cols:
         overrides["col_values"] = _int_list(args.cols, "cols")
-    for name in ("value_max", "consistency_rate", "mix_strength", "mix_alphabet"):
-        if getattr(args, name) is not None:
-            overrides[name] = getattr(args, name)
     if args.drop_empty:
         overrides["keep_empty"] = False
     spec = suite_spec(args.suite, args.n, args.seed, **overrides)
@@ -200,23 +204,13 @@ def _cmd_exec(args) -> int:
 
 def _read_predictions(path: str) -> list[list[str]]:
     preds = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{lineno}: prediction is not JSON: {exc}") from None
-            if isinstance(obj, dict):
-                obj = obj.get("answer")
-            if not isinstance(obj, list) or not all(isinstance(v, str) for v in obj):
-                raise ValidationError(
-                    f"{path}:{lineno}: prediction must be a JSON list of strings "
-                    f"or an object with an 'answer' list"
-                )
-            preds.append(obj)
+    for lineno, obj in iter_json_lines(path):
+        if isinstance(obj, dict):
+            obj = obj.get("answer")
+        if not isinstance(obj, list) or not all(isinstance(v, str) for v in obj):
+            raise ValidationError(f"{path}:{lineno}: prediction must be a JSON list of "
+                                  "strings or an object with an 'answer' list")
+        preds.append(obj)
     return preds
 
 
@@ -323,33 +317,27 @@ def _cmd_bench(args) -> int:
 # train / eval
 # ---------------------------------------------------------------------------
 
+# --flag -> ModelConfig field; grid takes those before --d-model, train all
+_MODEL_FLAGS = {
+    "steps": "steps", "batch-size": "batch_size", "lr": "learning_rate",
+    "eval-every": "eval_every", "patience": "patience", "context-len": "context_len",
+    "d-model": "d_model", "n-heads": "n_heads", "enc-layers": "n_enc_layers",
+    "dec-layers": "n_dec_layers", "ffn-dim": "ffn_dim", "eval-fraction": "eval_fraction",
+}
+
+
 def _model_kwargs(args) -> dict:
-    """The ModelConfig fields that train and grid both take from flags."""
-    return dict(
-        context_len=args.context_len,
-        max_positions=max(args.context_len, 512),
-        steps=args.steps,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        patience=args.patience,
-        eval_every=args.eval_every,
-    )
+    """The ModelConfig fields of a command's model flags, and max_positions
+    raised to cover the context."""
+    kwargs = {field: getattr(args, field) for field in _MODEL_FLAGS.values() if hasattr(args, field)}
+    return {**kwargs, "max_positions": max(args.context_len, ModelConfig.max_positions)}
 
 
 def _cmd_train(args) -> int:
     from .linearize import default_vocab
-    from .model import ModelConfig, save_checkpoint, train
+    from .model import save_checkpoint, train
 
-    cfg = ModelConfig(
-        factor=_factor(args),
-        d_model=args.d_model,
-        n_heads=args.n_heads,
-        n_enc_layers=args.enc_layers,
-        n_dec_layers=args.dec_layers,
-        ffn_dim=args.ffn_dim,
-        eval_fraction=args.eval_fraction,
-        **_model_kwargs(args),
-    )
+    cfg = ModelConfig(factor=_factor(args), **_model_kwargs(args))
     examples = read_jsonl(args.data)
 
     log = None if args.quiet else (lambda msg: sys.stderr.write(msg + "\n"))
@@ -616,7 +604,7 @@ def _grid_run_one(payload: dict) -> list[str]:
     training run yields rows with da=nan instead of failing the grid.
     """
     from .linearize import default_vocab
-    from .model import ModelConfig, TrainingDivergedError, predict, train
+    from .model import TrainingDivergedError, predict, train
     from .sqlexec import denotation_accuracy
 
     factor = FactorConfig.from_dict(payload["factor"])
@@ -680,8 +668,6 @@ def _canonicalize_results(results_path: Path) -> int:
 
 
 def _cmd_grid(args) -> int:
-    from .model import ModelConfig
-
     plan = _build_plan(args)
     model_kwargs = _model_kwargs(args)
     ModelConfig(**model_kwargs)  # rejects bad model flags before anything is written
@@ -818,19 +804,22 @@ def _add_factor_flags(sp, columns):
             sp.add_argument(f"--{field}", default=levels[0], choices=levels)
 
 
-def _add_model_flags(sp):
-    sp.add_argument("--steps", type=int, default=20000)
-    sp.add_argument("--batch-size", type=int, default=8)
-    sp.add_argument("--lr", type=float, default=3e-4)
-    sp.add_argument("--eval-every", type=int, default=500)
-    sp.add_argument("--patience", type=int, default=15)
-    sp.add_argument("--context-len", type=int, default=512)
-    sp.add_argument("--stop-da", type=float, default=None,
-                    help="stop as soon as held-out DA reaches this value")
+def _add_model_flags(sp, arch: bool) -> None:
+    """Add the flags of _MODEL_FLAGS before --d-model, then --stop-da, then
+    with `arch` the rest; each takes its ModelConfig field's type and default."""
+    for flag, field in _MODEL_FLAGS.items():
+        if flag == "d-model":
+            sp.add_argument("--stop-da", type=float, default=None,
+                            help="stop as soon as held-out DA reaches this value")
+            if not arch:
+                return
+        default = getattr(ModelConfig, field)
+        sp.add_argument(f"--{flag}", dest=field, metavar=flag.upper().replace("-", "_"),
+                        type=type(default), default=default)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .datagen import SUITES
+    from .datagen import SUITES, GenSpec
 
     common = argparse.ArgumentParser(add_help=False)
     # SUPPRESS keeps a pre-subcommand --json-errors from being reset by the
@@ -853,10 +842,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--templates", help="comma-separated template ids (override)")
     sp.add_argument("--rows", help="comma-separated row-count choices")
     sp.add_argument("--cols", help="comma-separated column-count choices")
-    sp.add_argument("--value-max", type=int)
-    sp.add_argument("--consistency-rate", type=float)
-    sp.add_argument("--mix-strength", type=float)
-    sp.add_argument("--mix-alphabet", type=int)
+    for name in _GEN_OVERRIDES:
+        sp.add_argument(f"--{name.replace('_', '-')}", type=type(getattr(GenSpec, name)))
     sp.add_argument("--drop-empty", action="store_true",
                     help="drop examples whose answer is empty")
     sp.set_defaults(func=_cmd_gen)
@@ -906,13 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--seed", type=int, default=0)
     _add_factor_flags(sp, FACTORS)
-    _add_model_flags(sp)
-    sp.add_argument("--d-model", type=int, default=128)
-    sp.add_argument("--n-heads", type=int, default=4)
-    sp.add_argument("--enc-layers", type=int, default=2)
-    sp.add_argument("--dec-layers", type=int, default=2)
-    sp.add_argument("--ffn-dim", type=int, default=256)
-    sp.add_argument("--eval-fraction", type=float, default=0.05)
+    _add_model_flags(sp, arch=True)
     sp.add_argument("--quiet", action="store_true")
     sp.set_defaults(func=_cmd_train)
 
@@ -944,7 +925,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suites", default="train,structure")
     sp.add_argument("--train-n", type=int, default=512)
     sp.add_argument("--eval-n", type=int, default=128)
-    _add_model_flags(sp)
+    _add_model_flags(sp, arch=False)
     sp.set_defaults(steps=2000, eval_every=200, context_len=1024)
     sp.add_argument("--eval-batch", type=int, default=8)
     sp.add_argument("--workers", type=int, default=None,
@@ -980,7 +961,7 @@ def main(argv=None) -> int:
             raise ValidationError(env_error)
         return args.func(args)
     except (ValidationError, FileNotFoundError, IsADirectoryError, PermissionError,
-            json.JSONDecodeError, csv.Error) as exc:
+            csv.Error) as exc:
         _emit_error(exc, json_mode)
         return 2
     except TabencError as exc:

@@ -1,5 +1,6 @@
-"""Shared domain types, the factor grid, seeded RNG streams, JSONL io, and
-the TABENC_THREADS parser and run-time BLAS thread setter.
+"""Shared domain types, the factor grid, the model config, seeded RNG
+streams, JSON and JSONL io, and the TABENC_THREADS parser and run-time BLAS
+thread setter.
 
 This module loads no numpy at import: the command line imports it before it
 applies TABENC_THREADS, which only takes effect if numpy is not loaded yet.
@@ -12,7 +13,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -180,6 +181,57 @@ def is_legal_combination(tokens: str, mask: str) -> bool:
     return not (mask in STRUCTURAL_MASKS and tokens != "T2")
 
 
+@dataclass
+class ModelConfig:
+    """The toy model's size, context and training settings (tabenc.model)."""
+
+    factor: FactorConfig = field(default_factory=FactorConfig)
+    d_model: int = 128
+    n_heads: int = 4
+    n_enc_layers: int = 2
+    n_dec_layers: int = 2
+    ffn_dim: int = 256
+    context_len: int = 512
+    max_positions: int = 512
+    dec_positions: int = 64
+    max_answer_len: int = 64
+    max_table_rows: int = 64
+    max_table_cols: int = 16
+    steps: int = 20000
+    batch_size: int = 8
+    learning_rate: float = 3e-4
+    patience: int = 15
+    eval_every: int = 500
+    eval_fraction: float = 0.05
+    eval_max: int = 200
+
+    def __post_init__(self) -> None:
+        if self.d_model % self.n_heads:
+            raise ValidationError("d_model must be divisible by n_heads")
+        if self.max_positions < self.context_len:
+            raise ValidationError("max_positions must cover the context length")
+        if self.max_answer_len > self.dec_positions:
+            raise ValidationError("max_answer_len must fit in decoder positions")
+        for name in ("batch_size", "steps", "eval_every"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
+
+    @property
+    def head_dim(self) -> int:
+        return self.d_model // self.n_heads
+
+    def to_json(self) -> dict:
+        out = {k: v for k, v in self.__dict__.items() if k != "factor"}
+        out["factor"] = self.factor.to_dict()
+        return out
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "ModelConfig":
+        obj = dict(obj)
+        factor = FactorConfig.from_dict(obj.pop("factor", {}))
+        return cls(factor=factor, **obj)
+
+
 @dataclass(frozen=True)
 class Seed:
     """Master seed for an experiment; substreams are addressed by (tag, index).
@@ -269,6 +321,15 @@ def set_blas_threads(n: int) -> int | None:
     return None
 
 
+def parse_json(text: str | bytes, where: str):
+    """The value of JSON `text`; ValidationError naming `where` if it is not
+    JSON or nests deeper than the parser recurses."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"{where}: not JSON: {exc}") from None
+
+
 def example_to_line(example: QAExample) -> str:
     return json.dumps(example.to_json(), ensure_ascii=False)
 
@@ -305,15 +366,19 @@ def read_jsonl(path: str | Path) -> list[QAExample]:
     return [ex for _line_no, ex in iter_jsonl(path)]
 
 
-def iter_jsonl(path: str | Path) -> Iterator[tuple[int, QAExample]]:
-    """(line number, example) for every non-blank line of a JSONL file."""
+def iter_json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
+    """(line number, JSON value) for every non-blank line of a JSONL file."""
     with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                example = QAExample.from_json(json.loads(line))
-            except (KeyError, ValueError, TypeError, ValidationError) as exc:
-                raise ValidationError(f"{path}:{line_no}: bad example line: {exc}") from exc
-            yield line_no, example
+            if line.strip():
+                yield line_no, parse_json(line, f"{path}:{line_no}")
+
+
+def iter_jsonl(path: str | Path) -> Iterator[tuple[int, QAExample]]:
+    """(line number, example) for every non-blank line of a JSONL file."""
+    for line_no, obj in iter_json_lines(path):
+        try:
+            example = QAExample.from_json(obj)
+        except (KeyError, ValueError, TypeError, ValidationError) as exc:
+            raise ValidationError(f"{path}:{line_no}: bad example line: {exc}") from exc
+        yield line_no, example

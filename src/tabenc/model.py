@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .attention import dense_backward, dense_forward
-from .core import FactorConfig, QAExample, TabencError, ValidationError, derive_rng
+from .core import ModelConfig, QAExample, TabencError, ValidationError, derive_rng, parse_json
 from .linearize import EncodedInput, Vocabulary, default_vocab, encode_input
 from .mask import (BLOCKED, N_BIAS_CLASSES, AttentionMask, build_mask, count_classes,
                    signature_classes)
@@ -51,55 +51,6 @@ _OTHER_CLASS = N_BIAS_CLASSES - 1  # catch-all relation, used for padding
 
 class TrainingDivergedError(TabencError):
     """Loss became non-finite during training."""
-
-
-@dataclass
-class ModelConfig:
-    factor: FactorConfig = field(default_factory=FactorConfig)
-    d_model: int = 128
-    n_heads: int = 4
-    n_enc_layers: int = 2
-    n_dec_layers: int = 2
-    ffn_dim: int = 256
-    context_len: int = 512
-    max_positions: int = 512
-    dec_positions: int = 64
-    max_answer_len: int = 64
-    max_table_rows: int = 64
-    max_table_cols: int = 16
-    steps: int = 20000
-    batch_size: int = 8
-    learning_rate: float = 3e-4
-    patience: int = 15
-    eval_every: int = 500
-    eval_fraction: float = 0.05
-    eval_max: int = 200
-
-    def __post_init__(self) -> None:
-        if self.d_model % self.n_heads:
-            raise ValidationError("d_model must be divisible by n_heads")
-        if self.max_positions < self.context_len:
-            raise ValidationError("max_positions must cover the context length")
-        if self.max_answer_len > self.dec_positions:
-            raise ValidationError("max_answer_len must fit in decoder positions")
-        for name in ("batch_size", "steps", "eval_every"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-    @property
-    def head_dim(self) -> int:
-        return self.d_model // self.n_heads
-
-    def to_json(self) -> dict:
-        out = {k: v for k, v in self.__dict__.items() if k != "factor"}
-        out["factor"] = self.factor.to_dict()
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ModelConfig":
-        obj = dict(obj)
-        factor = FactorConfig.from_dict(obj.pop("factor", {}))
-        return cls(factor=factor, **obj)
 
 
 # ---------------------------------------------------------------------------
@@ -907,8 +858,8 @@ def load_checkpoint(path) -> tuple[dict, ModelConfig, int]:
         version, hlen = struct.unpack("<II", head)
         if version != _CKPT_VERSION:
             raise ValidationError(f"{path}: unsupported checkpoint version {version}")
+        header = parse_json(fh.read(hlen), f"{path}: checkpoint header")
         try:
-            header = json.loads(fh.read(hlen))
             cfg = ModelConfig.from_json(header["config"])
             vocab_size = int(header["vocab_size"])
             tensors = [(t["name"], tuple(int(n) for n in t["shape"])) for t in header["tensors"]]

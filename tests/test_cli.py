@@ -1,5 +1,7 @@
+import argparse
 import concurrent.futures as cf
 import ctypes
+import dataclasses
 import json
 import os
 import re
@@ -14,7 +16,7 @@ import pytest
 import tabenc
 from tabenc import cli
 from tabenc.cli import main
-from tabenc.core import QAExample, Table, ValidationError, derive_rng, write_jsonl
+from tabenc.core import ModelConfig, QAExample, Table, ValidationError, derive_rng, write_jsonl
 from tabenc.linearize import linearize
 from tabenc.mask import read_blocks_file
 
@@ -388,6 +390,37 @@ def trained(tmp_path_factory):
     ])
     assert code == 0
     return data, run_dir
+
+
+DEEP_JSON = "[" * 100_000
+
+
+@pytest.mark.parametrize("reader", ["table", "data", "predictions", "checkpoint"])
+def test_deeply_nested_json_names_the_file(trained, tmp_path, capsys, reader):
+    # JSON nested deeper than the parser recurses is an input error (exit 2)
+    # naming the file, and the line in a JSONL file; not a RecursionError (exit 3)
+    data, run_dir = trained
+    pred = tmp_path / "p.jsonl"
+    pred.write_text('["1"]\n')
+    bad = tmp_path / "bad"
+    if reader == "checkpoint":  # a valid magic and version, then the header
+        head = (run_dir / "checkpoint.bin").read_bytes()[:8]
+        bad.write_bytes(head + len(DEEP_JSON).to_bytes(4, "little") + DEEP_JSON.encode())
+    elif reader == "table":
+        bad.write_text(DEEP_JSON)
+    else:
+        first = (data if reader == "data" else pred).read_text().splitlines()[0]
+        bad.write_text(f"{first}\n{DEEP_JSON}\n")
+    argv = {
+        "table": ("exec", "--table", str(bad), "--query", "select c1"),
+        "data": ("score", "--data", str(bad), "--pred", str(pred)),
+        "predictions": ("score", "--data", str(data), "--pred", str(bad)),
+        "checkpoint": ("eval", "--checkpoint", str(bad), "--data", str(data)),
+    }[reader]
+    code, _, err = run(capsys, *argv)
+    assert code == 2, err
+    where = f"{bad}:2:" if reader in ("data", "predictions") else f"{bad}:"
+    assert err.startswith(f"tabenc: error: {where} "), err
 
 
 def test_train_outputs(trained, capsys):
@@ -974,6 +1007,78 @@ def test_cli_and_core_imports_leave_numpy_unloaded():
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# parser contract
+# ---------------------------------------------------------------------------
+
+OPTIONS = {
+    "gen": {"--cols", "--consistency-rate", "--drop-empty", "--mix-alphabet",
+            "--mix-strength", "--n", "--out", "--rows", "--seed", "--suite", "--templates",
+            "--value-max"},
+    "exec": {"--query", "--table"},
+    "score": {"--data", "--pred", "--set-semantics"},
+    "dump-encoding": {"--emb", "--json", "--max-len", "--pe", "--question", "--table",
+                      "--tokens"},
+    "mask": {"--mask", "--max-len", "--out", "--question", "--show", "--table", "--tokens"},
+    "bench": {"--backward", "--head-dim", "--lengths", "--out", "--scheme", "--seed",
+              "--trials"},
+    "train": {"--batch-size", "--bias", "--context-len", "--d-model", "--data",
+              "--dec-layers", "--emb", "--enc-layers", "--eval-every", "--eval-fraction",
+              "--ffn-dim", "--lr", "--mask", "--n-heads", "--out", "--patience", "--pe",
+              "--quiet", "--seed", "--steps", "--stop-da", "--tokens"},
+    "eval": {"--batch-size", "--checkpoint", "--data", "--pred-out", "--set-semantics"},
+    "anova": {"--allow-unbalanced", "--out", "--response", "--results", "--terms"},
+    "grid": {"--batch-size", "--configs", "--context-len", "--eval-batch", "--eval-every",
+             "--eval-n", "--lr", "--out", "--patience", "--plan-only", "--replicates",
+             "--seed", "--steps", "--stop-da", "--suites", "--train-n", "--workers"},
+    "report": {"--out", "--results"},
+}
+
+# a non-default value for each model flag, and the ModelConfig field it sets
+MODEL_FLAG_VALUES = {
+    "--steps": ("7", "steps", 7), "--batch-size": ("3", "batch_size", 3),
+    "--lr": ("0.01", "learning_rate", 0.01), "--eval-every": ("5", "eval_every", 5),
+    "--patience": ("2", "patience", 2), "--context-len": ("700", "context_len", 700),
+    "--d-model": ("32", "d_model", 32), "--n-heads": ("2", "n_heads", 2),
+    "--enc-layers": ("1", "n_enc_layers", 1), "--dec-layers": ("3", "n_dec_layers", 3),
+    "--ffn-dim": ("48", "ffn_dim", 48), "--eval-fraction": ("0.2", "eval_fraction", 0.2),
+}
+
+
+def test_parser_options_per_subcommand():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(OPTIONS)
+    for name, sp in commands.items():
+        options = {o for a in sp._actions for o in a.option_strings}
+        assert options == OPTIONS[name] | {"-h", "--help", "--json-errors"}, name
+
+
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_model_flags_default_to_model_config(command):
+    # bare train builds the library's ModelConfig(); grid changes three
+    # fields, and max_positions follows its context
+    parser = cli.build_parser()
+    args = parser.parse_args([command, "--data", "d", "--out", "o"] if command == "train"
+                             else [command, "--out", "o"])
+    expected = ModelConfig() if command == "train" else dataclasses.replace(
+        ModelConfig(), steps=2000, eval_every=200, context_len=1024, max_positions=1024)
+    assert ModelConfig(**cli._model_kwargs(args)) == expected
+
+
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_model_flags_set_their_fields(command):
+    flags = {f: v for f, v in MODEL_FLAG_VALUES.items() if f in OPTIONS[command]}
+    argv = [command, "--out", "o"] + (["--data", "d"] if command == "train" else [])
+    args = cli.build_parser().parse_args(argv + [x for f, (v, _, _) in flags.items()
+                                                 for x in (f, v)])
+    cfg = ModelConfig(**cli._model_kwargs(args))
+    for flag, (_text, field, value) in flags.items():
+        assert getattr(cfg, field) == value, flag
+    assert cfg.max_positions == 700
 
 
 # ---------------------------------------------------------------------------
